@@ -66,7 +66,7 @@ struct BatchKernelStats {
 
 // Function table for the arena's vector-specializable query kernels.
 // One table per SimdLevel, each defined in an isolated TU compiled with
-// exactly that level's flags (arena_kernels_{scalar,sse,avx2}.cc); the
+// exactly that level's flags (arena_kernels_{scalar,avx2}.cc); the
 // process picks a table once at startup via simd_dispatch.h.  Every
 // level computes bit-identical answers — levels differ only in how the
 // compare work is issued.

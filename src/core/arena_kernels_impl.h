@@ -1,9 +1,9 @@
 // Implementation body for one arena-kernel translation unit.  NOT a
-// normal header: arena_kernels_{scalar,sse,avx2}.cc each define
-// TREL_KERNEL_VARIANT (0 = portable scalar, 1 = SSE4.2, 2 = AVX2) and
-// include this file exactly once; the TU is compiled with that level's
-// vector flags (see src/core/CMakeLists.txt), so the intrinsics below
-// never leak into commonly-compiled objects.  Every variant computes
+// normal header: arena_kernels_{scalar,avx2}.cc each define
+// TREL_KERNEL_VARIANT (0 = portable scalar, 2 = AVX2) and include this
+// file exactly once; the TU is compiled with that level's vector flags
+// (see src/core/CMakeLists.txt), so the intrinsics below never leak into
+// commonly-compiled objects.  Every variant computes
 // bit-identical answers — they differ only in how the compare work of
 // short-run scans and 512-bit filter tests is issued, and the batch
 // engine's pipeline structure is shared verbatim.
@@ -19,7 +19,7 @@
 #include "core/arena_kernels.h"
 #include "core/label_arena.h"
 
-#if TREL_KERNEL_VARIANT >= 1
+#if TREL_KERNEL_VARIANT == 2
 #include <immintrin.h>
 #endif
 
@@ -32,8 +32,6 @@ namespace {
 // per variant to roughly two cache lines of vector work.
 #if TREL_KERNEL_VARIANT == 2
 constexpr uint32_t kLinearScanMax = 32;
-#elif TREL_KERNEL_VARIANT == 1
-constexpr uint32_t kLinearScanMax = 16;
 #else
 constexpr uint32_t kLinearScanMax = 4;
 #endif
@@ -88,45 +86,6 @@ inline bool FilterIntersectsImpl(const uint64_t* filter,
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + 4)));
   const __m256i any = _mm256_or_si256(a0, a1);
   return _mm256_testz_si256(any, any) == 0;
-}
-
-#elif TREL_KERNEL_VARIANT == 1
-
-inline bool LinearScanHit(const Interval* a, uint32_t k, Label x) {
-  const __m128i xv = _mm_set1_epi64x(x);
-  unsigned hits = 0;
-  // One 128-bit lane holds one interval [lo hi]; the interval hits iff
-  // neither lane excludes x (lo > x / x > hi).  Two intervals per
-  // iteration to keep the compare ports busy.
-  uint32_t i = 0;
-  for (; i + 2 <= k; i += 2) {
-    const __m128i p0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i p1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i + 1));
-    const __m128d bad0 =
-        _mm_blend_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(p0, xv)),
-                     _mm_castsi128_pd(_mm_cmpgt_epi64(xv, p0)), 0x2);
-    const __m128d bad1 =
-        _mm_blend_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(p1, xv)),
-                     _mm_castsi128_pd(_mm_cmpgt_epi64(xv, p1)), 0x2);
-    hits |= static_cast<unsigned>(_mm_movemask_pd(bad0) == 0) |
-            static_cast<unsigned>(_mm_movemask_pd(bad1) == 0);
-  }
-  if (hits != 0) return true;
-  return i < k && a[i].lo <= x && x <= a[i].hi;
-}
-
-inline bool FilterIntersectsImpl(const uint64_t* filter,
-                                 const uint64_t* mask) {
-  __m128i any = _mm_setzero_si128();
-  for (int w = 0; w < 8; w += 2) {
-    any = _mm_or_si128(
-        any, _mm_and_si128(
-                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(filter + w)),
-                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask + w))));
-  }
-  return _mm_testz_si128(any, any) == 0;
 }
 
 #else  // scalar

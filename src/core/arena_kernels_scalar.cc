@@ -1,6 +1,6 @@
 // Portable scalar arena kernels: the reference implementation every
 // vector level must match bit-for-bit, and the fallback table on hosts
-// (or targets) without SSE4.2.  Compiled with the project's baseline
+// (or targets) without AVX2.  Compiled with the project's baseline
 // flags only — no vector ISA.
 
 #define TREL_KERNEL_VARIANT 0

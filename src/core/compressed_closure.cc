@@ -33,25 +33,24 @@ const char* ProbeTagName(ProbeTag tag) {
 
 namespace {
 
-// Comparator for binary searches over the overlay (postorder, node)
-// directory.
-bool EntryBelow(const std::pair<Label, NodeId>& e, Label x) {
-  return e.first < x;
-}
-bool AboveEntry(Label x, const std::pair<Label, NodeId>& e) {
-  return x < e.first;
+// Applies `visit` (returning false to stop) to the intervals of `slot` in
+// `arena` in ascending (lo, hi) order: the inline first interval, then an
+// in-order walk of the Eytzinger extras run.
+template <typename Fn>
+void VisitIntervals(const LabelArena& arena, NodeId slot, Fn&& visit) {
+  const LabelArena::NodeSlot& s = arena.slots[slot];
+  if (s.first.lo <= s.first.hi && !visit(s.first)) return;
+  arena.ForEachExtra(slot, visit);
 }
 
 }  // namespace
 
 CompressedClosure::CompressedClosure()
-    : labels_(std::make_shared<const NodeLabels>()),
-      tree_cover_(std::make_shared<const TreeCover>()),
+    : tree_cover_(std::make_shared<const TreeCover>()),
       arena_(std::make_shared<const LabelArena>()) {}
 
-CompressedClosure::CompressedClosure(
-    const NodeLabels& labels, std::shared_ptr<const NodeLabels> retained,
-    TreeCover tree_cover, ExportHints hints) {
+CompressedClosure::CompressedClosure(const NodeLabels& labels,
+                                     TreeCover tree_cover, ExportHints hints) {
   num_nodes_ = static_cast<NodeId>(labels.postorder.size());
   Stopwatch arena_timer;
   auto arena = std::make_shared<LabelArena>(BuildLabelArena(
@@ -63,12 +62,10 @@ CompressedClosure::CompressedClosure(
   // first plus each slot's extras (extras.size() would overcount — runs
   // carry a summary slot).
   total_intervals_ = 0;
-  for (const LabelArena::NodeSlot& slot : arena->slots) {
-    total_intervals_ += (slot.first.lo <= slot.first.hi ? 1 : 0) +
-                        static_cast<int64_t>(slot.extra_count);
+  for (NodeId v = 0; v < arena->num_nodes(); ++v) {
+    total_intervals_ += arena->IntervalCount(v);
   }
   arena_ = std::move(arena);
-  labels_ = std::move(retained);
   tree_cover_ = std::make_shared<const TreeCover>(std::move(tree_cover));
 }
 
@@ -80,36 +77,15 @@ StatusOr<CompressedClosure> CompressedClosure::Build(
   ReorderChildren(cover, options.child_order);
   TREL_ASSIGN_OR_RETURN(NodeLabels labels,
                         BuildLabels(graph, cover, options.labeling));
-  auto owned = std::make_shared<const NodeLabels>(std::move(labels));
-  return CompressedClosure(*owned, owned, std::move(cover), {});
+  return CompressedClosure(labels, std::move(cover), {});
 }
 
-CompressedClosure CompressedClosure::FromParts(NodeLabels labels,
-                                               TreeCover tree_cover) {
-  return FromParts(std::move(labels), std::move(tree_cover), {});
-}
-
-CompressedClosure CompressedClosure::FromParts(NodeLabels labels,
+CompressedClosure CompressedClosure::FromParts(const NodeLabels& labels,
                                                TreeCover tree_cover,
                                                ExportHints hints) {
   TREL_CHECK_EQ(labels.postorder.size(), labels.intervals.size());
   TREL_CHECK_EQ(labels.postorder.size(), tree_cover.parent.size());
-  auto owned = std::make_shared<const NodeLabels>(std::move(labels));
-  return CompressedClosure(*owned, owned, std::move(tree_cover),
-                           std::move(hints));
-}
-
-CompressedClosure CompressedClosure::FromPartsQueryOnly(
-    const NodeLabels& labels, TreeCover tree_cover) {
-  return FromPartsQueryOnly(labels, std::move(tree_cover), ExportHints());
-}
-
-CompressedClosure CompressedClosure::FromPartsQueryOnly(
-    const NodeLabels& labels, TreeCover tree_cover, ExportHints hints) {
-  TREL_CHECK_EQ(labels.postorder.size(), labels.intervals.size());
-  TREL_CHECK_EQ(labels.postorder.size(), tree_cover.parent.size());
-  return CompressedClosure(labels, std::make_shared<const NodeLabels>(),
-                           std::move(tree_cover), std::move(hints));
+  return CompressedClosure(labels, std::move(tree_cover), std::move(hints));
 }
 
 CompressedClosure CompressedClosure::WithDelta(const CompressedClosure& base,
@@ -118,13 +94,24 @@ CompressedClosure CompressedClosure::WithDelta(const CompressedClosure& base,
       << "node ids are never recycled; a shrinking universe means the delta "
          "came from a different index lineage";
   CompressedClosure result;
-  result.labels_ = base.labels_;
   result.tree_cover_ = base.tree_cover_;
   result.arena_ = base.arena_;
-  result.overlay_ = base.overlay_;
   result.num_nodes_ = delta.num_nodes;
 
-  const NodeId base_layer_nodes = base.arena_->num_nodes();
+  // The new overlay: every delta entry, plus each node of the old overlay
+  // the delta leaves alone (copied from the old overlay arena).  `slot_of`
+  // doubles as the "taken from the delta" mark until slots are assigned.
+  // Base numbers the overlay supersedes: the old overlay's, plus those of
+  // base-layer nodes the delta overlays for the first time.
+  const NodeId base_layer_nodes = result.arena_->num_nodes();
+  const auto by_postorder = [](const OverlayMember& a,
+                               const OverlayMember& b) {
+    return a.postorder < b.postorder;
+  };
+  std::vector<OverlayMember> members;
+  std::vector<int32_t> slot_of(static_cast<size_t>(delta.num_nodes),
+                               kNotOverlaid);
+  std::vector<Label> newly_stale;
   int64_t total = base.total_intervals_;
   NodeId prev = kNoNode;
   NodeId new_nodes_seen = 0;
@@ -132,65 +119,89 @@ CompressedClosure CompressedClosure::WithDelta(const CompressedClosure& base,
     TREL_CHECK_GT(entry.node, prev) << "delta entries must be sorted by node";
     TREL_CHECK_LT(entry.node, delta.num_nodes);
     prev = entry.node;
-    if (entry.node >= base.num_nodes_) ++new_nodes_seen;
-    // Adjust the interval total by what this entry replaces: a previous
-    // overlay entry, a base-layer label, or nothing (new node).
-    int64_t replaced = 0;
-    auto it = result.overlay_.find(entry.node);
-    if (it != result.overlay_.end()) {
-      replaced = it->second.intervals.size();
-      it->second = OverlayEntry{entry.postorder, entry.tree_interval,
-                                entry.intervals};
-    } else {
-      if (entry.node < base_layer_nodes) {
-        replaced = base.arena_->IntervalCount(entry.node);
+    // Adjust the interval total by what this entry replaces: the node's
+    // current label in `base`, or nothing (new node).
+    if (entry.node < base.num_nodes_) {
+      total -= base.IntervalCountOf(entry.node);
+      if (entry.node < base_layer_nodes && !base.IsOverlayMember(entry.node)) {
+        newly_stale.push_back(result.arena_->slots[entry.node].postorder);
       }
-      result.overlay_.emplace(
-          entry.node, OverlayEntry{entry.postorder, entry.tree_interval,
-                                   entry.intervals});
+    } else {
+      ++new_nodes_seen;
     }
-    total += entry.intervals.size() - replaced;
+    total += entry.intervals.size();
+    slot_of[entry.node] = 0;
+    members.push_back(
+        OverlayMember{entry.postorder, entry.node, &entry.intervals, kNoNode});
   }
   TREL_CHECK_EQ(new_nodes_seen, delta.num_nodes - base.num_nodes_)
       << "every node added since the base export must appear in the delta";
   result.total_intervals_ = total;
-  result.ReindexOverlay();
+  if (delta.entries.empty()) {
+    result.overlay_ = base.overlay_;  // Same node universe, same labels.
+    return result;
+  }
+
+  // Old overlay slots are already in postorder order, so one sort of the
+  // delta and a merge order the members.
+  std::sort(members.begin(), members.end(), by_postorder);
+  const auto num_delta = static_cast<std::ptrdiff_t>(members.size());
+  auto overlay = std::make_shared<Overlay>();
+  const LabelArena* old = nullptr;
+  std::sort(newly_stale.begin(), newly_stale.end());
+  if (base.overlay_ != nullptr) {
+    old = &base.overlay_->arena;
+    for (NodeId s = 0; s < old->num_nodes(); ++s) {
+      const NodeId node = old->dir_nodes[s];
+      if (slot_of[node] == kNotOverlaid) {
+        members.push_back(
+            OverlayMember{old->slots[s].postorder, node, nullptr, s});
+      }
+    }
+    std::inplace_merge(members.begin(), members.begin() + num_delta,
+                       members.end(), by_postorder);
+    const std::vector<Label>& old_stale = base.overlay_->stale_labels;
+    overlay->stale_labels.resize(old_stale.size() + newly_stale.size());
+    std::merge(old_stale.begin(), old_stale.end(), newly_stale.begin(),
+               newly_stale.end(), overlay->stale_labels.begin());
+  } else {
+    overlay->stale_labels = std::move(newly_stale);
+  }
+  for (size_t i = 0; i < members.size(); ++i) {
+    slot_of[members[i].node] = static_cast<int32_t>(i);
+  }
+  overlay->arena = BuildOverlayArena(members, old);
+  overlay->slot_of = std::move(slot_of);
+  result.overlay_ = std::move(overlay);
   return result;
 }
 
-void CompressedClosure::ReindexOverlay() {
-  overlay_by_postorder_.clear();
-  stale_labels_.clear();
-  overlay_by_postorder_.reserve(overlay_.size());
-  overlay_member_.assign(static_cast<size_t>(num_nodes_), 0);
-  const NodeId base_layer_nodes = arena_->num_nodes();
-  for (const auto& [node, entry] : overlay_) {
-    overlay_member_[node] = 1;
-    overlay_by_postorder_.emplace_back(entry.postorder, node);
-    if (node < base_layer_nodes) {
-      stale_labels_.push_back(arena_->slots[node].postorder);
-    }
-  }
-  std::sort(overlay_by_postorder_.begin(), overlay_by_postorder_.end());
-  std::sort(stale_labels_.begin(), stale_labels_.end());
+IntervalSet CompressedClosure::IntervalsOf(NodeId v) const {
+  TREL_CHECK(IsValidNode(v));
+  const LabelRef ref = LabelOf(v);
+  std::vector<Interval> intervals;
+  intervals.reserve(static_cast<size_t>(ref.arena->IntervalCount(ref.slot)));
+  VisitIntervals(*ref.arena, ref.slot, [&](const Interval& interval) {
+    intervals.push_back(interval);
+    return true;
+  });
+  return IntervalSet::FromSortedAntichain(std::move(intervals));
 }
 
 bool CompressedClosure::ReachesWithOverlay(NodeId u, NodeId v) const {
-  const Label target = EffectivePostorder(v);
-  const EffectiveLabel source = EffectiveLabelOf(u);
-  if (source.overlay_intervals != nullptr) {
-    return source.overlay_intervals->Contains(target);
-  }
-  return ArenaContains(*arena_, *kernels_, u, target);
+  const LabelRef target = LabelOf(v);
+  const LabelRef source = LabelOf(u);
+  return ArenaContains(*source.arena, *kernels_, source.slot,
+                       target.arena->slots[target.slot].postorder);
 }
 
 void CompressedClosure::BatchReaches(const std::pair<NodeId, NodeId>* pairs,
                                      int64_t n, uint8_t* out,
                                      BatchKernelStats* stats) const {
   if (n <= 0) return;
-  if (!overlay_.empty()) {
-    // Overlay snapshots take the per-query path; their hash probes are
-    // already gated by the overlay_member_ byte array.
+  if (overlay_ != nullptr) {
+    // Overlay snapshots take the per-query path: each probe reads its
+    // source label from whichever arena holds it.
     const uint32_t num = static_cast<uint32_t>(num_nodes_);
     // One unsigned compare covers both negative ids and ids past the end.
     const auto valid = [num](NodeId id) {
@@ -218,23 +229,18 @@ bool CompressedClosure::ReachesTraced(NodeId u, NodeId v,
     return false;
   }
   if (u == v) return true;
-  if (!overlay_.empty()) {
-    const Label target = EffectivePostorder(v);
-    const EffectiveLabel source = EffectiveLabelOf(u);
-    if (source.overlay_intervals != nullptr) {
-      trace->tag = ProbeTag::kOverlay;
-      return source.overlay_intervals->Contains(target);
-    }
-    return ArenaContainsTraced(*arena_, u, target, trace);
-  }
-  return ArenaContainsTraced(*arena_, u, arena_->slots[v].postorder, trace);
+  const LabelRef source = LabelOf(u);
+  const bool hit =
+      ArenaContainsTraced(*source.arena, source.slot, PostorderOf(v), trace);
+  if (source.arena != arena_.get()) trace->tag = ProbeTag::kOverlay;
+  return hit;
 }
 
 void CompressedClosure::BatchReachesTraced(
     const std::pair<NodeId, NodeId>* pairs, int64_t n, uint8_t* out,
     BatchKernelStats* stats, uint8_t* tags) const {
   if (n <= 0) return;
-  if (!overlay_.empty()) {
+  if (overlay_ != nullptr) {
     for (int64_t i = 0; i < n; ++i) {
       ProbeTrace trace;
       out[i] = ReachesTraced(pairs[i].first, pairs[i].second, &trace) ? 1 : 0;
@@ -250,7 +256,7 @@ void CompressedClosure::AppendNodesInRange(Label lo, Label hi, Label skip,
   const LabelArena& arena = *arena_;
   int64_t base_it = arena.DirLowerBound(lo);
   const int64_t base_end = static_cast<int64_t>(arena.dir_labels.size());
-  if (overlay_.empty()) {
+  if (overlay_ == nullptr) {
     // Full export: the directory run [lo, hi] is contiguous — bulk-copy
     // it, splitting around the (unique) skip label if present.
     const int64_t end = arena.DirUpperBound(hi);
@@ -266,20 +272,19 @@ void CompressedClosure::AppendNodesInRange(Label lo, Label hi, Label skip,
     out.insert(out.end(), nodes + base_it, nodes + end);
     return;
   }
-  auto stale_it =
-      std::lower_bound(stale_labels_.begin(), stale_labels_.end(), lo);
-  auto over_it = std::lower_bound(overlay_by_postorder_.begin(),
-                                  overlay_by_postorder_.end(), lo, EntryBelow);
+  const std::vector<Label>& stale = overlay_->stale_labels;
+  const LabelArena& over = overlay_->arena;
+  auto stale_it = std::lower_bound(stale.begin(), stale.end(), lo);
+  int64_t over_it = over.DirLowerBound(lo);
+  const int64_t over_end = static_cast<int64_t>(over.dir_labels.size());
   // Skip base entries whose number the overlay superseded.  Both runs are
   // sorted, so the stale cursor only ever moves forward.
   auto skip_stale = [&] {
     while (base_it < base_end && arena.dir_labels[base_it] <= hi) {
-      while (stale_it != stale_labels_.end() &&
-             *stale_it < arena.dir_labels[base_it]) {
+      while (stale_it != stale.end() && *stale_it < arena.dir_labels[base_it]) {
         ++stale_it;
       }
-      if (stale_it != stale_labels_.end() &&
-          *stale_it == arena.dir_labels[base_it]) {
+      if (stale_it != stale.end() && *stale_it == arena.dir_labels[base_it]) {
         ++base_it;
         continue;
       }
@@ -289,17 +294,19 @@ void CompressedClosure::AppendNodesInRange(Label lo, Label hi, Label skip,
   skip_stale();
   for (;;) {
     const bool base_ok = base_it < base_end && arena.dir_labels[base_it] <= hi;
-    const bool over_ok = over_it != overlay_by_postorder_.end() &&
-                         over_it->first <= hi;
+    const bool over_ok = over_it < over_end && over.dir_labels[over_it] <= hi;
     if (!base_ok && !over_ok) break;
-    if (base_ok && (!over_ok || arena.dir_labels[base_it] < over_it->first)) {
+    if (base_ok &&
+        (!over_ok || arena.dir_labels[base_it] < over.dir_labels[over_it])) {
       if (arena.dir_labels[base_it] != skip) {
         out.push_back(arena.dir_nodes[base_it]);
       }
       ++base_it;
       skip_stale();
     } else {
-      if (over_it->first != skip) out.push_back(over_it->second);
+      if (over.dir_labels[over_it] != skip) {
+        out.push_back(over.dir_nodes[over_it]);
+      }
       ++over_it;
     }
   }
@@ -308,40 +315,15 @@ void CompressedClosure::AppendNodesInRange(Label lo, Label hi, Label skip,
 int64_t CompressedClosure::CountNodesInRange(Label lo, Label hi) const {
   const LabelArena& arena = *arena_;
   int64_t count = arena.DirUpperBound(hi) - arena.DirLowerBound(lo);
-  if (!overlay_.empty()) {
-    count -=
-        std::upper_bound(stale_labels_.begin(), stale_labels_.end(), hi) -
-        std::lower_bound(stale_labels_.begin(), stale_labels_.end(), lo);
-    count += std::upper_bound(overlay_by_postorder_.begin(),
-                              overlay_by_postorder_.end(), hi, AboveEntry) -
-             std::lower_bound(overlay_by_postorder_.begin(),
-                              overlay_by_postorder_.end(), lo, EntryBelow);
+  if (overlay_ != nullptr) {
+    const std::vector<Label>& stale = overlay_->stale_labels;
+    count -= std::upper_bound(stale.begin(), stale.end(), hi) -
+             std::lower_bound(stale.begin(), stale.end(), lo);
+    count += overlay_->arena.DirUpperBound(hi) -
+             overlay_->arena.DirLowerBound(lo);
   }
   return count;
 }
-
-namespace {
-
-// Applies `visit` (returning false to stop) to a node's effective
-// intervals in ascending (lo, hi) order: the overlay IntervalSet when the
-// node is overlaid, else the arena's inline first interval followed by an
-// in-order walk of its Eytzinger extras run.
-template <typename Fn>
-void VisitEffectiveIntervals(const LabelArena& arena, NodeId u,
-                             const IntervalSet* overlay_intervals,
-                             Fn&& visit) {
-  if (overlay_intervals != nullptr) {
-    for (const Interval& interval : overlay_intervals->intervals()) {
-      if (!visit(interval)) return;
-    }
-    return;
-  }
-  const LabelArena::NodeSlot& slot = arena.slots[u];
-  if (slot.first.lo <= slot.first.hi && !visit(slot.first)) return;
-  arena.ForEachExtra(u, visit);
-}
-
-}  // namespace
 
 std::vector<NodeId> CompressedClosure::Successors(NodeId u) const {
   TREL_CHECK(IsValidNode(u));
@@ -351,66 +333,51 @@ std::vector<NodeId> CompressedClosure::Successors(NodeId u) const {
   // double-listing.  The node's own tree interval contains its own number;
   // skipping it during enumeration (rather than erasing afterwards) keeps
   // this O(output) instead of O(output) + a linear scan.
-  const EffectiveLabel eff = EffectiveLabelOf(u);
-  const Label self = eff.postorder;
+  const LabelRef ref = LabelOf(u);
+  const Label self = ref.arena->slots[ref.slot].postorder;
   Label cursor = std::numeric_limits<Label>::min();
-  VisitEffectiveIntervals(
-      *arena_, u, eff.overlay_intervals, [&](const Interval& interval) {
-        const Label lo = std::max(interval.lo, cursor);
-        if (lo > interval.hi) return true;
-        AppendNodesInRange(lo, interval.hi, self, result);
-        if (interval.hi == std::numeric_limits<Label>::max()) return false;
-        cursor = interval.hi + 1;
-        return true;
-      });
+  VisitIntervals(*ref.arena, ref.slot, [&](const Interval& interval) {
+    const Label lo = std::max(interval.lo, cursor);
+    if (lo > interval.hi) return true;
+    AppendNodesInRange(lo, interval.hi, self, result);
+    if (interval.hi == std::numeric_limits<Label>::max()) return false;
+    cursor = interval.hi + 1;
+    return true;
+  });
   return result;
 }
 
 int64_t CompressedClosure::CountSuccessors(NodeId u) const {
   TREL_CHECK(IsValidNode(u));
-  const EffectiveLabel eff = EffectiveLabelOf(u);
-  const Label self = eff.postorder;
+  const LabelRef ref = LabelOf(u);
+  const Label self = ref.arena->slots[ref.slot].postorder;
   int64_t count = 0;
   bool self_counted = false;
   Label cursor = std::numeric_limits<Label>::min();
-  VisitEffectiveIntervals(
-      *arena_, u, eff.overlay_intervals, [&](const Interval& interval) {
-        const Label lo = std::max(interval.lo, cursor);
-        if (lo > interval.hi) return true;
-        count += CountNodesInRange(lo, interval.hi);
-        // The cursor guarantees clipped ranges are disjoint, so u's own
-        // number is counted at most once across the loop.
-        if (lo <= self && self <= interval.hi) self_counted = true;
-        if (interval.hi == std::numeric_limits<Label>::max()) return false;
-        cursor = interval.hi + 1;
-        return true;
-      });
+  VisitIntervals(*ref.arena, ref.slot, [&](const Interval& interval) {
+    const Label lo = std::max(interval.lo, cursor);
+    if (lo > interval.hi) return true;
+    count += CountNodesInRange(lo, interval.hi);
+    // The cursor guarantees clipped ranges are disjoint, so u's own
+    // number is counted at most once across the loop.
+    if (lo <= self && self <= interval.hi) self_counted = true;
+    if (interval.hi == std::numeric_limits<Label>::max()) return false;
+    cursor = interval.hi + 1;
+    return true;
+  });
   return self_counted ? count - 1 : count;
 }
 
 std::vector<NodeId> CompressedClosure::Predecessors(NodeId v) const {
   TREL_CHECK(IsValidNode(v));
   std::vector<NodeId> result;
-  const Label target = EffectivePostorder(v);
-  const LabelArena& arena = *arena_;
-  if (overlay_.empty()) {
-    // One linear sweep of the slot array; extras are only consulted for
-    // the minority of nodes whose first interval ends below the target.
-    const NodeId n = arena.num_nodes();
-    for (NodeId u = 0; u < n; ++u) {
-      if (u != v && ArenaContains(arena, *kernels_, u, target)) {
-        result.push_back(u);
-      }
-    }
-    return result;
-  }
-  for (NodeId u = 0; u < NumNodes(); ++u) {
+  const Label target = PostorderOf(v);
+  // One linear sweep of the slot array; extras are only consulted for
+  // the minority of nodes whose first interval ends below the target.
+  for (NodeId u = 0; u < num_nodes_; ++u) {
     if (u == v) continue;
-    if (overlay_member_[u] != 0) {
-      if (overlay_.find(u)->second.intervals.Contains(target)) {
-        result.push_back(u);
-      }
-    } else if (ArenaContains(arena, *kernels_, u, target)) {
+    const LabelRef ref = LabelOf(u);
+    if (ArenaContains(*ref.arena, *kernels_, ref.slot, target)) {
       result.push_back(u);
     }
   }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -28,6 +27,19 @@ struct ClosureOptions {
   LabelingOptions labeling;
 };
 
+// Optional accelerators for CompressedClosure::FromParts, used by the
+// snapshot-export path: a pre-sorted (postorder, node) directory skips the
+// export's O(n log n) sort (DynamicClosure maintains one as a by-postorder
+// map), and a ParallelRunner shards the arena build across a worker pool.
+struct ClosureExportHints {
+  std::vector<std::pair<Label, NodeId>> sorted_directory;
+  const ParallelRunner* runner = nullptr;
+  // When non-null, receives the arena-build portion of the export in
+  // microseconds (the obs publish spans split "export" from "arena
+  // build" with it).
+  int64_t* arena_micros = nullptr;
+};
+
 // Immutable compressed transitive closure of a DAG — the paper's primary
 // contribution.  Reachability queries are O(log k) where k is the number
 // of intervals at the source node (k is 1 for most nodes); enumeration
@@ -35,35 +47,23 @@ struct ClosureOptions {
 // the Section 4 incremental updates, see DynamicClosure; for cyclic
 // inputs, see TransitiveClosureIndex.
 //
-// Storage comes in two layers.  A *base* layer is held through shared_ptr
-// and never mutated, so closures built from one another via WithDelta()
-// share it.  It has two synchronized representations:
-//   * a flat LabelArena — per-node slots with the first interval inline,
-//     one contiguous array for the remaining intervals, and the sorted
-//     postorder directory as parallel flat arrays.  Every query path
-//     (Reaches, Successors, Predecessors, the batch kernels) reads only
-//     the arena; see label_arena.h for the layout rationale.
-//   * the original per-node NodeLabels, kept for structural introspection
-//     (labels(), IntervalsOf() returning IntervalSet&, serialization).
-// An optional *overlay* holds the label entries that differ from the
-// base; it is empty for closures built by Build()/FromParts().  Queries
-// consult the overlay first, so an overlay closure answers exactly like a
-// from-scratch export of the same labeling — only cheaper to construct
-// (O(|overlay| log |overlay|) instead of O(n log n)).
+// Every interval label lives in a flat LabelArena (see label_arena.h):
+// per-node slots with the first interval inline, one contiguous array for
+// the remaining intervals, per-node coverage filters, and the sorted
+// postorder directory.  The closure keeps no other copy of its labels;
+// IntervalsOf() reads a node's set back out of the arena.
+//
+// Storage comes in two layers, both arenas.  The *base* arena is held
+// through shared_ptr and never mutated, so closures built from one another
+// via WithDelta() share it.  An optional *overlay* arena holds the labels
+// of the nodes that differ from the base; it is absent for closures built
+// by Build()/FromParts().  Queries read an overlaid node's label from the
+// overlay, so an overlay closure answers exactly like a from-scratch
+// export of the same labeling — only cheaper to construct
+// (O(|overlay| log |overlay| + n) instead of O(n log n)).
 class CompressedClosure {
  public:
-  // Optional accelerators for FromParts, used by the snapshot-export
-  // path: a pre-sorted (postorder, node) directory skips the export's
-  // O(n log n) sort (DynamicClosure maintains one as a by-postorder map),
-  // and a ParallelRunner shards the arena build across a worker pool.
-  struct ExportHints {
-    std::vector<std::pair<Label, NodeId>> sorted_directory;
-    const ParallelRunner* runner = nullptr;
-    // When non-null, receives the arena-build portion of the export in
-    // microseconds (the obs publish spans split "export" from "arena
-    // build" with it).
-    int64_t* arena_micros = nullptr;
-  };
+  using ExportHints = ClosureExportHints;
 
   // Empty closure over zero nodes; placeholder state (e.g. a query
   // service before its first Load).
@@ -76,38 +76,26 @@ class CompressedClosure {
 
   // Wraps an already-computed labeling without re-running tree-cover
   // selection or interval propagation.  This is the cheap snapshot-export
-  // path: DynamicClosure hands over a copy of its current labels so a
-  // query service can publish an immutable snapshot in O(n log n) (the
-  // postorder sort — O(n) when hints carry a pre-sorted directory)
-  // instead of a full rebuild.  `labels` and `tree_cover` must describe
-  // the same node set and come from a sound labeling.
-  static CompressedClosure FromParts(NodeLabels labels, TreeCover tree_cover);
-  static CompressedClosure FromParts(NodeLabels labels, TreeCover tree_cover,
-                                     ExportHints hints);
-
-  // Query-only variant: builds the flat arena by READING `labels` without
-  // retaining a per-node copy (labels()/IntervalsOf() are then
-  // unavailable — see HasLabels()).  Every query answers identically to
-  // FromParts on the same inputs, but the export skips the deep copy of
-  // the per-node IntervalSets — on publish-heavy services that copy (one
-  // heap allocation per node) dominates export time.  Serialization needs
-  // the per-node sets, so persist FromParts closures, not these.
-  static CompressedClosure FromPartsQueryOnly(const NodeLabels& labels,
-                                              TreeCover tree_cover);
-  static CompressedClosure FromPartsQueryOnly(const NodeLabels& labels,
-                                              TreeCover tree_cover,
-                                              ExportHints hints);
+  // path: the arena is built by READING `labels`, which the closure does
+  // not retain, so a query service can publish an immutable snapshot in
+  // O(n log n) (the postorder sort — O(n) when hints carry a pre-sorted
+  // directory) without copying the per-node interval sets.  `labels` and
+  // `tree_cover` must describe the same node set and come from a sound
+  // labeling.
+  static CompressedClosure FromParts(const NodeLabels& labels,
+                                     TreeCover tree_cover,
+                                     ExportHints hints = {});
 
   // Copy-on-write overlay constructor: a closure that answers exactly
   // like a full export of the labeling `delta` was taken from, built in
-  // O(|overlay| log |overlay| + n) by sharing every unchanged node's
-  // storage with `base`.  `delta` must come from the same index lineage
-  // as `base` (same node ids, monotone node count) and list every node
-  // that changed since `base` was exported — DynamicClosure::ExportDelta()
-  // guarantees both.  Chaining is flattened: building from an overlay
-  // closure merges the accumulated overlay, so lookups never walk a
-  // chain; publishers bound the overlay's growth by forcing a periodic
-  // full export (see ServiceOptions::max_delta_publishes).
+  // O(|overlay| log |overlay| + n) by sharing the base arena with `base`.
+  // `delta` must come from the same index lineage as `base` (same node
+  // ids, monotone node count) and list every node that changed since
+  // `base` was exported — DynamicClosure::ExportDelta() guarantees both.
+  // Chaining is flattened: building from an overlay closure merges the
+  // accumulated overlay, so lookups never walk a chain; publishers bound
+  // the overlay's growth by forcing a periodic full export (see
+  // ServiceOptions::max_delta_publishes).
   static CompressedClosure WithDelta(const CompressedClosure& base,
                                      const ClosureDelta& delta);
 
@@ -118,7 +106,7 @@ class CompressedClosure {
     TREL_CHECK(IsValidNode(u));
     TREL_CHECK(IsValidNode(v));
     if (u == v) return true;
-    if (overlay_.empty()) {
+    if (overlay_ == nullptr) {
       // Warm u's filter line while v's slot load resolves.
       arena_->PrefetchSource(u);
       return ArenaContains(*arena_, *kernels_, u, arena_->slots[v].postorder);
@@ -152,6 +140,7 @@ class CompressedClosure {
   // probe was decided.  Both use snapshot semantics (out-of-range ids
   // answer 0, tag kSlot) so the service can call them without
   // pre-validating sampled queries.  Never on the untraced hot path.
+  // Probes whose source label lives in the overlay are tagged kOverlay.
   bool ReachesTraced(NodeId u, NodeId v, ProbeTrace* trace) const;
   // `tags[i]` receives the ProbeTag that decided query i.  Overlay
   // snapshots take the per-query traced path (and, like BatchReaches,
@@ -187,108 +176,73 @@ class CompressedClosure {
   // shared base (0 for full exports).  Grows monotonically along a
   // WithDelta chain until the next full export.
   int64_t OverlayNodeCount() const {
-    return static_cast<int64_t>(overlay_.size());
+    return overlay_ == nullptr ? 0 : overlay_->arena.num_nodes();
   }
-  bool IsOverlay() const { return !overlay_.empty(); }
+  bool IsOverlay() const { return overlay_ != nullptr; }
 
-  // True iff `v`'s label entry lives in the overlay (always false on full
-  // exports).  One flat byte load; used by the snapshot layer to decide
+  // True iff `v`'s label lives in the overlay (always false on full
+  // exports).  One flat load; used by the snapshot layer to decide
   // whether a family index built at the base epoch may answer for `v`.
   bool IsOverlayMember(NodeId v) const {
     TREL_CHECK(IsValidNode(v));
-    return !overlay_.empty() && overlay_member_[v] != 0;
+    return overlay_ != nullptr && overlay_->slot_of[v] != kNotOverlaid;
   }
 
   // Introspection (used by tests, benches, and the dynamic index).
-  // `labels()`, `tree_cover()`, and `arena()` expose the shared *base*
-  // layer: exact for full exports, stale for overlaid nodes of a
-  // WithDelta closure (use PostorderOf/IntervalsOf for overlay-aware
-  // per-node access).
-  //
-  // False iff this closure (or the base of its WithDelta chain) was
-  // exported with FromPartsQueryOnly: labels() is then empty and
-  // IntervalsOf() aborts; every query API works regardless.
-  bool HasLabels() const {
-    return labels_->postorder.size() ==
-           static_cast<size_t>(arena_->num_nodes());
-  }
-  const NodeLabels& labels() const { return *labels_; }
+  // `tree_cover()` and `arena()` expose the shared *base* layer: exact
+  // for full exports, stale for overlaid nodes of a WithDelta closure
+  // (use PostorderOf/IntervalsOf for overlay-aware per-node access).
   const TreeCover& tree_cover() const { return *tree_cover_; }
   const LabelArena& arena() const { return *arena_; }
-  // Bytes pinned by the flat arena (slots + extras + directory).
+  // Bytes pinned by the base arena (slots + extras + directory).
   int64_t ArenaByteSize() const { return arena_->ByteSize(); }
   Label PostorderOf(NodeId v) const {
     TREL_CHECK(IsValidNode(v));
-    return EffectivePostorder(v);
+    const LabelRef ref = LabelOf(v);
+    return ref.arena->slots[ref.slot].postorder;
   }
-  const IntervalSet& IntervalsOf(NodeId v) const {
-    TREL_CHECK(IsValidNode(v));
-    return EffectiveIntervals(v);
-  }
-  // Overlay-aware interval count without touching per-node heap storage.
+  // `v`'s interval set, read back out of whichever arena holds it.
+  IntervalSet IntervalsOf(NodeId v) const;
   int64_t IntervalCountOf(NodeId v) const {
     TREL_CHECK(IsValidNode(v));
-    if (!overlay_.empty() && overlay_member_[v] != 0) {
-      return overlay_.find(v)->second.intervals.size();
-    }
-    return arena_->IntervalCount(v);
+    const LabelRef ref = LabelOf(v);
+    return ref.arena->IntervalCount(ref.slot);
   }
 
  private:
-  // One overlaid node's label state (mirrors NodeLabelDelta minus the id).
-  struct OverlayEntry {
-    Label postorder;
-    Interval tree_interval;
-    IntervalSet intervals;
+  static constexpr int32_t kNotOverlaid = -1;
+
+  // The overlay layer of a WithDelta closure: an arena over the overlaid
+  // nodes only.  Its slots are in ascending postorder order, so
+  // `arena.dir_nodes[s]` is the (global) node id of slot s.
+  struct Overlay {
+    LabelArena arena;
+    // slot_of[v] = v's slot in `arena`, or kNotOverlaid.  Sized NumNodes().
+    std::vector<int32_t> slot_of;
+    // Base postorder numbers superseded by the overlay (sorted); base
+    // directory entries carrying these numbers are skipped.
+    std::vector<Label> stale_labels;
   };
 
-  // A node's postorder number plus where its intervals live, resolved
-  // with AT MOST ONE overlay probe (the old EffectiveIntervals +
-  // EffectivePostorder pair cost two `overlay_.find`s per node).
-  struct EffectiveLabel {
-    Label postorder;
-    // Non-null iff the node's intervals live in the overlay; otherwise
-    // they are the arena run of the node.
-    const IntervalSet* overlay_intervals;
+  // Where a node's label lives: a slot of the base or the overlay arena.
+  struct LabelRef {
+    const LabelArena* arena;
+    NodeId slot;
   };
 
-  // Builds the arena by reading `labels`; `retained` is what labels_
-  // keeps afterwards — the same data for FromParts, an empty set for
-  // FromPartsQueryOnly.
-  CompressedClosure(const NodeLabels& labels,
-                    std::shared_ptr<const NodeLabels> retained,
-                    TreeCover tree_cover, ExportHints hints);
+  CompressedClosure(const NodeLabels& labels, TreeCover tree_cover,
+                    ExportHints hints);
 
-  EffectiveLabel EffectiveLabelOf(NodeId v) const {
-    if (!overlay_.empty() && overlay_member_[v] != 0) {
-      const OverlayEntry& entry = overlay_.find(v)->second;
-      return {entry.postorder, &entry.intervals};
+  LabelRef LabelOf(NodeId v) const {
+    if (overlay_ != nullptr) {
+      const int32_t slot = overlay_->slot_of[v];
+      if (slot != kNotOverlaid) return {&overlay_->arena, slot};
     }
-    return {arena_->slots[v].postorder, nullptr};
-  }
-
-  const IntervalSet& EffectiveIntervals(NodeId v) const {
-    if (!overlay_.empty() && overlay_member_[v] != 0) {
-      return overlay_.find(v)->second.intervals;
-    }
-    TREL_CHECK(HasLabels())
-        << "per-node IntervalSets were dropped by FromPartsQueryOnly; use "
-           "IntervalCountOf/queries, or export with FromParts";
-    return labels_->intervals[v];
-  }
-  Label EffectivePostorder(NodeId v) const {
-    if (!overlay_.empty() && overlay_member_[v] != 0) {
-      return overlay_.find(v)->second.postorder;
-    }
-    return arena_->slots[v].postorder;
+    return {arena_.get(), v};
   }
 
   // Overlay-aware slow path behind Reaches' arena fast path.
   bool ReachesWithOverlay(NodeId u, NodeId v) const;
-
-  // Rebuilds overlay_by_postorder_, stale_labels_, and overlay_member_
-  // from overlay_.
-  void ReindexOverlay();
 
   // Nodes listed in the closed interval [lo, hi] of postorder numbers,
   // except the node numbered `skip` (pass a number outside [lo, hi] to
@@ -301,27 +255,15 @@ class CompressedClosure {
   int64_t CountNodesInRange(Label lo, Label hi) const;
 
   // --- Shared base layer (immutable once built, never overlaid) ---------
-  std::shared_ptr<const NodeLabels> labels_;
   std::shared_ptr<const TreeCover> tree_cover_;
-  // Flat query-path storage mirroring labels_ (see label_arena.h).
   std::shared_ptr<const LabelArena> arena_;
   // Process-wide dispatched kernel table (never null); resolved once at
   // first use, so every closure in the process probes with the same ISA
   // level.  See simd_dispatch.h.
   const ArenaKernels* kernels_ = &ActiveKernels();
 
-  // --- Overlay layer (empty for full exports) ---------------------------
-  // Changed/new nodes and their current labels.
-  std::unordered_map<NodeId, OverlayEntry> overlay_;
-  // (postorder number, node) over overlay_ members, sorted by number.
-  std::vector<std::pair<Label, NodeId>> overlay_by_postorder_;
-  // Base postorder numbers superseded by the overlay (sorted); base
-  // directory entries carrying these numbers are skipped.
-  std::vector<Label> stale_labels_;
-  // overlay_member_[v] != 0 iff v has an overlay_ entry: one O(1) flat
-  // load gates the hash probe, so queries touching only base nodes do no
-  // probing at all.  Sized num_nodes_; empty when the overlay is empty.
-  std::vector<uint8_t> overlay_member_;
+  // --- Overlay layer (null for full exports) ----------------------------
+  std::shared_ptr<const Overlay> overlay_;
 
   NodeId num_nodes_ = 0;
   int64_t total_intervals_ = 0;

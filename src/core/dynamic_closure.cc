@@ -104,9 +104,8 @@ ClosureDelta DynamicClosure::ExportDelta() {
   std::sort(dirty_list_.begin(), dirty_list_.end());
   delta.entries.reserve(dirty_list_.size());
   for (NodeId v : dirty_list_) {
-    delta.entries.push_back(NodeLabelDelta{v, labels_.postorder[v],
-                                           labels_.tree_interval[v],
-                                           labels_.intervals[v]});
+    delta.entries.push_back(
+        NodeLabelDelta{v, labels_.postorder[v], labels_.intervals[v]});
   }
   MarkClean();
   return delta;
@@ -499,7 +498,6 @@ std::vector<NodeId> DynamicClosure::Successors(NodeId u) const {
 }
 
 CompressedClosure DynamicClosure::ExportClosure(const ParallelRunner* runner,
-                                                bool retain_labels,
                                                 int64_t* arena_micros) const {
   TreeCover cover;
   cover.parent = tree_parent_;
@@ -516,13 +514,6 @@ CompressedClosure DynamicClosure::ExportClosure(const ParallelRunner* runner,
   hints.sorted_directory.reserve(by_postorder_.size());
   for (const auto& [number, node] : by_postorder_) {
     hints.sorted_directory.emplace_back(number, node);
-  }
-  if (!retain_labels) {
-    // Build the arena straight off this index's labels — no per-node
-    // IntervalSet deep copy.  The snapshot answers queries but cannot
-    // hand back labels() or serve as a WithDelta base for re-export.
-    return CompressedClosure::FromPartsQueryOnly(labels_, std::move(cover),
-                                                 std::move(hints));
   }
   return CompressedClosure::FromParts(labels_, std::move(cover),
                                       std::move(hints));

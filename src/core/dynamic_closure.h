@@ -144,23 +144,17 @@ class DynamicClosure {
   // for an indexed alternative on static graphs).
   std::vector<NodeId> Predecessors(NodeId v) const;
 
-  // Copies the current labeling into an immutable CompressedClosure that
-  // answers exactly like this index does right now.  Costs one copy of
-  // the labels plus an O(n) arena build — no postorder sort (the index's
+  // Builds an immutable CompressedClosure that answers exactly like this
+  // index does right now.  Costs one O(n) arena build that reads the
+  // labels in place — no per-node copy, no postorder sort (the index's
   // by-postorder map is handed over pre-sorted), no tree-cover or
   // propagation work — so a query service can publish read-only snapshots
   // frequently (see src/service/).  A non-null `runner` shards the arena
-  // build across the caller's worker pool.  Passing `retain_labels =
-  // false` skips the per-node IntervalSet copy entirely (the arena is
-  // built by reading this index's labels in place): the snapshot answers
-  // every query and can base WithDelta overlays, but labels() and
-  // IntervalsOf are unavailable — see
-  // CompressedClosure::FromPartsQueryOnly.  Does not touch the dirty set;
+  // build across the caller's worker pool.  Does not touch the dirty set;
   // a publisher that treats this export as its new delta base must call
   // MarkClean() alongside it.  A non-null `arena_micros` receives the
   // arena-build portion of the export time (obs publish spans).
   CompressedClosure ExportClosure(const ParallelRunner* runner = nullptr,
-                                  bool retain_labels = true,
                                   int64_t* arena_micros = nullptr) const;
 
   // --- Delta export (dirty tracking) --------------------------------------

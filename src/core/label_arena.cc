@@ -30,6 +30,57 @@ void FillEytzinger(const Interval* sorted, uint32_t k, Interval* out,
   FillEytzinger(sorted, k, out, 2 * i + 1, pos);
 }
 
+// Smallest shift that lands `max_label` in the last filter bucket or
+// below.
+int FilterShiftFor(Label max_label) {
+  int shift = 0;
+  while ((max_label >> shift) >= kFilterBuckets) ++shift;
+  return shift;
+}
+
+// Sets the coverage-filter bits of every interval in [begin, end), in any
+// order, into one node's filter line.
+void MarkFilter(const Interval* begin, const Interval* end, int shift,
+                uint64_t* words) {
+  for (const Interval* it = begin; it != end; ++it) {
+    const Label b_lo = it->lo >> shift;
+    const Label b_hi = std::min<Label>(it->hi >> shift, kFilterBuckets - 1);
+    // Word-at-a-time fill: two masked writes plus a run of full words.
+    // Wide intervals on dense closures span hundreds of buckets, and the
+    // old bit-per-bucket loop was a measurable share of arena build time.
+    const Label w_lo = b_lo >> 6;
+    const Label w_hi = b_hi >> 6;
+    const uint64_t first_mask = ~uint64_t{0} << (b_lo & 63);
+    const uint64_t last_mask = ~uint64_t{0} >> (63 - (b_hi & 63));
+    if (w_lo == w_hi) {
+      words[w_lo] |= first_mask & last_mask;
+    } else {
+      words[w_lo] |= first_mask;
+      for (Label w = w_lo + 1; w < w_hi; ++w) words[w] = ~uint64_t{0};
+      words[w_hi] |= last_mask;
+    }
+  }
+}
+
+// Fills one node's slot (postorder and extra_begin already set), its
+// Eytzinger run at `run`, and its filter line from `set`, a sorted
+// antichain.
+void FillNode(const std::vector<Interval>& set, int shift,
+              LabelArena::NodeSlot& slot, Interval* run, uint64_t* words) {
+  if (set.empty()) return;
+  slot.first = set[0];
+  slot.extra_count = static_cast<uint32_t>(set.size() - 1);
+  if (slot.extra_count == 0) return;
+  TREL_CHECK_GE(set[1].lo, 0)
+      << "filter bucketing requires nonnegative interval endpoints";
+  uint32_t pos = 0;
+  FillEytzinger(set.data() + 1, slot.extra_count, run, 1, pos);
+  // Summary slot: the extras' min lo / max hi (sorted antichain: both
+  // endpoint sequences ascend), for the O(1) range reject.
+  run[0] = Interval{set[1].lo, set.back().hi};
+  MarkFilter(set.data() + 1, set.data() + set.size(), shift, words);
+}
+
 }  // namespace
 
 int64_t LabelArena::DirLowerBound(Label x) const {
@@ -77,9 +128,7 @@ LabelArena BuildLabelArena(const NodeLabels& labels,
         << "filter bucketing requires nonnegative postorder numbers";
     max_label = std::max(max_label, labels.postorder[v]);
   }
-  while ((max_label >> arena.filter_shift) >= kFilterBuckets) {
-    ++arena.filter_shift;
-  }
+  arena.filter_shift = FilterShiftFor(max_label);
 
   // Pass 1: per-node extras run sizes, then a serial prefix sum into
   // begin offsets.  A k-interval node (k > 1) gets a run of k slots:
@@ -109,46 +158,13 @@ LabelArena BuildLabelArena(const NodeLabels& labels,
   const int shift = arena.filter_shift;
   for_range(n, [&](int64_t begin, int64_t end) {
     for (int64_t v = begin; v < end; ++v) {
-      const std::vector<Interval>& set = labels.intervals[v].intervals();
       LabelArena::NodeSlot slot;
       slot.postorder = labels.postorder[v];
       slot.extra_begin = extra_begin[v];
-      if (!set.empty()) {
-        slot.first = set[0];
-        slot.extra_count = static_cast<uint32_t>(set.size() - 1);
-      }
-      if (slot.extra_count > 0) {
-        TREL_CHECK_GE(set[1].lo, 0)
-            << "filter bucketing requires nonnegative interval endpoints";
-        Interval* out = arena.extras.data() + extra_begin[v];
-        uint32_t pos = 0;
-        FillEytzinger(set.data() + 1, slot.extra_count, out, 1, pos);
-        // Summary slot: the extras' min lo / max hi (sorted antichain:
-        // both endpoint sequences ascend), for the O(1) range reject.
-        out[0] = Interval{set[1].lo, set.back().hi};
-        uint64_t* words =
-            arena.filters.data() + static_cast<size_t>(v) * LabelArena::kFilterWords;
-        for (size_t i = 1; i < set.size(); ++i) {
-          const Label b_lo = set[i].lo >> shift;
-          const Label b_hi = std::min<Label>(set[i].hi >> shift,
-                                             kFilterBuckets - 1);
-          // Word-at-a-time fill: two masked writes plus a run of full
-          // words.  Wide intervals on dense closures span hundreds of
-          // buckets, and the old bit-per-bucket loop was a measurable
-          // share of arena build time.
-          const Label w_lo = b_lo >> 6;
-          const Label w_hi = b_hi >> 6;
-          const uint64_t first_mask = ~uint64_t{0} << (b_lo & 63);
-          const uint64_t last_mask = ~uint64_t{0} >> (63 - (b_hi & 63));
-          if (w_lo == w_hi) {
-            words[w_lo] |= first_mask & last_mask;
-          } else {
-            words[w_lo] |= first_mask;
-            for (Label w = w_lo + 1; w < w_hi; ++w) words[w] = ~uint64_t{0};
-            words[w_hi] |= last_mask;
-          }
-        }
-      }
+      FillNode(labels.intervals[v].intervals(), shift, slot,
+               arena.extras.data() + extra_begin[v],
+               arena.filters.data() +
+                   static_cast<size_t>(v) * LabelArena::kFilterWords);
       arena.slots[v] = slot;
     }
   });
@@ -208,6 +224,82 @@ LabelArena BuildLabelArena(const NodeLabels& labels,
       arena.dir_nodes[i] = sorted_directory[i].second;
     }
   });
+  return arena;
+}
+
+LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
+                             const LabelArena* from) {
+  const int64_t n = static_cast<int64_t>(members.size());
+  LabelArena arena;
+  // The filters must span every endpoint stored here, not just the
+  // members' postorders: a member's intervals reach numbers owned by
+  // nodes outside the overlay.  Members are sorted by postorder, so the
+  // last one holds the largest.
+  Label max_label = n > 0 ? members.back().postorder : 0;
+  uint64_t total = 0;
+  for (const OverlayMember& m : members) {
+    if (m.intervals != nullptr) {
+      const std::vector<Interval>& set = m.intervals->intervals();
+      if (!set.empty()) max_label = std::max(max_label, set.back().hi);
+      total += set.size() > 1 ? set.size() : 0;
+    } else {
+      const LabelArena::NodeSlot& s = from->slots[m.from_slot];
+      max_label = std::max(max_label, s.first.hi);
+      if (s.extra_count > 0) {
+        max_label = std::max(max_label, from->extras[s.extra_begin].hi);
+        total += s.extra_count + 1;
+      }
+    }
+  }
+  TREL_CHECK(n == 0 || members.front().postorder >= 0)
+      << "filter bucketing requires nonnegative postorder numbers";
+  TREL_CHECK_LE(total, std::numeric_limits<uint32_t>::max())
+      << "arena extras exceed the 32-bit slot offset";
+  arena.filter_shift = FilterShiftFor(max_label);
+
+  arena.slots.resize(n);
+  // Appended run by run: carried runs are most of the bytes, and copying
+  // them into a pre-filled array would write every byte twice.
+  arena.extras.reserve(total);
+  arena.filters.assign(static_cast<size_t>(n) * LabelArena::kFilterWords, 0);
+  arena.dir_labels.resize(n);
+  arena.dir_nodes.resize(n);
+  for (int64_t i = 0; i < n; ++i) {
+    const OverlayMember& m = members[i];
+    TREL_CHECK(i == 0 || members[i - 1].postorder < m.postorder)
+        << "overlay members must be sorted by postorder number";
+    arena.dir_labels[i] = m.postorder;
+    arena.dir_nodes[i] = m.node;
+    LabelArena::NodeSlot& slot = arena.slots[i];
+    slot.postorder = m.postorder;
+    slot.extra_begin = static_cast<uint32_t>(arena.extras.size());
+    uint64_t* words = arena.filters.data() +
+                      static_cast<size_t>(i) * LabelArena::kFilterWords;
+    if (m.intervals != nullptr) {
+      const std::vector<Interval>& set = m.intervals->intervals();
+      arena.extras.resize(arena.extras.size() +
+                          (set.size() > 1 ? set.size() : 0));
+      FillNode(set, arena.filter_shift, slot,
+               arena.extras.data() + slot.extra_begin, words);
+      continue;
+    }
+    // Runs are position-independent, so a carried label is copied as is;
+    // its filter line too when the bucket scale did not move.
+    const LabelArena::NodeSlot& s = from->slots[m.from_slot];
+    slot.first = s.first;
+    slot.extra_count = s.extra_count;
+    if (s.extra_count == 0) continue;
+    const Interval* src = from->extras.data() + s.extra_begin;
+    arena.extras.insert(arena.extras.end(), src, src + s.extra_count + 1);
+    if (from->filter_shift == arena.filter_shift) {
+      const uint64_t* line =
+          from->filters.data() +
+          static_cast<size_t>(m.from_slot) * LabelArena::kFilterWords;
+      std::copy(line, line + LabelArena::kFilterWords, words);
+    } else {
+      MarkFilter(src + 1, src + s.extra_count + 1, arena.filter_shift, words);
+    }
+  }
   return arena;
 }
 

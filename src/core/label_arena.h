@@ -19,8 +19,9 @@ namespace trel {
 using ParallelRunner =
     std::function<void(int64_t, const std::function<void(int64_t, int64_t)>&)>;
 
-// Flat, cache-friendly storage for a complete interval labeling — the
-// immutable base layer of a CompressedClosure.
+// Flat, cache-friendly storage for an interval labeling — the only label
+// store of a CompressedClosure: its immutable base layer, and (over just
+// the overlaid nodes) its WithDelta overlay layer.
 //
 // The per-node `std::vector<IntervalSet>` layout costs a point query two
 // dependent pointer chases (IntervalSet header, then its heap buffer)
@@ -56,7 +57,9 @@ using ParallelRunner =
 //     packed labels and enumeration copies densely packed node ids.
 //
 // Everything here is plain data: built once, shared via shared_ptr by
-// WithDelta overlay snapshots, never mutated afterwards.
+// WithDelta overlay snapshots, never mutated afterwards.  Slot indices are
+// node ids for a base arena; an overlay arena numbers its slots densely
+// and keeps the global node ids in `dir_nodes`.
 struct LabelArena {
   struct NodeSlot {
     Label postorder = 0;
@@ -82,7 +85,8 @@ struct LabelArena {
   std::vector<Label> dir_labels;
   std::vector<NodeId> dir_nodes;
   // Label-space scaling for filter buckets: bucket(x) = uint64(x) >>
-  // filter_shift, guaranteed < kFilterWords * 64 for every assigned label.
+  // filter_shift, guaranteed < kFilterWords * 64 for every assigned label
+  // (and, in an overlay arena, for every interval endpoint).
   int filter_shift = 0;
 
   NodeId num_nodes() const { return static_cast<NodeId>(slots.size()); }
@@ -191,6 +195,27 @@ LabelArena BuildLabelArena(
     const NodeLabels& labels,
     std::vector<std::pair<Label, NodeId>> sorted_directory = {},
     const ParallelRunner* runner = nullptr);
+
+// One node of a WithDelta overlay arena: its global id and postorder
+// number, and where its label comes from — `intervals` when non-null,
+// else slot `from_slot` of the previous overlay arena.
+struct OverlayMember {
+  Label postorder;
+  NodeId node;
+  const IntervalSet* intervals;
+  NodeId from_slot;
+};
+
+// Builds the arena of a WithDelta overlay: slot i holds members[i], which
+// must be sorted by postorder number, so the directory is the slot order
+// and `dir_nodes[i]` is slot i's global id.  Carried members copy their
+// slot, run and (at an unchanged bucket scale) filter line from `from`
+// as is.  The coverage filters span every interval endpoint stored, not
+// just the members' postorders: an overlaid node's intervals reach
+// numbers owned by nodes outside the overlay, and Contains() answers
+// false past the last bucket.
+LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
+                             const LabelArena* from);
 
 }  // namespace trel
 

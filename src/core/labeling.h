@@ -69,7 +69,6 @@ StatusOr<NodeLabels> BuildLabels(const Digraph& graph, const TreeCover& cover,
 struct NodeLabelDelta {
   NodeId node = kNoNode;
   Label postorder = 0;
-  Interval tree_interval{0, 0};
   IntervalSet intervals;
 };
 

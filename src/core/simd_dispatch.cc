@@ -13,7 +13,6 @@ SimdLevel DetectHighest() {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdLevel::kSse;
 #endif
   return SimdLevel::kScalar;
 }
@@ -39,8 +38,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse:
-      return "sse";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -56,11 +53,10 @@ SimdLevel RequestedSimdLevel(SimdLevel fallback) {
   const char* env = std::getenv("TREL_SIMD");
   if (env == nullptr || env[0] == '\0') return fallback;
   if (std::strcmp(env, "scalar") == 0) return SimdLevel::kScalar;
-  if (std::strcmp(env, "sse") == 0) return SimdLevel::kSse;
   if (std::strcmp(env, "avx2") == 0) return SimdLevel::kAvx2;
   std::fprintf(stderr,
                "trel: ignoring unrecognized TREL_SIMD=\"%s\" "
-               "(expected scalar|sse|avx2)\n",
+               "(expected scalar|avx2)\n",
                env);
   return fallback;
 }
@@ -69,8 +65,6 @@ const ArenaKernels& KernelsForLevel(SimdLevel level) {
   switch (level) {
     case SimdLevel::kAvx2:
       return Avx2ArenaKernels();
-    case SimdLevel::kSse:
-      return SseArenaKernels();
     case SimdLevel::kScalar:
       break;
   }

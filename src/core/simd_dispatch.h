@@ -7,14 +7,15 @@ struct ArenaKernels;
 
 // Vector instruction tiers the arena query kernels are specialized for.
 // Values are ordered: a higher level strictly extends the ISA of every
-// lower one, so "clamp to the highest supported" is a plain min().
+// lower one, so "clamp to the highest supported" is a plain min().  The
+// numbers are exported as the trel_simd_level gauge; 1 (a retired SSE4.2
+// tier) stays unused so they keep their meaning.
 enum class SimdLevel : int {
   kScalar = 0,  // portable C++, any target
-  kSse = 1,     // x86-64 with SSE4.2 (64-bit vector compares, ptest)
   kAvx2 = 2,    // x86-64 with AVX2 (256-bit lanes)
 };
 
-// "scalar" / "sse" / "avx2".
+// "scalar" / "avx2".
 const char* SimdLevelName(SimdLevel level);
 
 // Highest level this host can execute, probed once via cpuid (the
@@ -23,8 +24,8 @@ const char* SimdLevelName(SimdLevel level);
 SimdLevel HighestSupportedSimdLevel();
 
 // The level requested through the TREL_SIMD environment variable
-// (scalar|sse|avx2), or `fallback` when the variable is unset or
-// unparseable (a bad value warns once on stderr).
+// (scalar|avx2), or `fallback` when the variable is unset or unparseable
+// (a bad value warns once on stderr).
 SimdLevel RequestedSimdLevel(SimdLevel fallback);
 
 // Kernel table for one level.  The returned table's `level` field may be
@@ -46,7 +47,6 @@ SimdLevel ActiveSimdLevel();
 // flags never leak into common objects (see src/core/CMakeLists.txt).
 // A TU compiled without its ISA returns the scalar table.
 const ArenaKernels& ScalarArenaKernels();
-const ArenaKernels& SseArenaKernels();
 const ArenaKernels& Avx2ArenaKernels();
 
 }  // namespace trel

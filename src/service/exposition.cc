@@ -202,7 +202,7 @@ std::string RenderMetricsz(const ServiceMetrics::View& view,
              "gauge");
   out.Sample("trel_inflight_batches", "", view.inflight_batches);
   out.Family("trel_simd_level",
-             "Dispatched arena-kernel ISA tier (0=scalar,1=sse,2=avx2).",
+             "Dispatched arena-kernel ISA tier (0=scalar,2=avx2).",
              "gauge");
   out.Sample("trel_simd_level",
              PrometheusText::Label("name", view.simd_level_name),

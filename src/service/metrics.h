@@ -70,7 +70,7 @@ class ServiceMetrics {
     // delta snapshots, so overlay epochs report their base's arena).
     int64_t snapshot_arena_bytes = 0;
     // Dispatched arena-kernel ISA tier (gauge): numeric SimdLevel plus
-    // its name ("scalar"/"sse"/"avx2").  Process-wide, resolved once at
+    // its name ("scalar"/"avx2").  Process-wide, resolved once at
     // startup — see core/simd_dispatch.h.
     int simd_level = 0;
     std::string simd_level_name = "scalar";

@@ -322,11 +322,9 @@ uint64_t QueryService::PublishLocked() {
           [this](int64_t n, const std::function<void(int64_t, int64_t)>& body) {
             pool_->ParallelFor(n, body);
           };
-      snapshot->closure = dynamic_.ExportClosure(
-          &runner, /*retain_labels=*/false, &arena_micros);
+      snapshot->closure = dynamic_.ExportClosure(&runner, &arena_micros);
     } else {
-      snapshot->closure = dynamic_.ExportClosure(
-          nullptr, /*retain_labels=*/false, &arena_micros);
+      snapshot->closure = dynamic_.ExportClosure(nullptr, &arena_micros);
     }
     // Family selection and build ride the export phase: scoring is one
     // degree pass, and a trees/hop build is the same order of work as

@@ -4,15 +4,16 @@ namespace trel {
 namespace {
 
 // Folds one family-path probe outcome into the batch tallies the metrics
-// layer already exposes.  Hop intersects are the family's "decided from
-// the labels alone" case, so they land in fast_path next to the arena's
-// slot hits; pruned-DFS and residual probes are its extras searches.
+// layer already exposes.  Hop intersects and hub-bitset answers are
+// "decided from the labels alone", so they land in fast_path next to the
+// arena's slot hits; pruned-DFS and residual probes are extras searches.
 void FoldTag(ProbeTag tag, BatchKernelStats* stats) {
   if (stats == nullptr) return;
   switch (tag) {
     case ProbeTag::kSlot:
     case ProbeTag::kOverlay:
     case ProbeTag::kHopIntersect:
+    case ProbeTag::kBoundaryBitset:
       ++stats->fast_path;
       break;
     case ProbeTag::kFilterReject:

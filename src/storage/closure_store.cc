@@ -41,13 +41,16 @@ Status IntervalStore::Write(const CompressedClosure& closure,
   }
   uint64_t cursor = data_off;
   for (NodeId v = 0; v < n; ++v) {
-    const auto& intervals = closure.IntervalsOf(v).intervals();
+    const uint64_t count = static_cast<uint64_t>(closure.IntervalCountOf(v));
     AppendU64(image, cursor);
-    AppendU64(image, intervals.size());
-    cursor += intervals.size() * 16;
+    AppendU64(image, count);
+    cursor += count * 16;
   }
   for (NodeId v = 0; v < n; ++v) {
-    for (const Interval& interval : closure.IntervalsOf(v).intervals()) {
+    // Held in a local: range-for over IntervalsOf(v).intervals() would
+    // iterate a destroyed temporary.
+    const IntervalSet intervals = closure.IntervalsOf(v);
+    for (const Interval& interval : intervals.intervals()) {
       AppendI64(image, interval.lo);
       AppendI64(image, interval.hi);
     }

@@ -3,6 +3,7 @@
 // every query surface, across randomized interleaved update batches, and
 // QueryService's full-vs-delta publish policy must follow its knobs.
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,9 @@
 #include "graph/generators.h"
 #include "graph/reachability.h"
 #include "service/query_service.h"
+#include "storage/buffer_pool.h"
+#include "storage/closure_store.h"
+#include "storage/page_store.h"
 
 namespace trel {
 namespace {
@@ -133,15 +137,16 @@ TEST(DeltaSnapshotTest, OverlaySharesBaseStorageAndLeavesBaseUntouched) {
   EXPECT_EQ(overlay.OverlayNodeCount(),
             static_cast<int64_t>(delta.entries.size()));
   // The base layer is shared by reference, not copied.
-  EXPECT_EQ(&overlay.labels(), &base.labels());
+  EXPECT_EQ(&overlay.arena(), &base.arena());
   EXPECT_EQ(&overlay.tree_cover(), &base.tree_cover());
+  EXPECT_EQ(overlay.ArenaByteSize(), base.ArenaByteSize());
   EXPECT_EQ(overlay.NumNodes(), 201);
 
   // Chained deltas flatten onto the same base.
   ASSERT_TRUE(dyn->AddLeafUnder(1).ok());
   CompressedClosure chained =
       CompressedClosure::WithDelta(overlay, dyn->ExportDelta());
-  EXPECT_EQ(&chained.labels(), &base.labels());
+  EXPECT_EQ(&chained.arena(), &base.arena());
   EXPECT_GE(chained.OverlayNodeCount(), overlay.OverlayNodeCount());
   ExpectSameAnswers(chained, dyn->ExportClosure());
 
@@ -297,6 +302,54 @@ TEST(DeltaSnapshotTest, DeltaPublishCarriesBaseStatsForward) {
   // Stats describe the last *full* export, by design (see snapshot.h).
   EXPECT_EQ(snapshot->stats.num_nodes, full_stats.num_nodes);
   EXPECT_EQ(snapshot->stats.total_intervals, full_stats.total_intervals);
+}
+
+// The service publishes arena-only closures, full and delta alike; each
+// must persist through the on-disk interval store and answer like DFS.
+TEST(DeltaSnapshotTest, PublishedSnapshotsPersistThroughIntervalStore) {
+  QueryService service(SerialOptions());
+  ASSERT_TRUE(service.Load(RandomDag(120, 2.0, 51)).ok());
+
+  const auto expect_persists = [&service](const std::string& file) {
+    Digraph graph;
+    ASSERT_TRUE(service
+                    .Apply([&graph](DynamicClosure& dynamic) {
+                      graph = dynamic.graph();
+                      return Status::Ok();
+                    })
+                    .ok());
+    const auto snapshot = service.Snapshot();
+    auto store = PageStore::Open(::testing::TempDir() + "/" + file, 512);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(IntervalStore::Write(snapshot->closure, *store).ok());
+    BufferPool pool(&*store, 16);
+    auto on_disk = IntervalStore::Open(&pool);
+    ASSERT_TRUE(on_disk.ok());
+    ASSERT_EQ(on_disk->NumNodes(), graph.NumNodes());
+    for (NodeId u = 0; u < graph.NumNodes(); ++u) {
+      for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+        auto got = on_disk->Reaches(u, v);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(*got, DfsReaches(graph, u, v)) << file << " " << u << "->"
+                                                 << v;
+      }
+    }
+  };
+  expect_persists("published_full.db");
+  ASSERT_FALSE(service.Snapshot()->delta_publish);
+
+  const StatusOr<NodeId> leaf = service.AddLeafUnder(7);
+  ASSERT_TRUE(leaf.ok());
+  // The first arc the index accepts (cycles and duplicates are refused).
+  bool added = false;
+  for (NodeId to = 0; to < 120 && !added; ++to) {
+    added = service.AddArc(*leaf, to).ok();
+  }
+  ASSERT_TRUE(added);
+  service.Publish();
+  ASSERT_TRUE(service.Snapshot()->delta_publish);
+  ASSERT_TRUE(service.Snapshot()->closure.IsOverlay());
+  expect_persists("published_delta.db");
 }
 
 }  // namespace

@@ -11,12 +11,12 @@
 
 #include "core/chain_cover.h"
 #include "baselines/full_closure.h"
-#include "baselines/grail_index.h"
 #include "baselines/inverse_closure.h"
 #include "baselines/multi_hierarchy.h"
 #include "core/compressed_closure.h"
 #include "core/dynamic_closure.h"
 #include "core/predecessor_index.h"
+#include "core/tree_cover_index.h"
 #include "graph/families.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
@@ -59,8 +59,7 @@ TEST_P(DifferentialTest, AllIndexesAgreeWithGroundTruth) {
   ASSERT_TRUE(inverse.ok());
   auto chains = ChainCover::Build(graph, ChainCover::Method::kGreedy);
   ASSERT_TRUE(chains.ok());
-  auto grail = GrailIndex::Build(graph, 2, seed);
-  ASSERT_TRUE(grail.ok());
+  const TreeCoverIndex trees = TreeCoverIndex::Build(graph, 2, seed);
   auto multi = MultiHierarchyLabeling::Build(graph);
   ASSERT_TRUE(multi.ok());
   FullClosure full(graph);
@@ -78,8 +77,8 @@ TEST_P(DifferentialTest, AllIndexesAgreeWithGroundTruth) {
           << family.name << " inverse " << u << "->" << v;
       ASSERT_EQ(chains->Reaches(u, v), expected)
           << family.name << " chains " << u << "->" << v;
-      ASSERT_EQ(grail->Reaches(u, v), expected)
-          << family.name << " grail " << u << "->" << v;
+      ASSERT_EQ(trees.Reaches(u, v), expected)
+          << family.name << " trees " << u << "->" << v;
       ASSERT_EQ(full.Reaches(u, v), expected)
           << family.name << " full " << u << "->" << v;
       if (multi->Reaches(u, v)) {  // Sound but incomplete by design.

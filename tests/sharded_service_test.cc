@@ -527,10 +527,14 @@ TEST(ShardedServiceTest, SlowSinglesAreShardAttributed) {
   options.slow_query_micros = 1;  // 1 us: the lowest enabled threshold.
   ShardedQueryService sharded(options);
   ASSERT_TRUE(sharded.Load(ClusteredDag(4, 40, 2.5, 2, 0.1, 9)).ok());
-  // Typical singles run a few hundred nanos; over thousands of probes
-  // at least one crosses 1 us (a cache miss or preemption suffices).
+  // Typical singles run a few hundred nanos; one crosses 1 us when a
+  // timer interrupt or preemption lands inside it.  20k probes span about
+  // one scheduler tick, which left that to chance (about a quarter of
+  // runs saw no slow single), so probe until one is recorded, with a cap
+  // of about a second.
   Random rng(53);
-  for (int i = 0; i < 20000 && sharded.slow_log().TotalRecorded() == 0; ++i) {
+  for (int i = 0; i < 2000000 && sharded.slow_log().TotalRecorded() == 0;
+       ++i) {
     const NodeId u = static_cast<NodeId>(rng.Uniform(160));
     NodeId v = static_cast<NodeId>(rng.Uniform(160));
     while (v == u) v = static_cast<NodeId>(rng.Uniform(160));

@@ -18,8 +18,10 @@ int L(SimdLevel level) { return static_cast<int>(level); }
 
 TEST(SimdDispatchTest, LevelNames) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(SimdLevelName(SimdLevel::kSse), "sse");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
+  // The exported gauge values stay put across the retired SSE4.2 tier.
+  EXPECT_EQ(L(SimdLevel::kScalar), 0);
+  EXPECT_EQ(L(SimdLevel::kAvx2), 2);
 }
 
 TEST(SimdDispatchTest, DetectionIsStable) {
@@ -31,8 +33,7 @@ TEST(SimdDispatchTest, DetectionIsStable) {
 }
 
 TEST(SimdDispatchTest, TablesAreCompleteAndHonest) {
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse, SimdLevel::kAvx2}) {
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     const ArenaKernels& table = KernelsForLevel(level);
     // A table may degrade (non-x86 build) but never report MORE than was
     // asked for, and must always be fully populated.
@@ -56,8 +57,6 @@ TEST(SimdDispatchTest, RequestedLevelParsesEnvironment) {
     EXPECT_EQ(requested, fallback);
   } else if (std::strcmp(env, "scalar") == 0) {
     EXPECT_EQ(requested, SimdLevel::kScalar);
-  } else if (std::strcmp(env, "sse") == 0) {
-    EXPECT_EQ(requested, SimdLevel::kSse);
   } else if (std::strcmp(env, "avx2") == 0) {
     EXPECT_EQ(requested, SimdLevel::kAvx2);
   } else {

@@ -143,8 +143,7 @@ host_simd_levels() {
   local supported
   supported="$("${tool}" simd | sed -n 's/.*supported=\([a-z0-9]*\).*/\1/p')"
   case "${supported}" in
-    avx2) echo "scalar sse avx2" ;;
-    sse) echo "scalar sse" ;;
+    avx2) echo "scalar avx2" ;;
     *) echo "scalar" ;;
   esac
 }

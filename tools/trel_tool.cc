@@ -75,7 +75,7 @@ int Usage() {
       "[duration_s]\n"
       "\n"
       "environment:\n"
-      "  TREL_SIMD   force a query-kernel level (scalar|sse|avx2|auto)\n"
+      "  TREL_SIMD   force a query-kernel level (scalar|avx2|auto)\n"
       "  TREL_INDEX  force the snapshot index family\n"
       "              (intervals|trees|hop|auto); unknown values mean auto\n"
       "  TREL_PUBLISH  force the service publish tier\n"
