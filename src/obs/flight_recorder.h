@@ -55,10 +55,10 @@ struct FlightCapture {
 class FlightRecorder {
  public:
   struct Options {
-    double p99_drift_factor = 4.0;
+    double p99_drift_factor = 1.2;  // Buckets are <= 6.25% wide.
     // Windows with fewer samples than this never trigger drift (smoke
-    // traffic and cold starts are all noise).
-    int64_t min_window_count = 64;
+    // traffic and cold starts are noise); 1000 leaves ten beyond a p99.
+    int64_t min_window_count = 1000;
     int64_t publish_stall_micros = 1000000;
     int64_t rejected_burst = 8;
     int64_t boundary_spike = 16;

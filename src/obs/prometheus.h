@@ -24,8 +24,8 @@ class PrometheusText {
   void Sample(std::string_view name, std::string_view labels, int64_t value);
   void Sample(std::string_view name, std::string_view labels, double value);
 
-  // Renders a power-of-two bucket array (PowerOfTwoBucket semantics:
-  // bucket i counts [2^i, 2^(i+1))) as a cumulative Prometheus histogram:
+  // Renders a power-of-two bucket array (bucket i counts [2^i, 2^(i+1)),
+  // as LogHistogram folds) as a cumulative Prometheus histogram:
   // `name_bucket{labels,le="2^(i+1)"}` lines, the `+Inf` bucket, then
   // `name_sum` (pass the tracked total; it is NOT derivable from the
   // buckets) and `name_count`.  Call Family(name, ..., "histogram")

@@ -6,17 +6,6 @@
 
 namespace trel {
 
-namespace {
-
-// Upper edge of bucket b in microseconds: buckets hold [2^b, 2^(b+1))
-// nanos, so the edge is 2^(b+1) ns (the last, open-ended bucket keeps
-// its lower-edge doubling as a finite, monotone stand-in).
-double BucketUpperEdgeUs(int bucket) {
-  return static_cast<double>(int64_t{1} << (bucket + 1)) / 1000.0;
-}
-
-}  // namespace
-
 int64_t LatencyRollup::MonotonicNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -36,27 +25,20 @@ LatencyRollup::LatencyRollup(std::vector<std::string> series_names,
 
 void LatencyRollup::Record(int series, int64_t nanos) {
   if (series < 0 || series >= num_series()) return;
-  if (nanos < 0) nanos = 0;
   const int64_t minute = now_fn_() / kNanosPerMinute;
   Cell& cell =
       cells_[static_cast<size_t>(series) * kRingMinutes + minute % kRingMinutes];
   int64_t stamped = cell.minute.load(std::memory_order_relaxed);
-  if (stamped != minute) {
-    // Claim the cell for the new minute; exactly one racing writer wins
-    // and clears it.  Losers (stamped already advanced) fall through and
-    // record into the fresh cell.
-    if (cell.minute.compare_exchange_strong(stamped, minute,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-      cell.count.store(0, std::memory_order_relaxed);
-      cell.sum_nanos.store(0, std::memory_order_relaxed);
-      for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
-    }
+  // Claim the cell for the new minute; exactly one racing writer wins and
+  // clears it.  Losers (stamped already advanced) fall through and record
+  // into the fresh cell.
+  if (stamped != minute &&
+      cell.minute.compare_exchange_strong(stamped, minute,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_relaxed)) {
+    cell.histogram.Clear();
   }
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  cell.sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
-  cell.buckets[PowerOfTwoBucket(nanos, kBuckets)].fetch_add(
-      1, std::memory_order_relaxed);
+  cell.histogram.Record(nanos);
 }
 
 LatencyRollup::WindowStats LatencyRollup::Window(int series,
@@ -69,37 +51,22 @@ LatencyRollup::WindowStats LatencyRollup::Window(int series,
   const int64_t now_minute = now_fn_() / kNanosPerMinute;
   const int64_t newest = now_minute - skip_minutes;
   const int64_t oldest = newest - window_minutes + 1;
-  int64_t buckets[kBuckets] = {};
   const Cell* row = &cells_[static_cast<size_t>(series) * kRingMinutes];
-  for (int i = 0; i < kRingMinutes; ++i) {
-    const Cell& cell = row[i];
+  const auto in_window = [&](const Cell& cell) {
     const int64_t m = cell.minute.load(std::memory_order_relaxed);
-    if (m < oldest || m > newest) continue;
-    stats.count += cell.count.load(std::memory_order_relaxed);
-    stats.sum_nanos += cell.sum_nanos.load(std::memory_order_relaxed);
-    for (int b = 0; b < kBuckets; ++b) {
-      buckets[b] += cell.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  // Quantile ranks off the folded histogram.  Bucket totals are the
-  // source of truth for ranking (count can race slightly ahead of the
-  // bucket adds); an empty window reports zeros.
-  int64_t total = 0;
-  for (int b = 0; b < kBuckets; ++b) total += buckets[b];
-  if (total == 0) return stats;
-  const auto quantile_us = [&](double q) {
-    const int64_t rank =
-        std::max<int64_t>(1, static_cast<int64_t>(q * static_cast<double>(total) + 0.5));
-    int64_t seen = 0;
-    for (int b = 0; b < kBuckets; ++b) {
-      seen += buckets[b];
-      if (seen >= rank) return BucketUpperEdgeUs(b);
-    }
-    return BucketUpperEdgeUs(kBuckets - 1);
+    return m >= oldest && m <= newest;
   };
-  stats.p50_us = quantile_us(0.50);
-  stats.p99_us = quantile_us(0.99);
-  stats.p999_us = quantile_us(0.999);
+  // Most series are idle most minutes: skip the fold when nothing is in.
+  if (std::none_of(row, row + kRingMinutes, in_window)) return stats;
+  LogHistogram::Snapshot folded;
+  for (int i = 0; i < kRingMinutes; ++i) {
+    if (in_window(row[i])) row[i].histogram.AddTo(&folded);
+  }
+  stats.count = folded.Total();
+  const auto [p50, p99, p999] = folded.Quantiles<3>({0.50, 0.99, 0.999});
+  stats.p50_us = static_cast<double>(p50) / 1000.0;
+  stats.p99_us = static_cast<double>(p99) / 1000.0;
+  stats.p999_us = static_cast<double>(p999) / 1000.0;
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #ifndef TREL_OBS_ROLLUP_H_
 #define TREL_OBS_ROLLUP_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -13,15 +12,15 @@ namespace trel {
 
 // Windowed latency percentiles, live and in-process.
 //
-// Each named series owns a small ring of per-minute histogram cells
-// (power-of-two nanosecond buckets).  Record() is wait-free on the hot
-// path: one clockless bucket computation plus three relaxed atomic adds
-// on the cell the current minute hashes to; a cell is claimed for a new
-// minute with a single CAS, so rotation costs O(kBuckets) once per
-// series-minute, never per record.  Reads (Window) fold the cells whose
-// minute stamps fall inside a sliding window and walk the cumulative
-// histogram for p50/p99/p999.  Quantiles are reported as the upper edge
-// of the deciding bucket, so p50 <= p99 <= p999 always holds.
+// Each named series owns a small ring of per-minute LogHistogram cells
+// (nanosecond values, buckets at most 6.25% wide).  Record() is
+// wait-free on the hot path: one relaxed atomic add on the cell the
+// current minute hashes to; a cell is claimed for a new minute with a
+// single CAS, so clearing it costs O(buckets) once per series-minute,
+// never per record.  Reads (Window) fold the cells whose minute stamps
+// fall inside a sliding window.  Quantiles are reported as the upper
+// edge of the deciding bucket (LogHistogram::Snapshot::Quantiles), so
+// p50 <= p99 <= p999 always holds.
 //
 // Concurrency: every field is an atomic; readers and writers never
 // block.  Records racing a minute-boundary rotation can land in a cell
@@ -33,7 +32,6 @@ namespace trel {
 // the constructor and minute math becomes fully deterministic.
 class LatencyRollup {
  public:
-  static constexpr int kBuckets = 28;  // 2^27 ns ~ 134 ms top bucket.
   static constexpr int kRingMinutes = 8;
   static constexpr int64_t kNanosPerMinute = 60LL * 1000 * 1000 * 1000;
 
@@ -60,7 +58,6 @@ class LatencyRollup {
 
   struct WindowStats {
     int64_t count = 0;
-    int64_t sum_nanos = 0;
     double p50_us = 0.0;
     double p99_us = 0.0;
     double p999_us = 0.0;
@@ -75,9 +72,7 @@ class LatencyRollup {
  private:
   struct Cell {
     std::atomic<int64_t> minute{-1};  // -1 = never used.
-    std::atomic<int64_t> count{0};
-    std::atomic<int64_t> sum_nanos{0};
-    std::array<std::atomic<int64_t>, kBuckets> buckets{};
+    LogHistogram histogram;
   };
 
   std::vector<std::string> names_;

@@ -1,7 +1,5 @@
 #include "obs/span_log.h"
 
-#include "obs/histogram.h"
-
 namespace trel {
 
 const char* PublishPhaseName(PublishPhase phase) {
@@ -39,13 +37,9 @@ SpanLog::SpanLog(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 void SpanLog::Record(const PublishSpan& span) {
   std::lock_guard<std::mutex> lock(mutex_);
   const int kind = static_cast<int>(span.strategy);
-  ++aggregate_.count[kind];
-  aggregate_.total_micros[kind] += span.total_micros;
   for (int p = 0; p < kNumPublishPhases; ++p) {
-    aggregate_.phase_micros_total[kind][p] += span.phase_micros[p];
-    ++aggregate_.phase_histogram[kind][p]
-                                [PowerOfTwoBucket(span.phase_micros[p],
-                                                  kBuckets)];
+    phase_micros_total_[kind][p] += span.phase_micros[p];
+    phase_histograms_[kind][p].Record(span.phase_micros[p]);
   }
   recent_.push_back(span);
   if (recent_.size() > capacity_) recent_.pop_front();
@@ -56,9 +50,23 @@ std::vector<PublishSpan> SpanLog::Recent() const {
   return std::vector<PublishSpan>(recent_.begin(), recent_.end());
 }
 
-SpanLog::Aggregate SpanLog::Read() const {
+std::optional<PublishSpan> SpanLog::Last() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return aggregate_;
+  if (recent_.empty()) return std::nullopt;
+  return recent_.back();
+}
+
+SpanLog::Aggregate SpanLog::Read() const {
+  Aggregate aggregate;
+  std::lock_guard<std::mutex> lock(mutex_);
+  aggregate.phase_micros_total = phase_micros_total_;
+  for (int kind = 0; kind < kNumPublishStrategies; ++kind) {
+    for (int p = 0; p < kNumPublishPhases; ++p) {
+      phase_histograms_[kind][p].Read().FoldPowerOfTwo(
+          aggregate.phase_histogram[kind][p]);
+    }
+  }
+  return aggregate;
 }
 
 }  // namespace trel

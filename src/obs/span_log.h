@@ -5,7 +5,10 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <vector>
+
+#include "obs/histogram.h"
 
 namespace trel {
 
@@ -51,26 +54,25 @@ struct PublishSpan {
   std::array<int64_t, kNumPublishPhases> phase_micros{};
 };
 
-// Bounded log of publish spans plus incrementally maintained per-phase
-// aggregates split by strategy.  Mutex-guarded: publishes are rare
-// (milliseconds apart at the fastest) and already serialized by the
-// service's writer mutex, so a lock here costs nothing measurable.
+// Bounded log of publish spans plus per-phase aggregates split by
+// strategy.  Mutex-guarded: publishes are rare (milliseconds apart at
+// the fastest) and already serialized by the service's writer mutex, so
+// a lock here costs nothing measurable.
 class SpanLog {
  public:
-  // Power-of-two phase-latency histogram width; bucket i counts phases
-  // that took [2^i, 2^(i+1)) microseconds (PowerOfTwoBucket semantics).
+  // Width of the power-of-two phase-latency histograms Read() folds to:
+  // bucket i counts phases that took [2^i, 2^(i+1)) microseconds.
   static constexpr int kBuckets = 22;
 
   // Outer index = PublishStrategy value (0 delta, 1 chain_full,
-  // 2 optimal_full).
+  // 2 optimal_full), inner index = PublishPhase.
+  template <typename T>
+  using PerPhase =
+      std::array<std::array<T, kNumPublishPhases>, kNumPublishStrategies>;
+
   struct Aggregate {
-    std::array<int64_t, kNumPublishStrategies> count{};
-    std::array<int64_t, kNumPublishStrategies> total_micros{};
-    std::array<std::array<int64_t, kNumPublishPhases>, kNumPublishStrategies>
-        phase_micros_total{};
-    std::array<std::array<std::array<int64_t, kBuckets>, kNumPublishPhases>,
-               kNumPublishStrategies>
-        phase_histogram{};
+    PerPhase<int64_t> phase_micros_total{};
+    PerPhase<std::array<int64_t, kBuckets>> phase_histogram{};
   };
 
   explicit SpanLog(size_t capacity = 128);
@@ -80,13 +82,17 @@ class SpanLog {
   // The most recent spans, oldest first (at most `capacity`).
   std::vector<PublishSpan> Recent() const;
 
+  // The most recent span; empty before the first publish.
+  std::optional<PublishSpan> Last() const;
+
   Aggregate Read() const;
 
  private:
   mutable std::mutex mutex_;
   size_t capacity_;
-  std::deque<PublishSpan> recent_;  // Guarded by mutex_.
-  Aggregate aggregate_;             // Guarded by mutex_.
+  std::deque<PublishSpan> recent_;            // Guarded by mutex_.
+  PerPhase<int64_t> phase_micros_total_{};    // Guarded by mutex_.
+  PerPhase<LogHistogram> phase_histograms_;  // Guarded by mutex_.
 };
 
 }  // namespace trel

@@ -81,34 +81,34 @@ void QueryTracer::Record(NodeId source, NodeId target, bool answer,
       ring.head.fetch_add(1, std::memory_order_relaxed) & (ring_capacity_ - 1);
   Slot& slot = ring.slots[pos];
   // Seqlock write: park the generation at 0 (readers skip), publish the
-  // payload, then release the new generation.
-  slot.gen.store(0, std::memory_order_release);
+  // payload with release stores, then release the new generation.
+  slot.gen.store(0, std::memory_order_relaxed);
   slot.word0.store((static_cast<uint64_t>(static_cast<uint32_t>(source)) << 32) |
                        static_cast<uint32_t>(target),
-                   std::memory_order_relaxed);
-  slot.word1.store(epoch, std::memory_order_relaxed);
-  slot.word2.store(nanos, std::memory_order_relaxed);
+                   std::memory_order_release);
+  slot.word1.store(epoch, std::memory_order_release);
+  slot.word2.store(nanos, std::memory_order_release);
   slot.word3.store((answer ? kAnswerBit : 0) |
                        (from_batch ? kFromBatchBit : 0) |
                        ((static_cast<uint64_t>(tag) & kTagMask) << kTagShift) |
                        (static_cast<uint64_t>(extras_probes) << kProbesShift),
-                   std::memory_order_relaxed);
+                   std::memory_order_release);
   if (stages != nullptr) {
     slot.word4.store(static_cast<uint64_t>(stages->stage_nanos[0]) |
                          (static_cast<uint64_t>(stages->stage_nanos[1]) << 32),
-                     std::memory_order_relaxed);
+                     std::memory_order_release);
     slot.word5.store(static_cast<uint64_t>(stages->stage_nanos[2]) |
                          (static_cast<uint64_t>(stages->stage_nanos[3]) << 32),
-                     std::memory_order_relaxed);
+                     std::memory_order_release);
     slot.word6.store(
         static_cast<uint64_t>(stages->stage_nanos[4]) |
             (static_cast<uint64_t>(static_cast<uint32_t>(stages->shard + 2))
              << 32),
-        std::memory_order_relaxed);
+        std::memory_order_release);
   } else {
-    slot.word4.store(0, std::memory_order_relaxed);
-    slot.word5.store(0, std::memory_order_relaxed);
-    slot.word6.store(0, std::memory_order_relaxed);
+    slot.word4.store(0, std::memory_order_release);
+    slot.word5.store(0, std::memory_order_release);
+    slot.word6.store(0, std::memory_order_release);
   }
   slot.gen.store(seq + 1, std::memory_order_release);
 }
@@ -119,14 +119,14 @@ std::vector<TraceRecord> QueryTracer::Drain() const {
     for (const Slot& slot : ring.slots) {
       const uint64_t g1 = slot.gen.load(std::memory_order_acquire);
       if (g1 == 0) continue;
-      const uint64_t w0 = slot.word0.load(std::memory_order_relaxed);
-      const uint64_t w1 = slot.word1.load(std::memory_order_relaxed);
-      const uint64_t w2 = slot.word2.load(std::memory_order_relaxed);
-      const uint64_t w3 = slot.word3.load(std::memory_order_relaxed);
-      const uint64_t w4 = slot.word4.load(std::memory_order_relaxed);
-      const uint64_t w5 = slot.word5.load(std::memory_order_relaxed);
-      const uint64_t w6 = slot.word6.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Acquire loads: a newer write's word carries its parked 0 to gen.
+      const uint64_t w0 = slot.word0.load(std::memory_order_acquire);
+      const uint64_t w1 = slot.word1.load(std::memory_order_acquire);
+      const uint64_t w2 = slot.word2.load(std::memory_order_acquire);
+      const uint64_t w3 = slot.word3.load(std::memory_order_acquire);
+      const uint64_t w4 = slot.word4.load(std::memory_order_acquire);
+      const uint64_t w5 = slot.word5.load(std::memory_order_acquire);
+      const uint64_t w6 = slot.word6.load(std::memory_order_acquire);
       if (slot.gen.load(std::memory_order_relaxed) != g1) continue;  // Torn.
       TraceRecord record;
       record.sequence = g1 - 1;

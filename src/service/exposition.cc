@@ -30,7 +30,8 @@ std::string KindPhaseLabels(int kind, int phase) {
 void AppendLatencyWindows(PrometheusText& out, const LatencyRollup& rollup) {
   out.Family("trel_latency_window_us",
              "Windowed latency quantiles from the per-minute rollup "
-             "(upper edge of the deciding power-of-two bucket).",
+             "(upper edge of the deciding log-linear bucket, at most "
+             "6.25% above the value).",
              "gauge");
   for (int s = 0; s < rollup.num_series(); ++s) {
     for (const int minutes : LatencyRollup::WindowMinutes()) {
@@ -324,12 +325,16 @@ std::string RenderStatusz(const ServiceMetrics::View& view,
       << " chain_blowup=" << view.chain_interval_blowup << "\n";
   if (spans != nullptr) {
     const SpanLog::Aggregate agg = spans->Read();
+    // Indexed by PublishStrategy, like the aggregate.
+    const int64_t publishes[kNumPublishStrategies] = {
+        view.publishes_delta, view.publishes_chain_full,
+        view.publishes_optimal_full};
     for (int kind = 0; kind < kNumPublishStrategies; ++kind) {
-      if (agg.count[kind] == 0) continue;
+      if (publishes[kind] == 0) continue;
       out << "publish_phases_avg_us{" << KindName(kind) << "}:";
       for (int phase = 0; phase < kNumPublishPhases; ++phase) {
         out << " " << PublishPhaseName(static_cast<PublishPhase>(phase)) << "="
-            << agg.phase_micros_total[kind][phase] / agg.count[kind];
+            << agg.phase_micros_total[kind][phase] / publishes[kind];
       }
       out << "\n";
     }

@@ -1,16 +1,20 @@
 #include "service/metrics.h"
 
+#include <span>
 #include <sstream>
-
-#include "obs/histogram.h"
 
 namespace trel {
 namespace {
 
-// Shared power-of-two bucket math (obs/histogram.h) under the name the
-// recording code reads naturally.
-int BucketFor(int64_t value, int buckets) {
-  return PowerOfTwoBucket(value, buckets);
+// "<2^(i+1):count" for every non-empty power-of-two bucket i.
+void AppendPowerOfTwoBuckets(std::ostringstream& out,
+                             std::span<const int64_t> buckets) {
+  const char* separator = "";
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i] == 0) continue;
+    out << separator << "<" << (int64_t{1} << (i + 1)) << ":" << buckets[i];
+    separator = " ";
+  }
 }
 
 }  // namespace
@@ -18,8 +22,7 @@ int BucketFor(int64_t value, int buckets) {
 void ServiceMetrics::RecordBatch(int64_t micros) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   batch_micros_total_.fetch_add(micros, std::memory_order_relaxed);
-  histogram_[BucketFor(micros, kLatencyBuckets)].fetch_add(
-      1, std::memory_order_relaxed);
+  batch_latency_.Record(micros);
 }
 
 void ServiceMetrics::RecordPublishFull(PublishStrategy strategy,
@@ -46,8 +49,7 @@ void ServiceMetrics::RecordPublishDelta(int64_t micros, int64_t delta_nodes) {
   publishes_delta_.fetch_add(1, std::memory_order_relaxed);
   publish_delta_micros_total_.fetch_add(micros, std::memory_order_relaxed);
   delta_nodes_total_.fetch_add(delta_nodes, std::memory_order_relaxed);
-  delta_histogram_[BucketFor(delta_nodes, kDeltaNodeBuckets)].fetch_add(
-      1, std::memory_order_relaxed);
+  delta_nodes_.Record(delta_nodes);
   last_publish_strategy_.store(static_cast<int>(PublishStrategy::kDelta),
                                std::memory_order_relaxed);
 }
@@ -69,7 +71,7 @@ ServiceMetrics::View ServiceMetrics::Read() const {
   view.batches = batches_.load(std::memory_order_relaxed);
   view.batch_micros_total =
       batch_micros_total_.load(std::memory_order_relaxed);
-  view.batches_rejected = batches_rejected_.load(std::memory_order_relaxed);
+  view.batches_rejected = batches_rejected();
   view.publishes_chain_full =
       publishes_chain_full_.load(std::memory_order_relaxed);
   view.publishes_optimal_full =
@@ -109,14 +111,8 @@ ServiceMetrics::View ServiceMetrics::Read() const {
       batch_group_rejects_.load(std::memory_order_relaxed);
   view.batch_extras_searches =
       batch_extras_searches_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    view.batch_latency_histogram[i] =
-        histogram_[i].load(std::memory_order_relaxed);
-  }
-  for (int i = 0; i < kDeltaNodeBuckets; ++i) {
-    view.delta_nodes_histogram[i] =
-        delta_histogram_[i].load(std::memory_order_relaxed);
-  }
+  batch_latency_.Read().FoldPowerOfTwo(view.batch_latency_histogram);
+  delta_nodes_.Read().FoldPowerOfTwo(view.delta_nodes_histogram);
   for (int i = 0; i < kNumIndexFamilies; ++i) {
     view.family_selects[i] = family_selects_[i].load(std::memory_order_relaxed);
   }
@@ -145,22 +141,9 @@ std::string ServiceMetrics::View::ToString() const {
       << publish_full_micros_total << " delta=" << publish_delta_micros_total
       << ") delta_nodes=" << delta_nodes_total;
   out << " latency_hist_us=[";
-  bool first = true;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    if (batch_latency_histogram[i] == 0) continue;
-    if (!first) out << " ";
-    out << "<" << (int64_t{1} << (i + 1)) << ":"
-        << batch_latency_histogram[i];
-    first = false;
-  }
+  AppendPowerOfTwoBuckets(out, batch_latency_histogram);
   out << "] delta_nodes_hist=[";
-  first = true;
-  for (int i = 0; i < kDeltaNodeBuckets; ++i) {
-    if (delta_nodes_histogram[i] == 0) continue;
-    if (!first) out << " ";
-    out << "<" << (int64_t{1} << (i + 1)) << ":" << delta_nodes_histogram[i];
-    first = false;
-  }
+  AppendPowerOfTwoBuckets(out, delta_nodes_histogram);
   out << "]";
   // Appended past every pre-family field: tools/obs_check.py matches its
   // fixed fields leftmost, so new names must never precede old ones.

@@ -8,6 +8,7 @@
 
 #include "core/arena_kernels.h"
 #include "core/index_family.h"
+#include "obs/histogram.h"
 #include "obs/span_log.h"
 
 namespace trel {
@@ -17,13 +18,13 @@ namespace trel {
 // race-free and cheap enough to sit on the hot read path.
 class ServiceMetrics {
  public:
-  // Batch latency histogram: bucket i counts batches that finished in
-  // [2^i, 2^(i+1)) microseconds (bucket 0 additionally catches < 1us,
-  // the last bucket everything slower).
+  // Batch latency, folded from a LogHistogram at Read(): bucket i counts
+  // batches that finished in [2^i, 2^(i+1)) microseconds (bucket 0
+  // additionally catches < 1us, the last bucket everything slower).
   static constexpr int kLatencyBuckets = 22;
-  // Delta-size histogram: bucket i counts delta publishes that shipped
-  // [2^i, 2^(i+1)) changed node entries (bucket 0 additionally catches
-  // empty deltas, the last bucket everything larger).
+  // Delta size, folded likewise: bucket i counts delta publishes that
+  // shipped [2^i, 2^(i+1)) changed node entries (bucket 0 additionally
+  // catches empty deltas, the last bucket everything larger).
   static constexpr int kDeltaNodeBuckets = 24;
 
   // Plain-value copy of the counters, safe to read field by field.
@@ -107,6 +108,9 @@ class ServiceMetrics {
   void RecordBatchRejected() {
     batches_rejected_.fetch_add(1, std::memory_order_relaxed);
   }
+  int64_t batches_rejected() const {
+    return batches_rejected_.load(std::memory_order_relaxed);
+  }
   // One publish that re-exported the entire labeling.  `strategy` says
   // which full tier built it (kDelta is invalid here);
   // `total_intervals` is the published snapshot's interval count, kept
@@ -143,8 +147,8 @@ class ServiceMetrics {
   std::atomic<int> last_publish_strategy_{-1};
   std::atomic<int64_t> chain_full_intervals_last_{0};
   std::atomic<int64_t> optimal_full_intervals_last_{0};
-  std::array<std::atomic<int64_t>, kLatencyBuckets> histogram_{};
-  std::array<std::atomic<int64_t>, kDeltaNodeBuckets> delta_histogram_{};
+  LogHistogram batch_latency_;
+  LogHistogram delta_nodes_;
   std::atomic<int64_t> batch_fast_path_{0};
   std::atomic<int64_t> batch_filter_rejects_{0};
   std::atomic<int64_t> batch_group_rejects_{0};

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
@@ -216,13 +217,11 @@ uint64_t QueryService::Publish() {
 
 bool QueryService::CheckFlightRecorder() const {
   FlightRecorder::Inputs inputs;
-  inputs.batches_rejected =
-      metrics_.Read().batches_rejected;
-  const std::vector<PublishSpan> spans = span_log_.Recent();
-  if (!spans.empty()) {
+  inputs.batches_rejected = metrics_.batches_rejected();
+  if (const std::optional<PublishSpan> last = span_log_.Last()) {
     inputs.has_publish = true;
-    inputs.last_publish_micros = spans.back().total_micros;
-    inputs.last_publish_epoch = spans.back().epoch;
+    inputs.last_publish_micros = last->total_micros;
+    inputs.last_publish_epoch = last->epoch;
   }
   return flight_.Check(inputs);
 }

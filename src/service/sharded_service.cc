@@ -441,11 +441,9 @@ void ShardedQueryService::NotePublish(uint64_t epoch, int64_t micros) {
 
 bool ShardedQueryService::CheckFlightRecorder() const {
   FlightRecorder::Inputs inputs;
-  int64_t rejected = 0;
   for (const auto& shard : shards_) {
-    rejected += shard->Metrics().batches_rejected;
+    inputs.batches_rejected += shard->BatchesRejected();
   }
-  inputs.batches_rejected = rejected;
   inputs.boundary_republishes =
       boundary_republishes_.load(std::memory_order_relaxed);
   inputs.has_publish = has_publish_.load(std::memory_order_relaxed);

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -37,28 +38,94 @@ namespace trel {
 namespace {
 
 // ---------------------------------------------------------------------------
-// PowerOfTwoBucket
+// LogHistogram
 
-TEST(PowerOfTwoBucketTest, PowersLandInOwnBucket) {
-  // The bucket scheme's defining property: 2^i is the first value of
-  // bucket i, so it must land exactly there.
-  for (int i = 0; i < 22; ++i) {
-    EXPECT_EQ(PowerOfTwoBucket(int64_t{1} << i, 22), i) << "2^" << i;
+// Power-of-two bucket (of `width`) the fold puts `value` in.
+int FoldedBucket(int64_t value, int width) {
+  LogHistogram histogram;
+  histogram.Record(value);
+  std::vector<int64_t> folded(static_cast<size_t>(width), 0);
+  histogram.Read().FoldPowerOfTwo(folded);
+  return static_cast<int>(std::find(folded.begin(), folded.end(), 1) -
+                          folded.begin());
+}
+
+TEST(LogHistogramTest, BucketsAreAtMostOneSixteenthWide) {
+  // Buckets tile [0, 2^40) in order, and from 16 up none is wider than
+  // 1/16 of its lower edge.
+  int64_t lower = 0;
+  for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
+    const int64_t upper = LogHistogram::UpperEdge(b);
+    ASSERT_LT(lower, upper) << "bucket " << b;
+    EXPECT_EQ(LogHistogram::BucketOf(lower), b);
+    EXPECT_EQ(LogHistogram::BucketOf(upper - 1), b);
+    if (lower >= 16) {
+      EXPECT_LE(16 * (upper - lower), lower) << "bucket " << b;
+    }
+    lower = upper;
   }
-  // And the largest value of bucket i is 2^(i+1) - 1.
-  for (int i = 1; i < 21; ++i) {
-    EXPECT_EQ(PowerOfTwoBucket((int64_t{1} << (i + 1)) - 1, 22), i);
+  EXPECT_EQ(lower, int64_t{1} << 40);
+  // Every value lies inside its bucket: exhaustively up to 2^16, then at
+  // random magnitudes up to the clamp.
+  Random rng(5);
+  for (int64_t i = 0; i < (int64_t{1} << 17); ++i) {
+    const int64_t value =
+        i < (int64_t{1} << 16)
+            ? i
+            : static_cast<int64_t>(rng.Uniform(uint64_t{1} << 40) >>
+                                   rng.Uniform(40));
+    const int b = LogHistogram::BucketOf(value);
+    const int64_t bucket_lower = b == 0 ? 0 : LogHistogram::UpperEdge(b - 1);
+    ASSERT_LE(bucket_lower, value);
+    ASSERT_LT(value, LogHistogram::UpperEdge(b));
+    if (value >= 16) {
+      ASSERT_LE(16 * (LogHistogram::UpperEdge(b) - bucket_lower), value);
+    }
   }
 }
 
-TEST(PowerOfTwoBucketTest, EdgesAndClamping) {
-  EXPECT_EQ(PowerOfTwoBucket(0, 22), 0);
-  EXPECT_EQ(PowerOfTwoBucket(1, 22), 0);
-  EXPECT_EQ(PowerOfTwoBucket(2, 22), 1);
-  // Everything at or past 2^21 collapses into the last bucket.
-  EXPECT_EQ(PowerOfTwoBucket(int64_t{1} << 21, 22), 21);
-  EXPECT_EQ(PowerOfTwoBucket(int64_t{1} << 40, 22), 21);
-  EXPECT_EQ(PowerOfTwoBucket(INT64_MAX, 22), 21);
+TEST(LogHistogramTest, PowersFoldIntoOwnBucket) {
+  // The coarse layout's defining property, at both exposition widths:
+  // 2^i is the first value of power-of-two bucket i, 2^i - 1 the last of
+  // bucket i - 1, and no fine bucket straddles the boundary.
+  for (const int width : {22, 24}) {
+    for (int i = 1; i < width; ++i) {
+      const int64_t p = int64_t{1} << i;
+      EXPECT_EQ(FoldedBucket(p - 1, width), i - 1) << "2^" << i << " - 1";
+      EXPECT_EQ(FoldedBucket(p, width), i) << "2^" << i;
+      EXPECT_EQ(FoldedBucket(p + 1, width), i) << "2^" << i << " + 1";
+    }
+  }
+}
+
+TEST(LogHistogramTest, FoldEdgesAndClamping) {
+  EXPECT_EQ(FoldedBucket(0, 22), 0);
+  EXPECT_EQ(FoldedBucket(1, 22), 0);
+  EXPECT_EQ(FoldedBucket(2, 22), 1);
+  EXPECT_EQ(FoldedBucket(-7, 22), 0);
+  // Everything at or past 2^21 collapses into the last bucket, past the
+  // histogram's own 2^40 clamp too.
+  for (int i = 22; i <= 41; ++i) {
+    const int64_t p = int64_t{1} << i;
+    EXPECT_EQ(FoldedBucket(p - 1, 22), 21) << "2^" << i << " - 1";
+    EXPECT_EQ(FoldedBucket(p, 22), 21) << "2^" << i;
+    EXPECT_EQ(FoldedBucket(p + 1, 22), 21) << "2^" << i << " + 1";
+  }
+  EXPECT_EQ(FoldedBucket(INT64_MAX, 22), 21);
+}
+
+TEST(LogHistogramTest, QuantileIsUpperEdgeOfDecidingBucket) {
+  LogHistogram histogram;
+  EXPECT_EQ(histogram.Read().Quantile(0.5), 0);
+  for (int i = 0; i < 99; ++i) histogram.Record(1000);  // [992, 1024)
+  histogram.Record(int64_t{1} << 20);  // [2^20, 2^20 + 2^16)
+  const LogHistogram::Snapshot snapshot = histogram.Read();
+  EXPECT_EQ(snapshot.Total(), 100);
+  EXPECT_EQ(snapshot.Quantile(0.5), 1024);
+  EXPECT_EQ(snapshot.Quantile(0.99), 1024);
+  EXPECT_EQ(snapshot.Quantile(1.0), (int64_t{1} << 20) + (int64_t{1} << 16));
+  histogram.Clear();
+  EXPECT_EQ(histogram.Read().Total(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,12 +377,6 @@ TEST(SpanLogTest, AggregateSplitsByStrategy) {
   const int kChain = static_cast<int>(PublishStrategy::kChainFull);
   const int kOptimal = static_cast<int>(PublishStrategy::kOptimalFull);
   const SpanLog::Aggregate agg = log.Read();
-  EXPECT_EQ(agg.count[kDelta], 1);
-  EXPECT_EQ(agg.count[kChain], 1);
-  EXPECT_EQ(agg.count[kOptimal], 1);
-  EXPECT_EQ(agg.total_micros[kDelta], 5);
-  EXPECT_EQ(agg.total_micros[kChain], 40);
-  EXPECT_EQ(agg.total_micros[kOptimal], 100);
   EXPECT_EQ(agg.phase_micros_total[kOptimal]
                                   [static_cast<int>(PublishPhase::kExport)],
             60);
@@ -359,9 +420,11 @@ TEST(SpanLogTest, RecentIsBounded) {
   ASSERT_EQ(recent.size(), 2u);
   EXPECT_EQ(recent[0].epoch, 4u);
   EXPECT_EQ(recent[1].epoch, 5u);
-  // Aggregates keep counting (default spans tag as optimal_full).
-  EXPECT_EQ(
-      log.Read().count[static_cast<int>(PublishStrategy::kOptimalFull)], 5);
+  // Aggregates keep counting (default spans tag as optimal_full and
+  // record 0 us in every phase).
+  EXPECT_EQ(log.Read().phase_histogram[static_cast<int>(
+                PublishStrategy::kOptimalFull)][0][0],
+            5);
 }
 
 TEST(SpanLogTest, PhaseNames) {
@@ -739,13 +802,13 @@ TEST(QueryServiceObsTest, PublishSpansSplitFullVsDelta) {
   ASSERT_TRUE(leaf.ok());
   service.Publish();  // Delta export.
 
-  const SpanLog::Aggregate agg = service.span_log().Read();
   // Two full publishes (the constructor's empty bootstrap + the Load —
   // both optimal_full: a random DAG this size is chain-ineligible) and
   // one delta.
-  ASSERT_EQ(agg.count[static_cast<int>(PublishStrategy::kOptimalFull)], 2);
-  ASSERT_EQ(agg.count[static_cast<int>(PublishStrategy::kDelta)], 1);
-  ASSERT_EQ(agg.count[static_cast<int>(PublishStrategy::kChainFull)], 0);
+  const ServiceMetrics::View view = service.Metrics();
+  ASSERT_EQ(view.publishes_optimal_full, 2);
+  ASSERT_EQ(view.publishes_delta, 1);
+  ASSERT_EQ(view.publishes_chain_full, 0);
 
   const std::vector<PublishSpan> spans = service.span_log().Recent();
   ASSERT_EQ(spans.size(), 3u);

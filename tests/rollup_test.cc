@@ -35,7 +35,6 @@ TEST(LatencyRollupTest, EmptyWindowReportsZeros) {
   LatencyRollup rollup({"a", "b"}, &FakeNow);
   const LatencyRollup::WindowStats stats = rollup.Window(0, 1);
   EXPECT_EQ(stats.count, 0);
-  EXPECT_EQ(stats.sum_nanos, 0);
   EXPECT_EQ(stats.p50_us, 0.0);
   EXPECT_EQ(stats.p999_us, 0.0);
 }
@@ -46,8 +45,7 @@ TEST(LatencyRollupTest, RecordsFoldIntoCurrentMinuteWindow) {
   for (int i = 0; i < 100; ++i) rollup.Record(0, 1000);  // 1 us each.
   const LatencyRollup::WindowStats stats = rollup.Window(0, 1);
   EXPECT_EQ(stats.count, 100);
-  EXPECT_EQ(stats.sum_nanos, 100 * 1000);
-  // 1000 ns lands in bucket [512, 1024); the reported quantile is the
+  // 1000 ns lands in bucket [992, 1024); the reported quantile is the
   // bucket's upper edge, 1024 ns = 1.024 us.
   EXPECT_DOUBLE_EQ(stats.p50_us, 1.024);
   EXPECT_DOUBLE_EQ(stats.p99_us, 1.024);
@@ -76,7 +74,6 @@ TEST(LatencyRollupTest, SkipMinutesYieldsTrailingBaseline) {
   // skip_minutes=1 excludes the current minute: only minute 10 remains.
   const LatencyRollup::WindowStats baseline = rollup.Window(0, 1, 1);
   EXPECT_EQ(baseline.count, 50);
-  EXPECT_EQ(baseline.sum_nanos, 50 * 1000);
 }
 
 TEST(LatencyRollupTest, StaleMinutesFallOutOfEveryWindow) {
@@ -111,6 +108,37 @@ TEST(LatencyRollupTest, QuantilesAreOrderedAcrossASpread) {
   EXPECT_GT(stats.p999_us, 5000.0);
 }
 
+TEST(LatencyRollupTest, WindowsResolveATenPercentShift) {
+  SetMinute(4);
+  // 1000 -> 1100 ns crosses a power of two, 1100 -> 1210 ns does not;
+  // both shifts must move p99, and each p99 must sit at most one
+  // 1/16-wide bucket above the recorded value.
+  const int64_t kNanos[] = {1000, 1100, 1210};
+  LatencyRollup rollup({"a", "b", "c"}, &FakeNow);
+  for (int s = 0; s < 3; ++s) {
+    for (int i = 0; i < 100; ++i) rollup.Record(s, kNanos[s]);
+  }
+  double previous_p99 = 0.0;
+  for (int s = 0; s < 3; ++s) {
+    const double p99 = rollup.Window(s, 1).p99_us;
+    const double value_us = static_cast<double>(kNanos[s]) / 1000.0;
+    EXPECT_GE(p99, value_us) << kNanos[s] << " ns";
+    EXPECT_LE(p99, value_us * 1.0625) << kNanos[s] << " ns";
+    EXPECT_GT(p99, previous_p99) << kNanos[s] << " ns";
+    previous_p99 = p99;
+  }
+}
+
+TEST(LatencyRollupTest, OneSecondRecordReadsBackWithinOneSixteenth) {
+  SetMinute(6);
+  LatencyRollup rollup({"a"}, &FakeNow);
+  rollup.Record(0, 1000 * 1000 * 1000);
+  const LatencyRollup::WindowStats stats = rollup.Window(0, 1);
+  EXPECT_EQ(stats.count, 1);
+  EXPECT_GE(stats.p99_us, 1e6);
+  EXPECT_LE(stats.p99_us, 1e6 * 1.0625);
+}
+
 TEST(LatencyRollupTest, OutOfRangeSeriesAndNegativeNanosAreSafe) {
   SetMinute(5);
   LatencyRollup rollup({"a"}, &FakeNow);
@@ -121,7 +149,7 @@ TEST(LatencyRollupTest, OutOfRangeSeriesAndNegativeNanosAreSafe) {
   EXPECT_EQ(rollup.Window(7, 1).count, 0);
   const LatencyRollup::WindowStats stats = rollup.Window(0, 1);
   EXPECT_EQ(stats.count, 1);
-  EXPECT_EQ(stats.sum_nanos, 0);
+  EXPECT_DOUBLE_EQ(stats.p99_us, 0.001);  // Bucket [0, 1) ns.
 }
 
 TEST(LatencyRollupTest, ExportedWindowListIsAscending) {
@@ -279,6 +307,36 @@ TEST(FlightRecorderTest, P99DriftFiresDeterministically) {
   SetMinute(15);
   for (int i = 0; i < 64; ++i) rollup.Record(0, 20 * 1000 * 1000);
   EXPECT_TRUE(recorder.Check(inputs));
+}
+
+// The default detector against a fake clock: four baseline minutes of
+// 250 records at 1000 ns, then `current_count` records at
+// `current_nanos` in the current minute.
+bool DefaultDriftFires(int64_t current_nanos, int current_count) {
+  LatencyRollup rollup({"a"}, &FakeNow);
+  FlightRecorder recorder(FlightRecorder::Options(), &FakeNow);
+  recorder.Attach(&rollup, [](FlightCapture*) {});
+  for (int64_t minute = 30; minute <= 33; ++minute) {
+    SetMinute(minute);
+    for (int i = 0; i < 250; ++i) rollup.Record(0, 1000);
+  }
+  SetMinute(34);
+  for (int i = 0; i < current_count; ++i) rollup.Record(0, current_nanos);
+  return recorder.Check(FlightRecorder::Inputs());
+}
+
+TEST(FlightRecorderTest, DefaultDriftFiresOnAQuarterShift) {
+  EXPECT_TRUE(DefaultDriftFires(1250, 1000));
+}
+
+TEST(FlightRecorderTest, DefaultDriftIgnoresOneBucketWobble) {
+  // 1050 ns is one sub-bucket above 1000 ns ([1024, 1088) vs [992, 1024)).
+  EXPECT_FALSE(DefaultDriftFires(1050, 1000));
+}
+
+TEST(FlightRecorderTest, DefaultDriftNeedsAThousandSamples) {
+  // Even a 10x shift stays quiet while the current window holds 999.
+  EXPECT_FALSE(DefaultDriftFires(10 * 1000, 999));
 }
 
 TEST(FlightRecorderTest, DriftRequiresMinimumWindowCounts) {

@@ -32,11 +32,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -46,6 +46,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -56,6 +57,7 @@
 #include "common/random.h"
 #include "graph/digraph.h"
 #include "graph/generators.h"
+#include "obs/histogram.h"
 #include "obs/http_server.h"
 #include "obs/rollup.h"
 #include "service/exposition.h"
@@ -162,88 +164,14 @@ bool LoadScenarioFile(const std::string& path, LoadgenConfig* config) {
 }
 
 // ---------------------------------------------------------------------------
-// Latency recording: HDR-style histogram, log2 major buckets with 16
-// linear sub-buckets each, atomic so every client thread records
-// directly.  Values are nanoseconds; quantiles come back in
-// microseconds.
+// Latency recording (nanoseconds; every client thread records directly).
+// `overall` runs from the scheduled arrival to the answer, split at the
+// issue instant into `issue_delay` (lateness plus backlog) and `service`.
 
-class LatencyHistogram {
- public:
-  static constexpr int kMinorBits = 4;
-  static constexpr int kMinor = 1 << kMinorBits;  // 16
-  static constexpr int kBuckets = 64 * kMinor;
-
-  void Record(int64_t nanos) {
-    if (nanos < 0) nanos = 0;
-    count_.fetch_add(1, std::memory_order_relaxed);
-    int64_t prev = max_nanos_.load(std::memory_order_relaxed);
-    while (nanos > prev &&
-           !max_nanos_.compare_exchange_weak(prev, nanos,
-                                             std::memory_order_relaxed)) {
-    }
-    buckets_[Index(static_cast<uint64_t>(nanos))].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double max_us() const {
-    return static_cast<double>(max_nanos_.load(std::memory_order_relaxed)) /
-           1000.0;
-  }
-
-  // Lower edge of the bucket holding the q-quantile, in microseconds.
-  // Resolution is 1/16 of the value, plenty for p50/p99/p999 reporting.
-  double QuantileUs(double q) const {
-    const uint64_t total = count();
-    if (total == 0) return 0.0;
-    uint64_t target = static_cast<uint64_t>(q * static_cast<double>(total));
-    if (target >= total) target = total - 1;
-    uint64_t seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
-      seen += buckets_[i].load(std::memory_order_relaxed);
-      if (seen > target) {
-        return static_cast<double>(LowerEdge(i)) / 1000.0;
-      }
-    }
-    return max_us();
-  }
-
-  void MergeFrom(const LatencyHistogram& other) {
-    for (int i = 0; i < kBuckets; ++i) {
-      const uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-      if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
-    }
-    count_.fetch_add(other.count(), std::memory_order_relaxed);
-    int64_t other_max = other.max_nanos_.load(std::memory_order_relaxed);
-    int64_t prev = max_nanos_.load(std::memory_order_relaxed);
-    while (other_max > prev &&
-           !max_nanos_.compare_exchange_weak(prev, other_max,
-                                             std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  static int Index(uint64_t v) {
-    if (v < kMinor) return static_cast<int>(v);
-    int high_bit = 63;
-    while ((v >> high_bit) == 0) --high_bit;
-    const int major = high_bit - kMinorBits + 1;
-    const int minor =
-        static_cast<int>((v >> (high_bit - kMinorBits)) & (kMinor - 1));
-    return major * kMinor + minor;
-  }
-
-  static uint64_t LowerEdge(int index) {
-    const int major = index / kMinor;
-    const int minor = index % kMinor;
-    if (major == 0) return static_cast<uint64_t>(minor);
-    return static_cast<uint64_t>(kMinor + minor)
-           << (major - 1);
-  }
-
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<int64_t> max_nanos_{0};
+struct LatencyClass {
+  LogHistogram overall;
+  LogHistogram issue_delay;
+  LogHistogram service;
 };
 
 // ---------------------------------------------------------------------------
@@ -283,41 +211,48 @@ class ZipfSampler {
 // The open-loop core.  One atomic arrival counter, N client threads;
 // arrival i is *scheduled* at start + i/rate regardless of how the
 // server is doing, and its latency runs from that scheduled instant to
-// completion.  When the server falls behind, sleep_until returns
+// completion.  When the server falls behind, the wait returns
 // immediately and the backlog's queueing delay lands in the recorded
 // tail — exactly what a closed-loop driver hides.
 
-struct OpenLoopStats {
-  uint64_t issued = 0;
-  Clock::time_point start;
-};
+// Clients sleep to this margin before each arrival, then spin, so the
+// sleep's wake-up lateness is not recorded as latency.
+constexpr std::chrono::microseconds kSpinMargin{10};
 
-// `op(seq, rng)` performs arrival `seq` and returns the histogram the
-// driver should record its latency into (nullptr = do not record).
-OpenLoopStats RunOpenLoop(
+int64_t Nanos(Clock::duration d) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+}
+
+// `op(seq, rng)` performs arrival `seq` and returns the class to record
+// its latency into (nullptr = none).  Returns the arrivals issued.
+uint64_t RunOpenLoop(
     double rate, double duration_s, int threads, uint64_t seed,
-    const std::function<LatencyHistogram*(uint64_t, Random&)>& op) {
+    const std::function<LatencyClass*(uint64_t, Random&)>& op) {
   const uint64_t total_ops =
       static_cast<uint64_t>(std::max(1.0, rate * duration_s));
   const double period_ns = 1e9 / rate;
   std::atomic<uint64_t> next{0};
-  OpenLoopStats stats;
-  stats.start = Clock::now();
+  const Clock::time_point start = Clock::now();
   auto client = [&](int thread_index) {
+    // The default 50 us timer slack would still overshoot the margin.
+    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
     Random rng(seed + 0x9e3779b97f4a7c15ULL *
                           static_cast<uint64_t>(thread_index + 1));
     for (;;) {
       const uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= total_ops) return;
       const Clock::time_point scheduled =
-          stats.start + std::chrono::nanoseconds(static_cast<int64_t>(
-                            period_ns * static_cast<double>(i)));
-      std::this_thread::sleep_until(scheduled);
-      LatencyHistogram* hist = op(i, rng);
-      if (hist != nullptr) {
-        hist->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         Clock::now() - scheduled)
-                         .count());
+          start + std::chrono::nanoseconds(static_cast<int64_t>(
+                      period_ns * static_cast<double>(i)));
+      std::this_thread::sleep_until(scheduled - kSpinMargin);
+      Clock::time_point issued = Clock::now();
+      while (issued < scheduled) issued = Clock::now();
+      LatencyClass* latency = op(i, rng);
+      if (latency != nullptr) {
+        const Clock::time_point answered = Clock::now();
+        latency->overall.Record(Nanos(answered - scheduled));
+        latency->issue_delay.Record(Nanos(issued - scheduled));
+        latency->service.Record(Nanos(answered - issued));
       }
     }
   };
@@ -325,8 +260,7 @@ OpenLoopStats RunOpenLoop(
   clients.reserve(threads);
   for (int t = 0; t < threads; ++t) clients.emplace_back(client, t);
   for (std::thread& c : clients) c.join();
-  stats.issued = total_ops;
-  return stats;
+  return total_ops;
 }
 
 // ---------------------------------------------------------------------------
@@ -489,29 +423,35 @@ class SlowScraper {
 // ---------------------------------------------------------------------------
 // Scenario runners
 
-struct ScenarioResult {
-  // name -> histogram rows for the report.
-  std::vector<std::pair<std::string, const LatencyHistogram*>> hists;
-  std::vector<std::pair<std::string, int64_t>> counters;
-  bool failed = false;
-  std::string failure;
-};
-
+// Quantiles are bucket upper edges, so max_us is at most 6.25% above
+// the largest latency.
 void AddHistRow(bench_util::BenchReport* report, bench_util::Table* table,
-                const std::string& name, const LatencyHistogram& hist) {
-  const double p50 = hist.QuantileUs(0.50);
-  const double p99 = hist.QuantileUs(0.99);
-  const double p999 = hist.QuantileUs(0.999);
-  table->AddRow({name, bench_util::Fmt(static_cast<int64_t>(hist.count())),
-                 bench_util::Fmt(p50), bench_util::Fmt(p99),
-                 bench_util::Fmt(p999), bench_util::Fmt(hist.max_us())});
+                const std::string& name, const LogHistogram::Snapshot& hist) {
+  const auto us = [&hist](double q) { return hist.Quantile(q) / 1000.0; };
+  table->AddRow({name, bench_util::Fmt(hist.Total()), bench_util::Fmt(us(0.5)),
+                 bench_util::Fmt(us(0.99)), bench_util::Fmt(us(0.999)),
+                 bench_util::Fmt(us(1.0))});
   report->AddRow()
       .Set("name", name)
-      .Set("count", static_cast<int64_t>(hist.count()))
-      .Set("p50_us", p50)
-      .Set("p99_us", p99)
-      .Set("p999_us", p999)
-      .Set("max_us", hist.max_us());
+      .Set("count", hist.Total())
+      .Set("p50_us", us(0.5))
+      .Set("p99_us", us(0.99))
+      .Set("p999_us", us(0.999))
+      .Set("max_us", us(1.0));
+}
+
+// The `overall` row and its `issue_delay`/`service` split, over `classes`.
+void AddOverallRows(bench_util::BenchReport* report, bench_util::Table* table,
+                    std::initializer_list<const LatencyClass*> classes) {
+  LogHistogram::Snapshot overall, issue_delay, service;
+  for (const LatencyClass* latency : classes) {
+    latency->overall.AddTo(&overall);
+    latency->issue_delay.AddTo(&issue_delay);
+    latency->service.AddTo(&service);
+  }
+  AddHistRow(report, table, "overall", overall);
+  AddHistRow(report, table, "issue_delay", issue_delay);
+  AddHistRow(report, table, "service", service);
 }
 
 // End-of-run snapshot of the service's own windowed latency engine
@@ -594,10 +534,10 @@ int RunShardMix(const LoadgenConfig& config) {
     }
   });
 
-  LatencyHistogram single_hist, batch_hist;
-  OpenLoopStats open_loop = RunOpenLoop(
+  LatencyClass single, batch;
+  const uint64_t issued = RunOpenLoop(
       config.rate, config.duration_s, config.threads, config.seed,
-      [&](uint64_t, Random& rng) -> LatencyHistogram* {
+      [&](uint64_t, Random& rng) -> LatencyClass* {
         if (rng.Bernoulli(config.batch_ratio)) {
           std::vector<std::pair<NodeId, NodeId>> pairs;
           pairs.reserve(config.batch_size);
@@ -606,11 +546,11 @@ int RunShardMix(const LoadgenConfig& config) {
                                zipf.Sample(rng.NextDouble()));
           }
           (void)service.BatchReaches(pairs);
-          return &batch_hist;
+          return &batch;
         }
         (void)service.Reaches(zipf.Sample(rng.NextDouble()),
                               zipf.Sample(rng.NextDouble()));
-        return &single_hist;
+        return &single;
       });
   stop_writer.store(true, std::memory_order_relaxed);
   writer.join();
@@ -628,8 +568,8 @@ int RunShardMix(const LoadgenConfig& config) {
       .Set("zipf_s", config.zipf_s)
       .Set("seed", config.seed)
       .Set("smoke", bench_util::SmokeMode());
-  AddHistRow(&report, &table, "overall", single_hist);
-  AddHistRow(&report, &table, "batch", batch_hist);
+  AddOverallRows(&report, &table, {&single});
+  AddHistRow(&report, &table, "batch", batch.overall.Read());
   const ShardedMetricsView view = service.MetricsView();
   report.AddRow()
       .Set("name", "sharded_counters")
@@ -643,7 +583,7 @@ int RunShardMix(const LoadgenConfig& config) {
   std::fprintf(stderr,
                "loadgen: %llu arrivals issued, %lld shard publishes, "
                "%lld cross-shard queries\n",
-               static_cast<unsigned long long>(open_loop.issued),
+               static_cast<unsigned long long>(issued),
                static_cast<long long>(shard_publishes.load()),
                static_cast<long long>(view.cross_shard_queries));
   if (!report.WriteIfEnabled()) return 1;
@@ -679,8 +619,8 @@ int RunScenario(const LoadgenConfig& config) {
   }
   const ZipfSampler zipf(config.nodes, config.zipf_s, config.seed);
 
-  LatencyHistogram single_hist, batch_hist;
-  LatencyHistogram first_half, second_half;  // soak drift tracking.
+  LatencyClass single, batch;
+  LatencyClass first_half, second_half;  // soak drift tracking.
   std::atomic<int64_t> batches_rejected{0};
 
   const bool is_soak = config.scenario == "soak";
@@ -718,9 +658,9 @@ int RunScenario(const LoadgenConfig& config) {
   const Clock::time_point half_mark =
       Clock::now() + std::chrono::milliseconds(
                          static_cast<int64_t>(config.duration_s * 500.0));
-  OpenLoopStats open_loop = RunOpenLoop(
+  const uint64_t issued = RunOpenLoop(
       config.rate, config.duration_s, config.threads, config.seed,
-      [&](uint64_t seq, Random& rng) -> LatencyHistogram* {
+      [&](uint64_t, Random& rng) -> LatencyClass* {
         if (with_batches && rng.Bernoulli(config.batch_ratio)) {
           std::vector<std::pair<NodeId, NodeId>> pairs;
           pairs.reserve(config.batch_size);
@@ -733,7 +673,7 @@ int RunScenario(const LoadgenConfig& config) {
             batches_rejected.fetch_add(1, std::memory_order_relaxed);
             return nullptr;  // Shed, not slow: keep it out of the tail.
           }
-          return &batch_hist;
+          return &batch;
         }
         const NodeId u = zipf.Sample(rng.NextDouble());
         const NodeId v = zipf.Sample(rng.NextDouble());
@@ -741,8 +681,7 @@ int RunScenario(const LoadgenConfig& config) {
         if (is_soak) {
           return Clock::now() < half_mark ? &first_half : &second_half;
         }
-        (void)seq;
-        return &single_hist;
+        return &single;
       });
 
   // Soak keeps loading until the publish target is met, so a slow box
@@ -752,7 +691,7 @@ int RunScenario(const LoadgenConfig& config) {
     while (storm->publishes() < config.publish_count) {
       RunOpenLoop(config.rate, 0.25, config.threads,
                   config.seed ^ storm->publishes(),
-                  [&](uint64_t, Random& rng) -> LatencyHistogram* {
+                  [&](uint64_t, Random& rng) -> LatencyClass* {
                     (void)service.Reaches(zipf.Sample(rng.NextDouble()),
                                           zipf.Sample(rng.NextDouble()));
                     return &second_half;
@@ -780,14 +719,13 @@ int RunScenario(const LoadgenConfig& config) {
 
   int exit_code = 0;
   if (is_soak) {
-    LatencyHistogram overall;
-    overall.MergeFrom(first_half);
-    overall.MergeFrom(second_half);
-    AddHistRow(&report, &table, "overall", overall);
-    AddHistRow(&report, &table, "first_half", first_half);
-    AddHistRow(&report, &table, "second_half", second_half);
-    const double p99_a = first_half.QuantileUs(0.99);
-    const double p99_b = second_half.QuantileUs(0.99);
+    const LogHistogram::Snapshot first = first_half.overall.Read();
+    const LogHistogram::Snapshot second = second_half.overall.Read();
+    AddOverallRows(&report, &table, {&first_half, &second_half});
+    AddHistRow(&report, &table, "first_half", first);
+    AddHistRow(&report, &table, "second_half", second);
+    const double p99_a = first.Quantile(0.99) / 1000.0;
+    const double p99_b = second.Quantile(0.99) / 1000.0;
     const double budget =
         config.soak_drift_factor * std::max(p99_a, config.soak_p99_floor_us);
     const int publishes = storm != nullptr ? storm->publishes() : 0;
@@ -831,12 +769,13 @@ int RunScenario(const LoadgenConfig& config) {
                    scraper != nullptr ? scraper->shed() : 0);
     }
   } else {
-    AddHistRow(&report, &table, "overall", single_hist);
+    AddOverallRows(&report, &table, {&single});
     if (with_batches) {
-      AddHistRow(&report, &table, "batch", batch_hist);
+      const LogHistogram::Snapshot batches = batch.overall.Read();
+      AddHistRow(&report, &table, "batch", batches);
       report.AddRow()
           .Set("name", "batch_admission")
-          .Set("batches_ok", static_cast<int64_t>(batch_hist.count()))
+          .Set("batches_ok", batches.Total())
           .Set("batches_rejected", batches_rejected.load());
     }
     if (storm != nullptr) {
@@ -860,7 +799,7 @@ int RunScenario(const LoadgenConfig& config) {
   AddServerWindowRows(&report, service.rollup());
   table.Print();
   std::fprintf(stderr, "loadgen: %llu arrivals issued\n",
-               static_cast<unsigned long long>(open_loop.issued));
+               static_cast<unsigned long long>(issued));
   if (!report.WriteIfEnabled()) exit_code = 1;
   return exit_code;
 }

@@ -26,8 +26,11 @@ server is quiescent while being scraped, the checks can be exact:
   5. The windowed latency families are well-formed: every
      ``trel_latency_window_us`` series carries p50/p99/p999 samples in
      non-decreasing order, a matching ``trel_latency_window_samples``, and
-     a ``window`` label of the ``<N>m`` form; /statusz carries the
-     ``latency_windows:`` block.
+     a ``window`` label of the ``<N>m`` form; every ``5m`` row of the
+     /statusz ``latency_windows:`` block equals those quantiles and that
+     sample count, series for series.  Only ``5m`` rows are compared: on a
+     quiescent server a minute boundary between the two scrapes can empty
+     a ``1m`` window.
 
 With ``--sharded K`` the checker validates a ``trel_tool serve-sharded``
 exporter instead: the boundary-layer families and one labeled sample per
@@ -274,6 +277,40 @@ WINDOW_SAMPLE_RE = re.compile(
     r'^trel_latency_window_us\{series="([^"]*)",window="([^"]*)",'
     r'quantile="([^"]*)"\}$')
 
+STATUSZ_WINDOW_RE = re.compile(
+    r'^\s+series=(\S+) window=(\S+) count=(\d+) p50_us=(\S+) '
+    r'p99_us=(\S+) p999_us=(\S+)$')
+
+
+def check_statusz_windows(groups, samples, statusz, errors):
+    """Every 5m /statusz window row must equal its /metricsz samples."""
+    rows = {}
+    for line in statusz.split("latency_windows:\n", 1)[-1].splitlines():
+        m = STATUSZ_WINDOW_RE.match(line)
+        if m is None:
+            break
+        if m.group(2) == "5m":
+            rows[m.group(1)] = (float(m.group(3)), {
+                "p50": float(m.group(4)), "p99": float(m.group(5)),
+                "p999": float(m.group(6))})
+    expected = {series for series, window in groups if window == "5m"}
+    if set(rows) != expected:
+        errors.append(f"statusz windows: 5m series {sorted(rows)} != "
+                      f"/metricsz 5m series {sorted(expected)}")
+    for series, (count, quantiles) in sorted(rows.items()):
+        count_key = (f'trel_latency_window_samples{{series="{series}",'
+                     f'window="5m"}}')
+        if samples.get(count_key) != count:
+            errors.append(f"statusz windows: {series}/5m count {count:g} != "
+                          f"{count_key} {samples.get(count_key)}")
+        for quantile, value in quantiles.items():
+            got = groups.get((series, "5m"), {}).get(quantile)
+            if got != value:
+                errors.append(f"statusz windows: {series}/5m {quantile} "
+                              f"{value:g} != /metricsz {got}")
+    print(f"obs_check: {len(rows)} statusz 5m window rows compared with "
+          f"/metricsz")
+
 
 def check_latency_windows(samples, statusz, errors, expect_series=None):
     """Validates the windowed latency families and the statusz block."""
@@ -314,6 +351,8 @@ def check_latency_windows(samples, statusz, errors, expect_series=None):
             errors.append(f"windows: expected series {series!r} absent")
     if "latency_windows:" not in statusz:
         errors.append("statusz: missing latency_windows: block")
+    else:
+        check_statusz_windows(groups, samples, statusz, errors)
     print(f"obs_check: {len(groups)} latency window series validated")
 
 
