@@ -4,8 +4,10 @@
 // acquires a snapshot handle, runs a block of point queries against it,
 // then re-acquires — so aggregate throughput should scale with cores.
 //
-// The printed speedup is measured, not modeled: on a single-core host
-// all thread counts share one core and the ratio stays near 1.
+// The printed speedup is measured, not modeled: it can grow only up to
+// the host's core count, and thread counts past it share cores.  Readers
+// here hold snapshot handles; perfbench's service.reaches_4t_ns times
+// QueryService::Reaches itself across threads.
 //
 // A second section measures publish latency with delta publication on vs
 // off: 10-arc update batches against a large DAG, where a delta publish

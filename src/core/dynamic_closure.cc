@@ -602,8 +602,15 @@ StatusOr<DynamicClosure> DynamicClosure::Load(std::istream& in) {
       !GetI64(in, strategy) || !GetI64(in, num_arcs)) {
     return InvalidArgumentError("truncated snapshot header");
   }
-  if (n64 < 0 || gap < 1 || reserve < 0 || reserve >= gap || num_arcs < 0) {
+  // Node ids are 32-bit: a larger count would wrap to another size.
+  if (n64 < 0 || n64 > std::numeric_limits<NodeId>::max() || gap < 1 ||
+      reserve < 0 || reserve >= gap || num_arcs < 0) {
     return InvalidArgumentError("corrupt snapshot header");
+  }
+  if (strategy < 0 ||
+      strategy > static_cast<int64_t>(TreeCoverStrategy::kRandom)) {
+    return InvalidArgumentError("unknown tree cover strategy " +
+                                std::to_string(strategy));
   }
   const NodeId n = static_cast<NodeId>(n64);
 
@@ -639,6 +646,9 @@ StatusOr<DynamicClosure> DynamicClosure::Load(std::istream& in) {
         !GetI64(in, parent) || !GetI64(in, remaining) ||
         !GetI64(in, refined) || !GetI64(in, interval_count)) {
       return InvalidArgumentError("truncated node record");
+    }
+    if (parent != kNoNode && (parent < 0 || parent >= n64)) {
+      return InvalidArgumentError("corrupt tree parent");
     }
     if (interval_count < 0 || interval_count > n64 + 1) {
       return InvalidArgumentError("corrupt interval count");

@@ -66,7 +66,6 @@ void ServiceMetrics::RecordBatchKernel(const BatchKernelStats& stats) {
 
 ServiceMetrics::View ServiceMetrics::Read() const {
   View view;
-  view.reach_queries = reach_queries_.load(std::memory_order_relaxed);
   view.successor_queries = successor_queries_.load(std::memory_order_relaxed);
   view.batches = batches_.load(std::memory_order_relaxed);
   view.batch_micros_total =

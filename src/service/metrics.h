@@ -15,7 +15,8 @@ namespace trel {
 
 // Thread-safe counters for the query service.  All writes are relaxed
 // atomic increments — metrics never order anything, they only have to be
-// race-free and cheap enough to sit on the hot read path.
+// race-free.  The one per-query counter, reach_queries, lives in the
+// service's reader slots instead, off the shared lines here.
 class ServiceMetrics {
  public:
   // Batch latency, folded from a LogHistogram at Read(): bucket i counts
@@ -29,6 +30,8 @@ class ServiceMetrics {
 
   // Plain-value copy of the counters, safe to read field by field.
   struct View {
+    // Summed by QueryService::Metrics() from its per-thread reader slots
+    // (service/published_ptr.h), so the read path writes no shared line.
     int64_t reach_queries = 0;
     int64_t successor_queries = 0;
     int64_t batches = 0;
@@ -96,9 +99,6 @@ class ServiceMetrics {
     std::string ToString() const;
   };
 
-  void RecordReachQueries(int64_t n) {
-    reach_queries_.fetch_add(n, std::memory_order_relaxed);
-  }
   void RecordSuccessorQueries(int64_t n) {
     successor_queries_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -131,7 +131,6 @@ class ServiceMetrics {
   View Read() const;
 
  private:
-  std::atomic<int64_t> reach_queries_{0};
   std::atomic<int64_t> successor_queries_{0};
   std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> batch_micros_total_{0};

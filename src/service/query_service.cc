@@ -229,8 +229,10 @@ bool QueryService::CheckFlightRecorder() const {
 uint64_t QueryService::PublishLocked() {
   Stopwatch timer;
   PublishSpan span;
-  std::shared_ptr<const ClosureSnapshot> base =
-      snapshot_.load(std::memory_order_acquire);
+  // Free snapshots that readers still pinned at earlier swaps before
+  // building the next one, so they never coexist with it.
+  snapshot_.Reclaim();
+  std::shared_ptr<const ClosureSnapshot> base = snapshot_.Load();
   auto snapshot = std::make_shared<ClosureSnapshot>();
   snapshot->epoch = ++epoch_;
   span.epoch = epoch_;
@@ -375,8 +377,7 @@ uint64_t QueryService::PublishLocked() {
   const int64_t delta_entries = snapshot->delta_entries;
   const int64_t total_intervals = snapshot->closure.TotalIntervals();
   phase.Restart();
-  snapshot_.store(std::shared_ptr<const ClosureSnapshot>(std::move(snapshot)),
-                  std::memory_order_release);
+  snapshot_.Publish(std::move(snapshot));
   span.phase_micros[static_cast<int>(PublishPhase::kSwap)] =
       phase.ElapsedMicros();
   span.total_micros = timer.ElapsedMicros();
@@ -391,16 +392,18 @@ uint64_t QueryService::PublishLocked() {
 }
 
 bool QueryService::Reaches(NodeId u, NodeId v) const {
-  metrics_.RecordReachQueries(1);
   // With tracing off (the default) ShouldSample is one relaxed load and
   // one never-taken branch — the whole per-query observability cost.
   if (tracer_.ShouldSample()) return ReachesSampled(u, v);
-  return Snapshot()->Reaches(u, v);
+  const SnapshotPtr::Pin snapshot(snapshot_);
+  snapshot.Add(kReachQueries);
+  return snapshot->Reaches(u, v);
 }
 
 bool QueryService::ReachesSampled(NodeId u, NodeId v) const {
   const auto start = std::chrono::steady_clock::now();
-  const std::shared_ptr<const ClosureSnapshot> snapshot = Snapshot();
+  const SnapshotPtr::Pin snapshot(snapshot_);
+  snapshot.Add(kReachQueries);
   ProbeTrace trace;
   const bool answer = snapshot->ReachesTraced(u, v, &trace);
   const uint64_t nanos = static_cast<uint64_t>(
@@ -427,7 +430,8 @@ bool QueryService::ReachesSampled(NodeId u, NodeId v) const {
 
 std::vector<NodeId> QueryService::Successors(NodeId u) const {
   metrics_.RecordSuccessorQueries(1);
-  return Snapshot()->Successors(u);
+  const SnapshotPtr::Pin snapshot(snapshot_);
+  return snapshot->Successors(u);
 }
 
 // --- Batch admission ---------------------------------------------------------
@@ -544,7 +548,7 @@ std::vector<uint8_t> QueryService::BatchReachesImpl(
   } else {
     pool_->ParallelFor(n, body);
   }
-  metrics_.RecordReachQueries(n);
+  snapshot_.Add(kReachQueries, n);
   const int64_t micros = timer.ElapsedMicros();
   metrics_.RecordBatch(micros);
   rollup_.Record(kRollupBatch, micros * 1000);
@@ -605,6 +609,7 @@ std::vector<std::vector<NodeId>> QueryService::BatchSuccessorsImpl(
 
 ServiceMetrics::View QueryService::Metrics() const {
   ServiceMetrics::View view = metrics_.Read();
+  view.reach_queries = snapshot_.Sum(kReachQueries);
   std::shared_ptr<const ClosureSnapshot> snapshot = Snapshot();
   view.current_epoch = snapshot->epoch;
   view.inflight_batches = InflightBatches();

@@ -21,6 +21,7 @@
 #include "obs/span_log.h"
 #include "obs/trace.h"
 #include "service/metrics.h"
+#include "service/published_ptr.h"
 #include "service/snapshot.h"
 
 namespace trel {
@@ -140,14 +141,15 @@ struct ServiceOptions {
 //     query-serving / index-maintenance split of modern reachability
 //     oracles.
 //   * ANY NUMBER OF READERS, any thread, no locks.  Readers resolve
-//     queries against the most recently *published* snapshot; the swap is
-//     one atomic shared_ptr store.  Updates are invisible until the
-//     writer calls Publish(), which is what makes every snapshot
-//     internally consistent (a half-propagated interval set can never be
-//     observed).
-//   * Snapshots are immutable and reference-counted: a reader holding a
-//     shared_ptr may keep using it for as long as it likes after newer
-//     epochs supersede it.
+//     queries against the most recently *published* snapshot, which a
+//     single call pins in the calling thread's own reader slot
+//     (service/published_ptr.h) — no shared cache line is written on the
+//     read path.  Updates are invisible until the writer calls Publish(),
+//     which is what makes every snapshot internally consistent (a
+//     half-propagated interval set can never be observed).
+//   * Snapshots are immutable and reference-counted: a reader holding the
+//     shared_ptr from Snapshot() may keep using it for as long as it
+//     likes after newer epochs supersede it.
 class QueryService {
  public:
   explicit QueryService(const ServiceOptions& options = {});
@@ -179,11 +181,12 @@ class QueryService {
 
   // --- Reader API (any thread, lock-free) --------------------------------
 
-  // The current snapshot.  Never null; epoch 0 before the first
-  // Load/Publish.  For query loops, hold the snapshot and query it
-  // directly (see ClosureSnapshot's note on refcount traffic).
+  // A counted handle on the current snapshot, for callers that keep one
+  // across calls.  Never null; epoch 0 before the first Load/Publish.
+  // Copying it touches the shared reference count, which Reaches and
+  // Successors avoid by pinning the snapshot for the call instead.
   std::shared_ptr<const ClosureSnapshot> Snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
+    return snapshot_.Load();
   }
 
   // Single-shot conveniences against the current snapshot.
@@ -331,7 +334,10 @@ class QueryService {
   // state, or Load() swapped in a new index lineage).
   bool force_full_publish_ = true;  // Guarded by writer_mutex_.
 
-  std::atomic<std::shared_ptr<const ClosureSnapshot>> snapshot_;
+  // The published snapshot; its reader slots count reach queries.
+  using SnapshotPtr = PublishedPtr<ClosureSnapshot, 1>;
+  static constexpr int kReachQueries = 0;
+  SnapshotPtr snapshot_;
   std::unique_ptr<WorkerPool> pool_;  // Null when num_workers == 0.
   // Batches (and ScopedBatchSlots) currently occupying admission slots.
   mutable std::atomic<int64_t> inflight_batches_{0};

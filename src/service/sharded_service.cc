@@ -455,9 +455,10 @@ bool ShardedQueryService::CheckFlightRecorder() const {
 }
 
 template <bool kTimed>
-bool ShardedQueryService::ReachesCore(const BoundarySnapshot& b, NodeId u,
+bool ShardedQueryService::ReachesCore(const BoundaryPtr::Pin& pin, NodeId u,
                                       NodeId v, RouteInfo* route,
                                       StageTrace* stages) const {
+  const BoundarySnapshot& b = *pin;
   int64_t mark = 0;
   if constexpr (kTimed) mark = LatencyRollup::MonotonicNanos();
   // Attributes the nanos since `mark` to `stage`; a no-op (and no clock
@@ -486,7 +487,7 @@ bool ShardedQueryService::ReachesCore(const BoundarySnapshot& b, NodeId u,
   const int sv = b.ShardOfAt(v);
   route->su = su;
   route->sv = sv;
-  if (su != sv) cross_shard_queries_.fetch_add(1, std::memory_order_relaxed);
+  if (su != sv) pin.Add(kCrossShardQueries);
   close_stage(QueryStage::kRoute);
 
   // kHopCore: hub-to-hub routes through the 2-hop core over the hub
@@ -496,7 +497,7 @@ bool ShardedQueryService::ReachesCore(const BoundarySnapshot& b, NodeId u,
     if (hu >= 0) {
       const int hv = b.HubBit(v);
       if (hv >= 0) {
-        hub_hop_queries_.fetch_add(1, std::memory_order_relaxed);
+        pin.Add(kHubHopQueries);
         const bool answer = b.hop->Reaches(hu, hv);
         route->tag = ProbeTag::kHopIntersect;
         close_stage(QueryStage::kHopCore);
@@ -528,21 +529,20 @@ bool ShardedQueryService::ReachesCore(const BoundarySnapshot& b, NodeId u,
 }
 
 bool ShardedQueryService::Reaches(NodeId u, NodeId v) const {
-  const std::shared_ptr<const BoundarySnapshot> b =
-      boundary_.load(std::memory_order_acquire);
+  // Unsampled singles read no clock and record only into the pinned
+  // slot's counters: the same tracing-off cost as the monolithic service.
+  if (tracer_.ShouldSample()) return ReachesSampled(u, v);
+  const BoundaryPtr::Pin b(boundary_);
   RouteInfo route;
-  if (!tracer_.ShouldSample()) {
-    // Hot path: two clock reads feeding the windowed rollup; the
-    // per-stage timers compile out of ReachesCore<false>.
-    const int64_t start = LatencyRollup::MonotonicNanos();
-    const bool answer = ReachesCore<false>(*b, u, v, &route, nullptr);
-    const int64_t nanos = LatencyRollup::MonotonicNanos() - start;
-    RecordSingle(u, v, answer, route, b->epoch, nanos);
-    return answer;
-  }
+  return ReachesCore<false>(b, u, v, &route, nullptr);
+}
+
+bool ShardedQueryService::ReachesSampled(NodeId u, NodeId v) const {
+  const BoundaryPtr::Pin b(boundary_);
+  RouteInfo route;
   StageTrace stages;
   const int64_t start = LatencyRollup::MonotonicNanos();
-  const bool answer = ReachesCore<true>(*b, u, v, &route, &stages);
+  const bool answer = ReachesCore<true>(b, u, v, &route, &stages);
   const int64_t nanos = LatencyRollup::MonotonicNanos() - start;
   stages.shard = route.shard;
   tracer_.Record(u, v, answer, /*from_batch=*/false, route.tag,
@@ -551,13 +551,6 @@ bool ShardedQueryService::Reaches(NodeId u, NodeId v) const {
   for (int s = 0; s < kNumQueryStages; ++s) {
     if (stages.stage_nanos[s] > 0) rollup_.Record(s, stages.stage_nanos[s]);
   }
-  RecordSingle(u, v, answer, route, b->epoch, nanos);
-  return answer;
-}
-
-void ShardedQueryService::RecordSingle(NodeId u, NodeId v, bool answer,
-                                       const RouteInfo& route, uint64_t epoch,
-                                       int64_t nanos) const {
   rollup_.Record(kRollupSingleSeries, nanos);
   if (route.su >= 0) rollup_.Record(kRollupShardBase + route.su, nanos);
   if (options_.slow_query_micros > 0 &&
@@ -568,13 +561,14 @@ void ShardedQueryService::RecordSingle(NodeId u, NodeId v, bool answer,
     entry.target = v;
     entry.answer = answer;
     entry.tag = route.tag;
-    entry.epoch = epoch;
+    entry.epoch = b->epoch;
     entry.micros = nanos / 1000;
     entry.source_shard = route.su;
     entry.target_shard = route.sv;
     entry.cross_shard = route.su >= 0 && route.sv >= 0 && route.su != route.sv;
     slow_log_.Record(entry);
   }
+  return answer;
 }
 
 std::vector<uint8_t> ShardedQueryService::BatchReaches(
@@ -582,8 +576,7 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
   // Batches are always stage-timed: a handful of clock reads per batch
   // (never per pair) amortize to nothing against the kernel work.
   const int64_t t_start = LatencyRollup::MonotonicNanos();
-  const std::shared_ptr<const BoundarySnapshot> b =
-      boundary_.load(std::memory_order_acquire);
+  const BoundaryPtr::Pin b(boundary_);
   const int64_t n = static_cast<int64_t>(pairs.size());
   const bool sampled = n > 0 && tracer_.ShouldSample();
   std::vector<uint8_t> results(pairs.size(), 0);
@@ -632,9 +625,7 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
       tags[i] = static_cast<uint8_t>(ProbeTag::kBoundaryBitset);
     }
   }
-  if (cross > 0) {
-    cross_shard_queries_.fetch_add(cross, std::memory_order_relaxed);
-  }
+  if (cross > 0) b.Add(kCrossShardQueries, cross);
   // The settle loop is the boundary-bitset stage.
   const int64_t t_settle = LatencyRollup::MonotonicNanos();
   int64_t shard_nanos = 0;
@@ -705,8 +696,7 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
 }
 
 std::vector<NodeId> ShardedQueryService::Successors(NodeId u) const {
-  const std::shared_ptr<const BoundarySnapshot> b =
-      boundary_.load(std::memory_order_acquire);
+  const BoundaryPtr::Pin b(boundary_);
   std::vector<NodeId> out;
   if (u < 0 || u >= b->num_nodes) return out;
   const int su = b->ShardOfAt(u);
@@ -742,17 +732,15 @@ int ShardedQueryService::ShardOf(NodeId node) const {
 }
 
 ShardedMetricsView ShardedQueryService::MetricsView() const {
-  const std::shared_ptr<const BoundarySnapshot> b =
-      boundary_.load(std::memory_order_acquire);
+  const std::shared_ptr<const BoundarySnapshot> b = boundary_.Load();
   ShardedMetricsView view;
   view.num_shards = num_shards();
   view.epoch = epoch_.load(std::memory_order_relaxed);
   view.num_nodes = b->num_nodes;
   view.num_hubs = static_cast<int64_t>(b->hub_at_bit.size());
   view.boundary_label_bytes = b->label_bytes;
-  view.cross_shard_queries =
-      cross_shard_queries_.load(std::memory_order_relaxed);
-  view.hub_hop_queries = hub_hop_queries_.load(std::memory_order_relaxed);
+  view.cross_shard_queries = boundary_.Sum(kCrossShardQueries);
+  view.hub_hop_queries = boundary_.Sum(kHubHopQueries);
   view.boundary_republishes =
       boundary_republishes_.load(std::memory_order_relaxed);
   view.boundary_skips = boundary_skips_.load(std::memory_order_relaxed);
@@ -912,6 +900,8 @@ std::shared_ptr<const HopLabelIndex> ShardedQueryService::BuildHubHopLocked()
 }
 
 void ShardedQueryService::PublishBoundaryLocked() {
+  // Free boundaries that readers still pinned at earlier swaps.
+  boundary_.Reclaim();
   const int64_t n = mirror_.NumNodes();
   const bool changed =
       out_bits_.dirty() || in_bits_.dirty() || hub_graph_dirty_ ||
@@ -921,8 +911,7 @@ void ShardedQueryService::PublishBoundaryLocked() {
     boundary_skips_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const std::shared_ptr<const BoundarySnapshot> prev =
-      boundary_.load(std::memory_order_acquire);
+  const std::shared_ptr<const BoundarySnapshot> prev = boundary_.Load();
   auto snap = std::make_shared<BoundarySnapshot>();
   snap->epoch = epoch_.load(std::memory_order_relaxed);
   snap->num_nodes = n;
@@ -945,8 +934,7 @@ void ShardedQueryService::PublishBoundaryLocked() {
   snap->label_bytes =
       2 * n * snap->words * static_cast<int64_t>(sizeof(uint64_t)) +
       (snap->hop != nullptr ? snap->hop->LabelBytes() : 0);
-  boundary_.store(std::shared_ptr<const BoundarySnapshot>(std::move(snap)),
-                  std::memory_order_release);
+  boundary_.Publish(std::move(snap));
   out_bits_.MarkAllShared();
   out_bits_.ClearDirty();
   in_bits_.MarkAllShared();

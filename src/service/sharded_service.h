@@ -18,6 +18,7 @@
 #include "obs/rollup.h"
 #include "obs/slow_log.h"
 #include "obs/trace.h"
+#include "service/published_ptr.h"
 #include "service/query_service.h"
 
 namespace trel {
@@ -40,16 +41,17 @@ struct ShardedServiceOptions {
 
   // --- Observability of the sharded front end (DESIGN.md §5) --------------
   // These govern the FRONT-END tracer / slow log / windowed rollup /
-  // flight recorder, which see every query with its cross-shard routing
-  // and stage attribution; each shard's own QueryService additionally
-  // keeps its local observability (options above in `shard`).
+  // flight recorder, which see sampled singles and every batch with
+  // their cross-shard routing and stage attribution; each shard's own
+  // QueryService additionally keeps its local observability (options
+  // above in `shard`).
   // Sample 1-in-N front-end queries; 0 = off.  A nonzero
   // TREL_TRACE_SAMPLE env value overrides this at construction.
   uint32_t trace_sample_period = 0;
   uint32_t trace_ring_capacity = QueryTracer::kDefaultRingCapacity;
-  // Unlike the monolithic service, sharded singles are always timed
-  // (the routing layer reads the clock for the windowed rollup anyway),
-  // so slow-single coverage here is total, not sampled.
+  // SAMPLED single queries slower than this land in the slow-query log;
+  // 0 disables.  As on the monolithic service, only sampled singles read
+  // the clock, so coverage follows trace_sample_period.
   int64_t slow_query_micros = 10000;
   int64_t slow_batch_micros = 100000;
   size_t slow_log_capacity = 64;
@@ -109,8 +111,9 @@ struct ShardedMetricsView {
 // boundary snapshot only if a boundary row actually changed (or nodes /
 // hubs were added); bitset and routing storage is chunked copy-on-write,
 // so a republish after a typical leaf-append run copies only the tail
-// chunk.  Readers are lock-free: one atomic shared_ptr for the boundary
-// snapshot plus each shard's own snapshot.
+// chunk.  Readers are lock-free: a single query pins the boundary
+// snapshot, then the deciding shard's snapshot, each in the calling
+// thread's own reader slot of that service (service/published_ptr.h).
 //
 // Snapshot semantics match the monolithic service: ids unknown to the
 // published boundary snapshot reach nothing and are reached by nothing.
@@ -184,8 +187,9 @@ class ShardedQueryService {
   // stages ("route", "boundary_bitset", "hop_core", "shard_query",
   // "merge") indexed by QueryStage, then "single" and "batch"
   // end-to-end, then "shard<s>" (singles attributed to the source
-  // endpoint's shard).  Stage series are fed by every batch and by
-  // sampled singles; end-to-end and shard series see every call.
+  // endpoint's shard).  Every batch feeds the stage and "batch" series;
+  // only sampled singles feed the stage, "single" and "shard<s>" series
+  // (the unsampled path never reads a clock).
   const LatencyRollup& rollup() const { return rollup_; }
   // The anomaly flight recorder over rollup() (obs/flight_recorder.h).
   FlightRecorder& flight_recorder() const { return flight_; }
@@ -282,18 +286,22 @@ class ShardedQueryService {
     ProbeTag tag = ProbeTag::kSlot;
   };
 
-  // The single-query routing pipeline.  kTimed=false is the hot path:
-  // the per-stage clock reads compile out and only the end-to-end pair
-  // in Reaches() remains.  kTimed=true (sampled queries) additionally
-  // attributes elapsed nanos to `stages` stage by stage on the same
-  // monotonic clock, so the stage sum never exceeds the total.
+  // The published boundary; its reader slots count routed queries.
+  enum BoundaryCounter { kCrossShardQueries = 0, kHubHopQueries = 1 };
+  using BoundaryPtr = PublishedPtr<BoundarySnapshot, 2>;
+
+  // The single-query routing pipeline over the pinned boundary `b`.
+  // kTimed=false is the hot path: no clock reads at all.  kTimed=true
+  // (sampled queries) attributes elapsed nanos to `stages` stage by
+  // stage on the same monotonic clock as ReachesSampled's end-to-end
+  // pair, so the stage sum never exceeds the total.
   template <bool kTimed>
-  bool ReachesCore(const BoundarySnapshot& b, NodeId u, NodeId v,
+  bool ReachesCore(const BoundaryPtr::Pin& b, NodeId u, NodeId v,
                    RouteInfo* route, StageTrace* stages) const;
 
-  // Rollup + slow-log bookkeeping shared by both Reaches paths.
-  void RecordSingle(NodeId u, NodeId v, bool answer, const RouteInfo& route,
-                    uint64_t epoch, int64_t nanos) const;
+  // Cold traced twin of Reaches: stage timing, trace record, rollup and
+  // slow-log bookkeeping.
+  bool ReachesSampled(NodeId u, NodeId v) const;
 
   // Publishes the last publish span to the flight-recorder inputs.
   void NotePublish(uint64_t epoch, int64_t micros);
@@ -334,11 +342,9 @@ class ShardedQueryService {
   int published_words_ = -1;
   int64_t published_hubs_ = -1;
 
-  std::atomic<std::shared_ptr<const BoundarySnapshot>> boundary_;
+  BoundaryPtr boundary_;
   std::atomic<uint64_t> epoch_{0};
 
-  mutable std::atomic<int64_t> cross_shard_queries_{0};
-  mutable std::atomic<int64_t> hub_hop_queries_{0};
   std::atomic<int64_t> boundary_republishes_{0};
   std::atomic<int64_t> boundary_skips_{0};
   std::atomic<int64_t> hub_promotions_{0};

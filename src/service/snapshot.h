@@ -16,15 +16,13 @@
 namespace trel {
 
 // One immutable, internally consistent version of the reachability index.
-// QueryService's single writer publishes snapshots via atomic shared_ptr
-// swap; any number of readers may then query one concurrently without
-// synchronization because nothing here mutates after construction.
-//
-// Readers that issue many queries should grab the snapshot once and query
-// it directly rather than going through the service per query: the only
-// shared mutable state on the read path is the shared_ptr control block,
-// and touching it once per batch instead of once per query keeps reader
-// threads from bouncing that cache line.
+// QueryService's single writer publishes snapshots through a PublishedPtr
+// (service/published_ptr.h); any number of readers may then query one
+// concurrently without synchronization because nothing here mutates
+// after construction.  QueryService::Reaches pins the snapshot for one
+// call without touching its reference count, so per-query calls through
+// the service scale with cores; a shared_ptr from Snapshot() is for
+// callers that keep a snapshot across calls.
 struct ClosureSnapshot {
   // Monotonic publication counter: epoch e+1 replaced epoch e.  Epoch 0
   // is the empty pre-Load index.

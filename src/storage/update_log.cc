@@ -56,7 +56,7 @@ StatusOr<std::vector<UpdateOp>> ReadUpdateLog(std::istream& in) {
         !GetI32(in, parent_count) || parent_count < 0) {
       return InvalidArgumentError("torn log record");
     }
-    op.parents.reserve(static_cast<size_t>(parent_count));
+    // No reserve: parent_count is untrusted, and a torn list ends early.
     for (int32_t k = 0; k < parent_count; ++k) {
       int32_t p;
       if (!GetI32(in, p)) return InvalidArgumentError("torn parent list");

@@ -1,6 +1,6 @@
 // QueryService: snapshot semantics, batch fan-out, and the concurrent
-// reader/writer contract.  The concurrency tests here are the TSan
-// targets run by tools/ci.sh.
+// reader/writer contract, plus the PublishedPtr reader slots under it.
+// The concurrency tests here are TSan targets run by tools/ci.sh.
 
 #include <algorithm>
 #include <atomic>
@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
+#include "service/published_ptr.h"
 #include "service/query_service.h"
 
 namespace trel {
@@ -141,6 +142,70 @@ TEST(QueryServiceTest, ApplyRunsCompoundUpdates) {
   const NodeId leaf = snapshot->NumNodes() - 1;
   EXPECT_TRUE(snapshot->Reaches(0, leaf));
   EXPECT_TRUE(snapshot->Reaches(1, leaf));
+}
+
+// Readers pin a snapshot only for the length of a call, so once no call
+// is in flight a publish frees the snapshot it replaced; a counted handle
+// from Snapshot() still keeps its snapshot alive.
+TEST(QueryServiceTest, PublishFreesTheReplacedSnapshot) {
+  ServiceOptions options;
+  options.num_workers = 0;
+  QueryService service(options);
+  ASSERT_TRUE(service.Load(RandomDag(50, 2.0, 96)).ok());
+  std::thread([&service] {
+    for (NodeId u = 0; u < 50; ++u) (void)service.Reaches(u, 49 - u);
+    (void)service.Successors(0);
+  }).join();
+  (void)service.Reaches(0, 1);
+
+  std::weak_ptr<const ClosureSnapshot> replaced = service.Snapshot();
+  ASSERT_TRUE(service.AddLeafUnder(0).ok());
+  service.Publish();
+  EXPECT_TRUE(replaced.expired());
+
+  std::shared_ptr<const ClosureSnapshot> held = service.Snapshot();
+  replaced = held;
+  service.Publish();
+  EXPECT_FALSE(replaced.expired());
+  held.reset();
+  EXPECT_TRUE(replaced.expired());
+}
+
+// A value still pinned at the swap waits in the retired list until its
+// reader is done and a reclaim pass finds no slot naming it.
+TEST(PublishedPtrTest, PinnedValueOutlivesTheSwap) {
+  PublishedPtr<int, 1> ptr;
+  auto first = std::make_shared<const int>(1);
+  const std::weak_ptr<const int> weak = first;
+  ptr.Publish(std::move(first));
+  std::atomic<bool> pinned{false};
+  std::atomic<bool> release{false};
+  std::thread reader([&] {
+    const PublishedPtr<int, 1>::Pin pin(ptr);
+    pin.Add(0, 2);
+    pinned.store(true);
+    while (!release.load()) std::this_thread::yield();
+    EXPECT_EQ(*pin, 1);
+  });
+  while (!pinned.load()) std::this_thread::yield();
+  ptr.Publish(std::make_shared<const int>(2));
+  EXPECT_FALSE(weak.expired());
+  release.store(true);
+  reader.join();
+  EXPECT_FALSE(weak.expired());  // Retired; no pass has run since.
+  ptr.Reclaim();
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(*ptr.Load(), 2);
+  ptr.Add(0);
+  EXPECT_EQ(ptr.Sum(0), 3);  // The exited reader's count stays.
+}
+
+TEST(PublishedPtrDeathTest, NestedPinOnOneObjectAborts) {
+  using IntPtr = PublishedPtr<int, 1>;
+  IntPtr ptr;
+  ptr.Publish(std::make_shared<const int>(1));
+  const IntPtr::Pin outer(ptr);
+  EXPECT_DEATH({ const IntPtr::Pin inner(ptr); }, "nested Pin");
 }
 
 TEST(QueryServiceTest, MetricsCountQueriesAndPublishes) {
@@ -675,6 +740,154 @@ TEST(QueryServiceConcurrencyTest, ReadersHoldSnapshotsAcrossDeltaPublishes) {
   ServiceMetrics::View view = service.Metrics();
   EXPECT_GT(view.publishes_delta, 0);
   EXPECT_GT(view.publishes_full, 1);  // Forced full exports happened.
+}
+
+// Readers call Reaches itself, not a held snapshot, while the writer
+// grows the graph and alternates delta and forced-full publishes.  The
+// ops only add, so a pair's answer never turns from true to false; and
+// reach_queries counts every call, including calls from reader threads
+// that exited long before the count is read.
+TEST(QueryServiceConcurrencyTest, ApiReadersStayMonotoneAndCounted) {
+  ServiceOptions options;
+  options.num_workers = 0;
+  options.stats_on_publish = false;  // Keep the publish loop tight.
+  options.max_delta_publishes = 4;   // Every fifth publish is full.
+  QueryService service(options);
+  constexpr NodeId kBase = 300;
+  ASSERT_TRUE(service.Load(RandomDag(kBase, 1.5, 94)).ok());
+  const int64_t fulls_before = service.Metrics().publishes_full;
+
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  Random pair_rng(7);
+  for (int i = 0; i < 256; ++i) {
+    pairs.emplace_back(static_cast<NodeId>(pair_rng.Uniform(kBase)),
+                       static_cast<NodeId>(pair_rng.Uniform(kBase)));
+  }
+  std::vector<std::atomic<uint8_t>> ever_true(pairs.size());
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> calls{0};
+  std::atomic<int64_t> turned_false{0};
+  std::atomic<int> waves{0};
+
+  // Short-lived readers, three at a time, so most of the counted calls
+  // come from threads that have exited (and whose indices were reused).
+  const auto reader = [&] {
+    std::vector<uint8_t> seen(pairs.size(), 0);
+    int64_t local_calls = 0;
+    for (int pass = 0; pass < 8; ++pass) {
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        const bool hit = service.Reaches(pairs[i].first, pairs[i].second);
+        ++local_calls;
+        if (seen[i] && !hit) turned_false.fetch_add(1);
+        if (hit) {
+          seen[i] = 1;
+          ever_true[i].store(1, std::memory_order_relaxed);
+        }
+      }
+    }
+    calls.fetch_add(local_calls);
+  };
+  std::thread launcher([&] {
+    while (!stop.load()) {
+      std::vector<std::thread> wave;
+      for (int t = 0; t < 3; ++t) wave.emplace_back(reader);
+      for (std::thread& t : wave) t.join();
+      waves.fetch_add(1);
+    }
+  });
+
+  Random rng(31);
+  NodeId num_nodes = kBase;
+  for (int round = 0; round < 60; ++round) {
+    for (int j = 0; j < 3; ++j) {
+      ASSERT_TRUE(service
+                      .AddLeafUnder(static_cast<NodeId>(
+                          rng.Uniform(static_cast<uint64_t>(num_nodes))))
+                      .ok());
+      ++num_nodes;
+    }
+    // Arcs among the queried nodes turn answers true; cycles and
+    // duplicates are rejected, which is fine.
+    (void)service.AddArc(static_cast<NodeId>(rng.Uniform(kBase)),
+                         static_cast<NodeId>(rng.Uniform(kBase)));
+    service.Publish();
+    std::this_thread::yield();
+  }
+  while (waves.load() < 3) std::this_thread::yield();
+  stop.store(true);
+  launcher.join();
+
+  EXPECT_EQ(turned_false.load(), 0);
+  const std::shared_ptr<const ClosureSnapshot> last = service.Snapshot();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (ever_true[i].load(std::memory_order_relaxed)) {
+      EXPECT_TRUE(last->Reaches(pairs[i].first, pairs[i].second))
+          << "pair (" << pairs[i].first << "," << pairs[i].second << ")";
+    }
+  }
+  const ServiceMetrics::View view = service.Metrics();
+  EXPECT_EQ(view.reach_queries, calls.load());
+  EXPECT_GT(view.publishes_delta, 0);
+  EXPECT_GE(view.publishes_full - fulls_before, 60 / 5);  // Forced fulls.
+}
+
+// More live reader threads than reader slots: the threads past the slots
+// take the mutex-guarded fallback, whose answers and counts must be just
+// as exact, while the writer keeps swapping snapshots under them.
+TEST(QueryServiceConcurrencyTest, ReadersBeyondTheSlotsStayExact) {
+  constexpr int kSlots = PublishedPtr<ClosureSnapshot, 1>::kSlots;
+  constexpr int kThreads = kSlots + 8;
+  constexpr int kPasses = 4;
+  ServiceOptions options;
+  options.num_workers = 0;
+  options.stats_on_publish = false;
+  QueryService service(options);
+  const Digraph graph = RandomDag(200, 2.0, 95);
+  ASSERT_TRUE(service.Load(graph).ok());
+  const ReachabilityMatrix truth(graph);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  Random rng(11);
+  for (int i = 0; i < 64; ++i) {
+    pairs.emplace_back(static_cast<NodeId>(rng.Uniform(200)),
+                       static_cast<NodeId>(rng.Uniform(200)));
+  }
+
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<int> overflowed{0};
+  std::atomic<int64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&] {
+      // Every reader holds its thread index before any reader reads, so
+      // at least kThreads - kSlots of them are past the slots.
+      if (CurrentThreadIndex() >= kSlots) overflowed.fetch_add(1);
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (const auto& [u, v] : pairs) {
+          if (service.Reaches(u, v) != truth.Reaches(u, v)) {
+            wrong.fetch_add(1);
+          }
+        }
+        if (service.Snapshot()->NumNodes() < 200) wrong.fetch_add(1);
+      }
+      finished.fetch_add(1);
+      while (finished.load() < kThreads) std::this_thread::yield();
+    });
+  }
+  // Leaves under the queried nodes leave their answers unchanged.
+  while (finished.load() < kThreads) {
+    ASSERT_TRUE(service.AddLeafUnder(static_cast<NodeId>(rng.Uniform(200)))
+                    .ok());
+    service.Publish();
+  }
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_GE(overflowed.load(), kThreads - kSlots);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(service.Metrics().reach_queries,
+            int64_t{kThreads} * kPasses * static_cast<int64_t>(pairs.size()));
 }
 
 // The destructor must cleanly drain the worker pool even with batches

@@ -11,8 +11,10 @@
 #include "service/sharded_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -400,6 +402,101 @@ TEST(ShardedServiceTest, EmptyServiceBehavesLikeEmptyMonolith) {
   }
 }
 
+// Readers call the front end's Reaches while the writer grows the graph
+// and its shards alternate delta and forced-full publishes.  Each call
+// pins the boundary, then a shard's snapshot.  The ops only add, so no
+// answer turns from true to false, and cross_shard_queries matches the
+// count this test keeps, including calls from exited reader threads.
+TEST(ShardedServiceTest, ApiReadersStayMonotoneAndCounted) {
+  ShardedServiceOptions options = OptionsFor(3);
+  options.shard.stats_on_publish = false;
+  options.shard.max_delta_publishes = 4;  // Every fifth shard publish is full.
+  ShardedQueryService sharded(options);
+  const Digraph graph = ClusteredDag(6, 50, 2.5, 2, 0.1, 19);
+  const NodeId base = graph.NumNodes();
+  ASSERT_TRUE(sharded.Load(graph).ok());
+
+  // Distinct in-range endpoints: exactly these calls route, and a node's
+  // shard never changes, so each pair's cross-shard flag is fixed.
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  std::vector<uint8_t> cross;
+  Random pair_rng(5);
+  while (pairs.size() < 256) {
+    const NodeId u = static_cast<NodeId>(pair_rng.Uniform(base));
+    const NodeId v = static_cast<NodeId>(pair_rng.Uniform(base));
+    if (u == v) continue;
+    pairs.emplace_back(u, v);
+    cross.push_back(sharded.ShardOf(u) != sharded.ShardOf(v) ? 1 : 0);
+  }
+  const int64_t cross_before = sharded.MetricsView().cross_shard_queries;
+  const auto full_publishes = [&sharded] {
+    int64_t fulls = 0;
+    for (int s = 0; s < sharded.num_shards(); ++s) {
+      fulls += sharded.shard(s).Metrics().publishes_full;
+    }
+    return fulls;
+  };
+  const int64_t fulls_before = full_publishes();
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> cross_calls{0};
+  std::atomic<int64_t> turned_false{0};
+  std::atomic<int> waves{0};
+
+  const auto reader = [&] {
+    std::vector<uint8_t> seen(pairs.size(), 0);
+    int64_t local_cross = 0;
+    for (int pass = 0; pass < 8; ++pass) {
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        const bool hit = sharded.Reaches(pairs[i].first, pairs[i].second);
+        local_cross += cross[i];
+        if (seen[i] && !hit) turned_false.fetch_add(1);
+        if (hit) seen[i] = 1;
+      }
+    }
+    cross_calls.fetch_add(local_cross);
+  };
+  std::thread launcher([&] {
+    while (!stop.load()) {
+      std::vector<std::thread> wave;
+      for (int t = 0; t < 3; ++t) wave.emplace_back(reader);
+      for (std::thread& t : wave) t.join();
+      waves.fetch_add(1);
+    }
+  });
+
+  Random rng(37);
+  NodeId num_nodes = base;
+  for (int round = 0; round < 60; ++round) {
+    for (int j = 0; j < 3; ++j) {
+      ASSERT_TRUE(sharded
+                      .AddLeafUnder(static_cast<NodeId>(
+                          rng.Uniform(static_cast<uint64_t>(num_nodes))))
+                      .ok());
+      ++num_nodes;
+    }
+    // Same- and cross-shard arcs among the queried nodes; cycles and
+    // duplicates are rejected, which is fine.
+    (void)sharded.AddArc(static_cast<NodeId>(rng.Uniform(base)),
+                         static_cast<NodeId>(rng.Uniform(base)));
+    if (round % 2 == 0) {
+      sharded.Publish();
+    } else {
+      sharded.PublishShard(round % 3);
+    }
+    std::this_thread::yield();
+  }
+  while (waves.load() < 3) std::this_thread::yield();
+  stop.store(true);
+  launcher.join();
+
+  EXPECT_EQ(turned_false.load(), 0);
+  EXPECT_EQ(sharded.MetricsView().cross_shard_queries - cross_before,
+            cross_calls.load());
+  EXPECT_GT(cross_calls.load(), 0);
+  // Every shard publishes at least 30 times, so each forced some fulls.
+  EXPECT_GE(full_publishes() - fulls_before, sharded.num_shards());
+}
+
 TEST(ShardedServiceTest, MetricsViewToStringIsMachineCheckable) {
   ShardedQueryService sharded(OptionsFor(2));
   ASSERT_TRUE(sharded.Load(RandomDag(40, 2.0, 3)).ok());
@@ -525,6 +622,8 @@ TEST(ShardedServiceTest, RollupSeriesCoverStagesFrontEndAndShards) {
 TEST(ShardedServiceTest, SlowSinglesAreShardAttributed) {
   ShardedServiceOptions options = OptionsFor(2);
   options.slow_query_micros = 1;  // 1 us: the lowest enabled threshold.
+  // Only sampled singles are timed, so sample every one.
+  options.trace_sample_period = 1;
   ShardedQueryService sharded(options);
   ASSERT_TRUE(sharded.Load(ClusteredDag(4, 40, 2.5, 2, 0.1, 9)).ok());
   // Typical singles run a few hundred nanos; one crosses 1 us when a

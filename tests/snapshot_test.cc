@@ -104,6 +104,48 @@ TEST(SnapshotTest, RejectsGarbageAndTruncation) {
       EXPECT_FALSE(DynamicClosure::Load(truncated).ok()) << "cut=" << cut;
     }
   }
+  {
+    // One hostile value per range-checked field, patched into a Save()
+    // image.  Header: magic, n, gap, reserve, strategy, num_arcs (eight
+    // bytes each), then the arcs, then per node: postorder, lo, hi,
+    // parent, ...
+    Digraph graph = RandomDag(20, 1.5, 303);
+    auto original = DynamicClosure::Build(graph);
+    ASSERT_TRUE(original.ok());
+    std::stringstream buffer;
+    ASSERT_TRUE(original->Save(buffer).ok());
+    const std::string bytes = buffer.str();
+    const auto patched = [&bytes](size_t offset, int64_t value) {
+      std::string copy = bytes;
+      for (int i = 0; i < 8; ++i) {
+        copy[offset + i] =
+            static_cast<char>(static_cast<uint64_t>(value) >> (8 * i));
+      }
+      return copy;
+    };
+    int64_t num_arcs = 0;
+    for (int i = 7; i >= 0; --i) {
+      num_arcs = (num_arcs << 8) | static_cast<uint8_t>(bytes[40 + i]);
+    }
+    const size_t first_parent = 48 + 16 * static_cast<size_t>(num_arcs) + 24;
+    const struct {
+      const char* field;
+      size_t offset;
+      int64_t value;
+    } cases[] = {
+        {"node count wrapping negative", 8, int64_t{1} << 31},
+        {"node count wrapping to the same size", 8, (int64_t{1} << 32) + 20},
+        {"strategy past the last", 32, 4},
+        {"negative strategy", 32, -1},
+        {"tree parent past the last node", first_parent, 20},
+        {"tree parent below kNoNode", first_parent, -2},
+    };
+    ASSERT_TRUE(DynamicClosure::Load(buffer).ok());  // The image itself loads.
+    for (const auto& c : cases) {
+      std::stringstream hostile(patched(c.offset, c.value));
+      EXPECT_FALSE(DynamicClosure::Load(hostile).ok()) << c.field;
+    }
+  }
 }
 
 }  // namespace

@@ -42,6 +42,41 @@ TEST(UpdateLogTest, RejectsTornRecords) {
     std::stringstream corrupt(std::string("\x77") + bytes);
     EXPECT_FALSE(ReadUpdateLog(corrupt).ok());
   }
+  // One hostile value or tear per field of a record: kind (1 byte), a, b
+  // and parent_count (4 bytes each), then the parent list.
+  std::stringstream refine;
+  ASSERT_TRUE(
+      AppendUpdateOp(refine, {UpdateOp::Kind::kRefine, 0, 5, {1, 2}}).ok());
+  const std::string record = refine.str();
+  const auto patched = [&record](size_t offset, int32_t value) {
+    std::string copy = record;
+    for (int i = 0; i < 4; ++i) {
+      copy[offset + i] =
+          static_cast<char>(static_cast<uint32_t>(value) >> (8 * i));
+    }
+    return copy;
+  };
+  const struct {
+    const char* field;
+    std::string bytes;
+  } cases[] = {
+      {"kind 0", std::string(1, '\0') + record.substr(1)},
+      {"kind past the last", std::string(1, '\6') + record.substr(1)},
+      {"torn a", record.substr(0, 3)},
+      {"torn b", record.substr(0, 7)},
+      // Must fail on the missing parents, not reserve 8 GB up front.
+      {"parent_count INT32_MAX", patched(9, 0x7fffffff)},
+      {"negative parent_count", patched(9, -1)},
+      {"torn parent list", record.substr(0, record.size() - 2)},
+  };
+  {
+    std::stringstream whole(record);
+    ASSERT_TRUE(ReadUpdateLog(whole).ok());  // The record itself parses.
+  }
+  for (const auto& c : cases) {
+    std::stringstream hostile(c.bytes);
+    EXPECT_FALSE(ReadUpdateLog(hostile).ok()) << c.field;
+  }
 }
 
 TEST(UpdateLogTest, RecoverFromLogAlone) {

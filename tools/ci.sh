@@ -84,10 +84,13 @@ asan_ubsan() {
 tsan_service() {
   run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTREL_SANITIZE=thread "${EXTRA_CMAKE_FLAGS[@]}"
-  run cmake --build build-tsan -j "${JOBS}" --target query_service_test
-  # tools/tsan.supp: known libstdc++ atomic<shared_ptr> internal report.
-  run env TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
-    ./build-tsan/tests/query_service_test
+  run cmake --build build-tsan -j "${JOBS}" --target query_service_test \
+    sharded_service_test
+  # Both services' reader-slot pin protocol (service/published_ptr.h),
+  # with no suppressions.
+  run env TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/query_service_test
+  run env TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/sharded_service_test
 }
 
 bench_smoke() {
@@ -338,9 +341,9 @@ obs_stage() {
   run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTREL_SANITIZE=thread "${EXTRA_CMAKE_FLAGS[@]}"
   run cmake --build build-tsan -j "${JOBS}" --target obs_test rollup_test
-  run env TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
+  run env TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/obs_test --gtest_filter='QueryTracerTest.*'
-  run env TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp halt_on_error=1" \
+  run env TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/rollup_test --gtest_filter='LatencyRollupTest.*'
 }
 
