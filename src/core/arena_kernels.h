@@ -76,10 +76,13 @@ struct ArenaKernels {
 
   // True iff some interval of the extras run `base[0..count]` contains
   // `x` (summary interval at base[0], Eytzinger tree at 1..count — see
-  // label_arena.h).  Called only after the coverage filter passed.
-  // Short runs are scanned with wide compares; long runs descend the
-  // Eytzinger tree.
-  bool (*extras_contains)(const Interval* base, uint32_t count, Label x);
+  // label_arena.h).  Intervals are 8 bytes, two unsigned 32-bit
+  // endpoints, and `x` may be any 32-bit label: every level orders labels
+  // as unsigned, including those at or above 2^31.  Called only after
+  // the coverage filter passed.  Short runs are scanned with wide
+  // compares; long runs descend the Eytzinger tree.
+  bool (*extras_contains)(const ArenaInterval* base, uint32_t count,
+                          ArenaLabel x);
 
   // 512-bit any-intersection test over one node's coverage-filter line:
   // (filter[i] & mask[i]) != 0 for some i in [0, kFilterWords).
@@ -102,20 +105,24 @@ struct ArenaKernels {
                                BatchKernelStats* stats, uint8_t* tags);
 };
 
-// The hot single-query membership probe: same fast path as
-// LabelArena::Contains (inline first-interval test, then the one-bit
-// coverage-filter reject), with the extras search routed through the
-// dispatched kernel so short runs get the vector scan.  The indirect
-// call only happens on the minority of probes that survive the filter.
+// The hot single-query membership probe: true iff some interval of `u`
+// contains `x`.  The inline first-interval test, then the one-bit
+// coverage-filter reject, then the extras search routed through the
+// dispatched kernel so short runs get the vector scan — about two
+// dependent misses end to end on large arenas.  The indirect call only
+// happens on the minority of probes that survive the filter.
 inline bool ArenaContains(const LabelArena& arena, const ArenaKernels& kernels,
-                          NodeId u, Label x) {
+                          NodeId u, ArenaLabel x) {
   const LabelArena::NodeSlot& s = arena.slots[u];
   if (x < s.first.lo) return false;  // Antichain: every lo is >= first.lo.
   if (x <= s.first.hi) return true;
   if (s.extra_count == 0) return false;
-  const Interval* base = arena.extras.data() + s.extra_begin;
+  const ArenaInterval* base = arena.extras.data() + s.extra_begin;
   __builtin_prefetch(base);
   const uint64_t b = static_cast<uint64_t>(x) >> arena.filter_shift;
+  // Labels past the last bucket exceed every label this arena was built
+  // from (delta snapshots probe new nodes' numbers against old arenas),
+  // so no interval here can contain them.
   if (b >= static_cast<uint64_t>(LabelArena::kFilterWords) * 64) return false;
   if (((arena.filters[u * LabelArena::kFilterWords + (b >> 6)] >> (b & 63)) &
        1) == 0) {
@@ -144,8 +151,8 @@ inline bool ArenaContains(const LabelArena& arena, const ArenaKernels& kernels,
 // bit-identical to scalar by construction), plus the tag and probe count
 // for the trace record.  Never called on the untraced hot path, so it
 // favors clarity over pipelining.
-inline bool ArenaContainsTraced(const LabelArena& arena, NodeId u, Label x,
-                                ProbeTrace* trace) {
+inline bool ArenaContainsTraced(const LabelArena& arena, NodeId u,
+                                ArenaLabel x, ProbeTrace* trace) {
   const LabelArena::NodeSlot& s = arena.slots[u];
   trace->tag = ProbeTag::kSlot;
   trace->extras_probes = 0;
@@ -160,7 +167,7 @@ inline bool ArenaContainsTraced(const LabelArena& arena, NodeId u, Label x,
     return false;
   }
   trace->tag = ProbeTag::kExtrasSearch;
-  const Interval* base = arena.extras.data() + s.extra_begin;
+  const ArenaInterval* base = arena.extras.data() + s.extra_begin;
   if (x > base[0].hi || x < base[0].lo) {
     trace->extras_probes = 1;  // Summary reject: one compare.
     return false;

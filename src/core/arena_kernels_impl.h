@@ -29,7 +29,7 @@ namespace {
 // Extras runs at or below this length are scanned linearly (wide
 // compares cover the whole run in a handful of instructions, with no
 // dependent-load chain); longer runs descend the Eytzinger tree.  Sized
-// per variant to roughly two cache lines of vector work.
+// per variant: 32 AVX2 intervals are 256 bytes, eight registers.
 #if TREL_KERNEL_VARIANT == 2
 constexpr uint32_t kLinearScanMax = 32;
 #else
@@ -40,40 +40,44 @@ constexpr uint32_t kLinearScanMax = 4;
 // it works directly on the Eytzinger-permuted run.
 #if TREL_KERNEL_VARIANT == 2
 
-inline bool LinearScanHit(const Interval* a, uint32_t k, Label x) {
-  const __m256i xv = _mm256_set1_epi64x(x);
+// Lane mask of the intervals in a[0..4) that contain x, as bits 0, 2, 4
+// and 6.  One 256-bit register holds four 8-byte intervals
+// [lo0 hi0 lo1 hi1 lo2 hi2 lo3 hi3].  A lane is "bad" when its bound
+// excludes x: lo > x for even lanes, x > hi for odd lanes; an interval
+// hits iff both of its lanes are good.  AVX2 compares only signed 32-bit
+// lanes, so both sides arrive with their sign bit flipped (`xs` already
+// is): that maps unsigned order onto signed order, and labels at or
+// above 2^31 compare correctly.
+inline unsigned HitLanes(const ArenaInterval* a, __m256i xs) {
+  const __m256i sign = _mm256_set1_epi32(INT32_MIN);
+  const __m256i p = _mm256_xor_si256(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a)), sign);
+  const __m256i bad = _mm256_blend_epi32(_mm256_cmpgt_epi32(p, xs),
+                                         _mm256_cmpgt_epi32(xs, p), 0xAA);
+  const unsigned good =
+      ~static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(bad)));
+  return good & (good >> 1) & 0x55u;
+}
+
+inline bool LinearScanHit(const ArenaInterval* a, uint32_t k, ArenaLabel x) {
+  const __m256i xs =
+      _mm256_set1_epi32(static_cast<int32_t>(x ^ 0x80000000u));
   unsigned hits = 0;
   uint32_t i = 0;
-  // One 256-bit lane holds two 16-byte intervals [lo0 hi0 lo1 hi1].  A
-  // lane is "bad" when its bound excludes x: lo > x for even lanes,
-  // x > hi for odd lanes; an interval hits iff both of its lanes are
-  // good.  Two registers (4 intervals) per iteration.
-  for (; i + 4 <= k; i += 4) {
-    const __m256i p0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i p1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i + 2));
-    const __m256d bad0 =
-        _mm256_blend_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(p0, xv)),
-                        _mm256_castsi256_pd(_mm256_cmpgt_epi64(xv, p0)), 0xA);
-    const __m256d bad1 =
-        _mm256_blend_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(p1, xv)),
-                        _mm256_castsi256_pd(_mm256_cmpgt_epi64(xv, p1)), 0xA);
-    const unsigned good0 = ~static_cast<unsigned>(_mm256_movemask_pd(bad0));
-    const unsigned good1 = ~static_cast<unsigned>(_mm256_movemask_pd(bad1));
-    hits |= (good0 & (good0 >> 1) & 0x5u) | (good1 & (good1 >> 1) & 0x5u);
+  // Two registers (8 intervals) per iteration, then one, then a scalar
+  // tail of at most three.
+  for (; i + 8 <= k; i += 8) {
+    hits |= HitLanes(a + i, xs) | HitLanes(a + i + 4, xs);
   }
-  for (; i + 2 <= k; i += 2) {
-    const __m256i p =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256d bad =
-        _mm256_blend_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(p, xv)),
-                        _mm256_castsi256_pd(_mm256_cmpgt_epi64(xv, p)), 0xA);
-    const unsigned good = ~static_cast<unsigned>(_mm256_movemask_pd(bad));
-    hits |= good & (good >> 1) & 0x5u;
+  if (i + 4 <= k) {
+    hits |= HitLanes(a + i, xs);
+    i += 4;
   }
-  if (hits != 0) return true;
-  return i < k && a[i].lo <= x && x <= a[i].hi;
+  for (; i < k; ++i) {
+    hits |= static_cast<unsigned>(a[i].lo <= x) &
+            static_cast<unsigned>(x <= a[i].hi);
+  }
+  return hits != 0;
 }
 
 inline bool FilterIntersectsImpl(const uint64_t* filter,
@@ -90,7 +94,7 @@ inline bool FilterIntersectsImpl(const uint64_t* filter,
 
 #else  // scalar
 
-inline bool LinearScanHit(const Interval* a, uint32_t k, Label x) {
+inline bool LinearScanHit(const ArenaInterval* a, uint32_t k, ArenaLabel x) {
   // Branch-free accumulate: short runs mispredict badly under random
   // probes, and the compiler can unroll this form.
   unsigned hit = 0;
@@ -112,7 +116,8 @@ inline bool FilterIntersectsImpl(const uint64_t* filter,
 
 // The PR 3 descent, unchanged: smallest hi >= x decides via its lo
 // (antichain invariant), grandchildren prefetched along the way.
-inline bool EytzingerDescent(const Interval* base, uint32_t k, Label x) {
+inline bool EytzingerDescent(const ArenaInterval* base, uint32_t k,
+                             ArenaLabel x) {
   uint32_t i = 1, cand = 0;
   while (i <= k) {
     __builtin_prefetch(base + 4 * static_cast<size_t>(i));
@@ -126,7 +131,8 @@ inline bool EytzingerDescent(const Interval* base, uint32_t k, Label x) {
   return cand != 0 && base[cand].lo <= x;
 }
 
-bool KernelExtrasContains(const Interval* base, uint32_t count, Label x) {
+bool KernelExtrasContains(const ArenaInterval* base, uint32_t count,
+                          ArenaLabel x) {
   // Summary reject (base[0] = {min lo, max hi} of the run).
   if (x < base[0].lo || x > base[0].hi) return false;
   if (count <= kLinearScanMax) return LinearScanHit(base + 1, count, x);
@@ -185,7 +191,7 @@ void KernelBatchReachesImpl(const LabelArena& arena,
                             uint8_t* tags) {
   BatchKernelStats stats;
   const LabelArena::NodeSlot* slots = arena.slots.data();
-  const Interval* extras = arena.extras.data();
+  const ArenaInterval* extras = arena.extras.data();
   const uint64_t* filters = arena.filters.data();
   const uint32_t num = static_cast<uint32_t>(arena.num_nodes());
   const int shift = arena.filter_shift;
@@ -232,7 +238,7 @@ void KernelBatchReachesImpl(const LabelArena& arena,
         continue;
       }
       const LabelArena::NodeSlot& s = slots[u];
-      const Label x = slots[v].postorder;
+      const ArenaLabel x = slots[v].postorder;
       if (x < s.first.lo || x <= s.first.hi || s.extra_count == 0) {
         out[i] = (x >= s.first.lo && x <= s.first.hi) ? 1 : 0;
         ++stats.fast_path;
@@ -261,20 +267,20 @@ void KernelBatchReachesImpl(const LabelArena& arena,
   }
 
   struct Pending {
-    const Interval* base;
+    const ArenaInterval* base;
     uint32_t count;
-    Label x;
+    ArenaLabel x;
     int64_t idx;
   };
   Pending pend[kMaxPending];
   int np = 0;
 
   struct Descent {
-    const Interval* base;
+    const ArenaInterval* base;
     uint32_t i;
     uint32_t cand;
     uint32_t k;
-    Label x;
+    ArenaLabel x;
     int64_t idx;
   };
 
@@ -334,7 +340,7 @@ void KernelBatchReachesImpl(const LabelArena& arena,
       __builtin_prefetch(filter);
       uint64_t mask[LabelArena::kFilterWords] = {};
       int64_t undecided_idx[kGroupMax];
-      Label undecided_x[kGroupMax];
+      ArenaLabel undecided_x[kGroupMax];
       int64_t nu = 0;
       for (int64_t q = i; q < j; ++q) {
         if (q + kPrefetchDistance < j) {
@@ -354,7 +360,7 @@ void KernelBatchReachesImpl(const LabelArena& arena,
           set_tag(q, ProbeTag::kSlot);
           continue;
         }
-        const Label x = slots[v].postorder;
+        const ArenaLabel x = slots[v].postorder;
         if (x < s.first.lo) {
           out[q] = 0;
           ++stats.fast_path;
@@ -393,9 +399,9 @@ void KernelBatchReachesImpl(const LabelArena& arena,
           }
           stats.group_rejects += nu;
         } else {
-          const Interval* base = extras + s.extra_begin;
+          const ArenaInterval* base = extras + s.extra_begin;
           for (int64_t q = 0; q < nu; ++q) {
-            const Label x = undecided_x[q];
+            const ArenaLabel x = undecided_x[q];
             const uint64_t b = static_cast<uint64_t>(x) >> shift;
             if (((filter[b >> 6] >> (b & 63)) & 1) == 0) {
               out[undecided_idx[q]] = 0;
@@ -441,7 +447,7 @@ void KernelBatchReachesImpl(const LabelArena& arena,
         continue;
       }
       const LabelArena::NodeSlot& s = slots[uu];
-      const Label x = slots[v].postorder;
+      const ArenaLabel x = slots[v].postorder;
       if (x < s.first.lo) {
         out[i] = 0;
         ++stats.fast_path;
@@ -473,7 +479,7 @@ void KernelBatchReachesImpl(const LabelArena& arena,
       }
       // Stage C.  Tagged at enqueue: everything that reaches the pending
       // queue counts as (and is tallied as) an extras search.
-      const Interval* base = extras + s.extra_begin;
+      const ArenaInterval* base = extras + s.extra_begin;
       __builtin_prefetch(base);
       set_tag(i, ProbeTag::kExtrasSearch);
       pend[np++] = Pending{base, s.extra_count, x, i};

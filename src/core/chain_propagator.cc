@@ -1,6 +1,7 @@
 #include "core/chain_propagator.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,6 +52,11 @@ StatusOr<ChainBuild> BuildChainLabeling(const Digraph& graph,
   if (options.merge_adjacent) {
     return InvalidArgumentError(
         "chain-fast labeling does not support merge_adjacent");
+  }
+  if (!CompactNumberingFits(graph.NumNodes(), options.gap, options.reserve)) {
+    return InvalidArgumentError(
+        "numbering " + std::to_string(graph.NumNodes()) + " nodes at gap " +
+        std::to_string(options.gap) + " passes the 32-bit label limit");
   }
   TREL_ASSIGN_OR_RETURN(std::vector<NodeId> topo, TopologicalOrder(graph));
   const NodeId n = graph.NumNodes();

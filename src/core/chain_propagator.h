@@ -85,7 +85,8 @@ StatusOr<ChainSignals> AnalyzeChains(const Digraph& graph);
 
 // Runs the full chain-fast build.  Fails with FailedPrecondition on
 // cycles, InvalidArgument on bad options (merge_adjacent is unsupported:
-// the closed form above holds for raw antichains only), and
+// the closed form above holds for raw antichains only) or on a numbering
+// past the arena's 32-bit labels (as BuildLabels does), and
 // ResourceExhausted when the entry cap trips mid-build — callers then
 // fall back to the Alg1 path.  The width thresholds are deliberately NOT
 // enforced here: auto-mode selectors consult AnalyzeChains (or the

@@ -39,7 +39,7 @@ namespace {
 template <typename Fn>
 void VisitIntervals(const LabelArena& arena, NodeId slot, Fn&& visit) {
   const LabelArena::NodeSlot& s = arena.slots[slot];
-  if (s.first.lo <= s.first.hi && !visit(s.first)) return;
+  if (s.first.lo <= s.first.hi && !visit(s.first.Widen())) return;
   arena.ForEachExtra(slot, visit);
 }
 
@@ -189,10 +189,9 @@ IntervalSet CompressedClosure::IntervalsOf(NodeId v) const {
 }
 
 bool CompressedClosure::ReachesWithOverlay(NodeId u, NodeId v) const {
-  const LabelRef target = LabelOf(v);
+  const ArenaLabel target = ArenaPostorderOf(v);
   const LabelRef source = LabelOf(u);
-  return ArenaContains(*source.arena, *kernels_, source.slot,
-                       target.arena->slots[target.slot].postorder);
+  return ArenaContains(*source.arena, *kernels_, source.slot, target);
 }
 
 void CompressedClosure::BatchReaches(const std::pair<NodeId, NodeId>* pairs,
@@ -230,8 +229,8 @@ bool CompressedClosure::ReachesTraced(NodeId u, NodeId v,
   }
   if (u == v) return true;
   const LabelRef source = LabelOf(u);
-  const bool hit =
-      ArenaContainsTraced(*source.arena, source.slot, PostorderOf(v), trace);
+  const bool hit = ArenaContainsTraced(*source.arena, source.slot,
+                                       ArenaPostorderOf(v), trace);
   if (source.arena != arena_.get()) trace->tag = ProbeTag::kOverlay;
   return hit;
 }
@@ -371,7 +370,7 @@ int64_t CompressedClosure::CountSuccessors(NodeId u) const {
 std::vector<NodeId> CompressedClosure::Predecessors(NodeId v) const {
   TREL_CHECK(IsValidNode(v));
   std::vector<NodeId> result;
-  const Label target = PostorderOf(v);
+  const ArenaLabel target = ArenaPostorderOf(v);
   // One linear sweep of the slot array; extras are only consulted for
   // the minority of nodes whose first interval ends below the target.
   for (NodeId u = 0; u < num_nodes_; ++u) {

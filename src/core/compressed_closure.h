@@ -194,12 +194,12 @@ class CompressedClosure {
   // (use PostorderOf/IntervalsOf for overlay-aware per-node access).
   const TreeCover& tree_cover() const { return *tree_cover_; }
   const LabelArena& arena() const { return *arena_; }
-  // Bytes pinned by the base arena (slots + extras + directory).
+  // Bytes pinned by the base arena: slots, extras, coverage filters and
+  // directory, each array at its element size (LabelArena::ByteSize).
   int64_t ArenaByteSize() const { return arena_->ByteSize(); }
   Label PostorderOf(NodeId v) const {
     TREL_CHECK(IsValidNode(v));
-    const LabelRef ref = LabelOf(v);
-    return ref.arena->slots[ref.slot].postorder;
+    return ArenaPostorderOf(v);
   }
   // `v`'s interval set, read back out of whichever arena holds it.
   IntervalSet IntervalsOf(NodeId v) const;
@@ -239,6 +239,12 @@ class CompressedClosure {
       if (slot != kNotOverlaid) return {&overlay_->arena, slot};
     }
     return {arena_.get(), v};
+  }
+
+  // `v`'s postorder number as its arena stores it, for probes.
+  ArenaLabel ArenaPostorderOf(NodeId v) const {
+    const LabelRef ref = LabelOf(v);
+    return ref.arena->slots[ref.slot].postorder;
   }
 
   // Overlay-aware slow path behind Reaches' arena fast path.

@@ -136,18 +136,51 @@ Label DynamicClosure::PreviousAssigned(Label x) const {
   return std::prev(it)->first;
 }
 
+Label DynamicClosure::MaxLabelPastMax(int64_t count) const {
+  // Callers pass a count whose compact numbering is known to fit, so
+  // count × gap < 2^32 and the sum cannot overflow.
+  return MaxAssigned() + count * labels_.gap + labels_.reserve;
+}
+
+Status DynamicClosure::CheckRoomForOneMore() const {
+  if (!CompactNumberingFits(static_cast<int64_t>(NumNodes()) + 1,
+                            labels_.gap, labels_.reserve)) {
+    return ResourceExhaustedError(
+        "a numbering of " + std::to_string(NumNodes() + 1) +
+        " nodes at gap " + std::to_string(labels_.gap) +
+        " passes the 32-bit label limit");
+  }
+  return Status::Ok();
+}
+
+void DynamicClosure::CompactNumbering() {
+  ++stats_.renumbers;
+  if (num_refined_ > 0) {
+    Reoptimize();
+  } else {
+    Renumber();
+  }
+}
+
 StatusOr<NodeId> DynamicClosure::AddLeafUnder(NodeId parent) {
   if (parent != kNoNode && !graph_.IsValidNode(parent)) {
     return InvalidArgumentError("invalid parent " + std::to_string(parent));
   }
+  TREL_RETURN_IF_ERROR(CheckRoomForOneMore());
 
   const NodeId node = graph_.AddNode();
   GrowNodeState();
 
   if (parent == kNoNode) {
-    // New root: append past the current maximum.  The gap below the new
-    // number is its private insertion room; the interval starts above the
-    // previous node's reserve pool.
+    // New root: append past the current maximum, unless that would carry
+    // its number (padded by a full reserve pool) past the arena's 32-bit
+    // labels; then compact the numbering, which also labels the new root.
+    if (MaxLabelPastMax(1) >= kArenaLabelLimit) {
+      CompactNumbering();
+      return node;
+    }
+    // The gap below the new number is its private insertion room; the
+    // interval starts above the previous node's reserve pool.
     const Label max_before = MaxAssigned();
     const Label number = max_before + labels_.gap;
     labels_.postorder[node] = number;
@@ -177,12 +210,7 @@ StatusOr<NodeId> DynamicClosure::AddLeafUnder(NodeId parent) {
     // Hole exhausted: rebuild the numbering, which restores full gaps and
     // labels the new node (it is already in the tree structure).  With
     // gap == 1 every insertion takes this path.
-    ++stats_.renumbers;
-    if (num_refined_ > 0) {
-      Reoptimize();
-    } else {
-      Renumber();
-    }
+    CompactNumbering();
     return node;
   }
   const Label number = floor + (n2 - floor) / 2;
@@ -286,6 +314,9 @@ StatusOr<NodeId> DynamicClosure::RefineAbove(
         "reserve pool of node " + std::to_string(child) +
         " exhausted; call Renumber() or Reoptimize() first");
   }
+  // z's own number comes from the child's pool, but a later renumber must
+  // still fit every node.
+  TREL_RETURN_IF_ERROR(CheckRoomForOneMore());
 
   // Record which parents need interval propagation (those not already
   // reaching the child) before mutating the graph.
@@ -369,6 +400,15 @@ Status DynamicClosure::RemoveArc(NodeId from, NodeId to) {
       }
     }
     for (NodeId v : subtree) by_postorder_.erase(labels_.postorder[v]);
+    // Each such deletion moves the numbering up while the node count
+    // stays put.  When the subtree would land past the arena's 32-bit
+    // labels, compact the whole numbering instead; that relabels and
+    // re-propagates everything itself.
+    if (MaxLabelPastMax(static_cast<int64_t>(subtree.size())) >=
+        kArenaLabelLimit) {
+      CompactNumbering();
+      return Status::Ok();
+    }
     Label next = MaxAssigned();
     // Postorder re-assignment within the detached subtree.
     struct Frame {
@@ -612,32 +652,40 @@ StatusOr<DynamicClosure> DynamicClosure::Load(std::istream& in) {
     return InvalidArgumentError("unknown tree cover strategy " +
                                 std::to_string(strategy));
   }
+  // Every later renumber must fit the arena's 32-bit labels.
+  if (!CompactNumberingFits(n64, gap, reserve)) {
+    return InvalidArgumentError("snapshot numbering passes the 32-bit labels");
+  }
   const NodeId n = static_cast<NodeId>(n64);
+  // Every label the arena will hold: postorder numbers, tree intervals and
+  // interval endpoints.
+  const auto arena_label = [](int64_t x) {
+    return x >= 0 && x < kArenaLabelLimit;
+  };
 
   ClosureOptions options;
   options.strategy = static_cast<TreeCoverStrategy>(strategy);
   options.labeling.gap = gap;
   options.labeling.reserve = reserve;
   DynamicClosure closure(options);
-  closure.graph_ = Digraph(n);
+  // The header's counts are untrusted, so nothing is sized by them: arcs
+  // are buffered and per-node state grows record by record, keeping
+  // memory proportional to the bytes actually read.  The graph is built
+  // after the last record.
+  std::vector<std::pair<NodeId, NodeId>> arcs;
   for (int64_t k = 0; k < num_arcs; ++k) {
     int64_t from, to;
     if (!GetI64(in, from) || !GetI64(in, to)) {
       return InvalidArgumentError("truncated arc list");
     }
-    TREL_RETURN_IF_ERROR(closure.graph_.AddArc(static_cast<NodeId>(from),
-                                               static_cast<NodeId>(to)));
+    if (from < 0 || from >= n64 || to < 0 || to >= n64) {
+      return InvalidArgumentError("corrupt arc endpoint");
+    }
+    arcs.emplace_back(static_cast<NodeId>(from), static_cast<NodeId>(to));
   }
 
   closure.labels_.gap = gap;
   closure.labels_.reserve = reserve;
-  closure.labels_.postorder.assign(n, 0);
-  closure.labels_.tree_interval.assign(n, Interval{0, 0});
-  closure.labels_.intervals.assign(n, IntervalSet());
-  closure.tree_parent_.assign(n, kNoNode);
-  closure.tree_children_.assign(n, {});
-  closure.reserve_remaining_.assign(n, 0);
-  closure.is_refined_.assign(n, false);
   closure.num_refined_ = 0;
 
   for (NodeId v = 0; v < n; ++v) {
@@ -647,35 +695,52 @@ StatusOr<DynamicClosure> DynamicClosure::Load(std::istream& in) {
         !GetI64(in, refined) || !GetI64(in, interval_count)) {
       return InvalidArgumentError("truncated node record");
     }
+    if (!arena_label(postorder)) {
+      return InvalidArgumentError("corrupt postorder number");
+    }
+    if (!arena_label(lo) || !arena_label(hi) || lo > hi) {
+      return InvalidArgumentError("corrupt tree interval");
+    }
     if (parent != kNoNode && (parent < 0 || parent >= n64)) {
       return InvalidArgumentError("corrupt tree parent");
+    }
+    // The pool pads the node's interval when propagated, so the padded
+    // end must stay an arena label too.
+    if (remaining < 0 || remaining > reserve ||
+        !arena_label(postorder + remaining)) {
+      return InvalidArgumentError("corrupt reserve pool");
     }
     if (interval_count < 0 || interval_count > n64 + 1) {
       return InvalidArgumentError("corrupt interval count");
     }
-    closure.labels_.postorder[v] = postorder;
-    closure.labels_.tree_interval[v] = Interval{lo, hi};
-    closure.tree_parent_[v] = static_cast<NodeId>(parent);
-    closure.reserve_remaining_[v] = remaining;
-    closure.is_refined_[v] = refined != 0;
+    closure.labels_.postorder.push_back(postorder);
+    closure.labels_.tree_interval.push_back(Interval{lo, hi});
+    closure.tree_parent_.push_back(static_cast<NodeId>(parent));
+    closure.reserve_remaining_.push_back(remaining);
+    closure.is_refined_.push_back(refined != 0);
     if (refined != 0) ++closure.num_refined_;
+    IntervalSet& intervals = closure.labels_.intervals.emplace_back();
     for (int64_t k = 0; k < interval_count; ++k) {
       int64_t ilo, ihi;
-      if (!GetI64(in, ilo) || !GetI64(in, ihi) || ilo > ihi) {
+      if (!GetI64(in, ilo) || !GetI64(in, ihi)) {
+        return InvalidArgumentError("truncated interval record");
+      }
+      if (!arena_label(ilo) || !arena_label(ihi) || ilo > ihi) {
         return InvalidArgumentError("corrupt interval record");
       }
-      closure.labels_.intervals[v].Insert(Interval{ilo, ihi});
+      intervals.Insert(Interval{ilo, ihi});
     }
     int64_t child_count;
     if (!GetI64(in, child_count) || child_count < 0 || child_count > n64) {
       return InvalidArgumentError("corrupt child count");
     }
+    std::vector<NodeId>& children = closure.tree_children_.emplace_back();
     for (int64_t k = 0; k < child_count; ++k) {
       int64_t child;
       if (!GetI64(in, child) || child < 0 || child >= n64) {
         return InvalidArgumentError("corrupt child record");
       }
-      closure.tree_children_[v].push_back(static_cast<NodeId>(child));
+      children.push_back(static_cast<NodeId>(child));
     }
     if (closure.by_postorder_.count(postorder) > 0) {
       return InvalidArgumentError("duplicate postorder number");
@@ -686,6 +751,10 @@ StatusOr<DynamicClosure> DynamicClosure::Load(std::istream& in) {
       !GetI64(in, closure.stats_.reoptimizes) ||
       !GetI64(in, closure.stats_.propagation_node_visits)) {
     return InvalidArgumentError("truncated stats record");
+  }
+  closure.graph_ = Digraph(n);
+  for (const auto& [from, to] : arcs) {
+    TREL_RETURN_IF_ERROR(closure.graph_.AddArc(from, to));
   }
   // A restarted process has no snapshot to be a delta base; everything is
   // dirty until the first full export.

@@ -40,7 +40,7 @@ namespace trel {
 class DynamicClosure {
  public:
   struct Stats {
-    int64_t renumbers = 0;      // automatic Renumber() invocations
+    int64_t renumbers = 0;      // automatic renumberings (CompactNumbering)
     int64_t reoptimizes = 0;    // full rebuilds (explicit or forced)
     int64_t chain_rebuilds = 0;  // chain-fast rebuilds (RebuildWithChains)
     int64_t propagation_node_visits = 0;  // nodes touched by AddArc floods
@@ -81,8 +81,12 @@ class DynamicClosure {
   // --- Updates (paper Section 4) -----------------------------------------
 
   // "Addition of a tree arc": creates a new node with tree parent
-  // `parent`, or a new root if parent == kNoNode.  Never fails for valid
-  // parents; renumbers automatically when the hole below `parent` is full.
+  // `parent`, or a new root if parent == kNoNode.  Renumbers
+  // automatically when the hole below `parent` is full, or when a new
+  // root's number would pass the arena's 32-bit labels.  Fails with
+  // InvalidArgument on an invalid parent, and with ResourceExhausted,
+  // before changing anything, when even a compact numbering of one more
+  // node would pass the 32-bit labels (see CompactNumberingFits).
   StatusOr<NodeId> AddLeafUnder(NodeId parent);
 
   // "Addition of a non-tree arc" between existing nodes.  Propagates the
@@ -97,15 +101,18 @@ class DynamicClosure {
   // no interval updates.  Soundness requires `parents` to include every
   // current immediate predecessor of `child` (otherwise some node would
   // claim to reach z without a path); fails with FailedPrecondition if
-  // violated, if child's reserve pool is exhausted, or on cycles.
+  // violated, if child's reserve pool is exhausted, or on cycles, and
+  // with ResourceExhausted like AddLeafUnder.
   // Runs in O(|parents|) when every parent already reaches child.
   StatusOr<NodeId> RefineAbove(NodeId child,
                                const std::vector<NodeId>& parents);
 
   // Section 4.2 deletions.  Tree-arc removal detaches the subtree (it is
-  // renumbered past the current maximum and re-rooted, per the paper);
-  // non-tree removal recomputes non-tree intervals in reverse topological
-  // order.  Falls back to Reoptimize() when refined nodes are present.
+  // renumbered past the current maximum and re-rooted, per the paper, or
+  // the whole numbering is compacted when that would pass the arena's
+  // 32-bit labels); non-tree removal recomputes non-tree intervals in
+  // reverse topological order.  Falls back to Reoptimize() when refined
+  // nodes are present.
   Status RemoveArc(NodeId from, NodeId to);
 
   // --- Persistence ---------------------------------------------------------
@@ -208,6 +215,15 @@ class DynamicClosure {
   void MarkAllDirty();
   // Largest assigned postorder number (0 when empty).
   Label MaxAssigned() const;
+  // Highest label that numbering `count` more nodes past MaxAssigned(),
+  // `gap` apart and each with a full reserve pool, would create.
+  Label MaxLabelPastMax(int64_t count) const;
+  // ResourceExhausted iff a compact numbering of NumNodes() + 1 nodes
+  // would pass the arena's 32-bit labels.
+  Status CheckRoomForOneMore() const;
+  // Renumber(), or Reoptimize() when refined nodes exist: both compact
+  // the numbering to gap × rank.  Counted in stats().renumbers.
+  void CompactNumbering();
   // Assigned number strictly below `x`, or 0.
   Label PreviousAssigned(Label x) const;
   // Flood `delta` into `start` and transitively into predecessors,

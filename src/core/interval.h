@@ -9,9 +9,17 @@
 
 namespace trel {
 
-// Postorder numbers are 64-bit so that gap-based incremental numbering
-// (Section 4 of the paper) has room to subdivide.
+// Postorder numbers are 64-bit everywhere outside the flat LabelArena
+// (label_arena.h), so that gap-based incremental numbering (Section 4 of
+// the paper) can compute with them without overflow.  The arena, the
+// closure's only query-time label store, keeps each label in 32 bits, so
+// every label that reaches it must lie in [0, kArenaLabelLimit).  The
+// label creators keep them there: BuildLabels and BuildChainLabeling
+// reject numberings that would pass it, DynamicClosure compacts its
+// numbering before drifting past it, and DynamicClosure::Load rejects
+// images that hold larger labels.
 using Label = int64_t;
+inline constexpr Label kArenaLabelLimit = Label{1} << 32;
 
 // Closed numeric interval [lo, hi] of postorder numbers.
 struct Interval {

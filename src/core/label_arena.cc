@@ -20,13 +20,32 @@ constexpr int64_t kSortShards = 8;
 
 constexpr int64_t kFilterBuckets = LabelArena::kFilterWords * 64;
 
+// The builders' range check: every label an arena holds must fit its
+// 32-bit form.  The label creators keep theirs below the limit (see
+// interval.h), so this only fires on a bug.
+void CheckArenaLabel(Label x) {
+  TREL_CHECK(x >= 0 && x < kArenaLabelLimit)
+      << "label " << x << " lies outside the arena's range [0, 2^32)";
+}
+
+ArenaLabel NarrowLabel(Label x) {
+  CheckArenaLabel(x);
+  return static_cast<ArenaLabel>(x);
+}
+
+// Narrows an interval whose endpoints were already range-checked.
+ArenaInterval NarrowChecked(const Interval& interval) {
+  return ArenaInterval{static_cast<ArenaLabel>(interval.lo),
+                       static_cast<ArenaLabel>(interval.hi)};
+}
+
 // Writes sorted[0..k) into out[1..k] in Eytzinger (BFS) order: the
 // in-order traversal of the implicit tree rooted at 1 visits ascending.
-void FillEytzinger(const Interval* sorted, uint32_t k, Interval* out,
+void FillEytzinger(const Interval* sorted, uint32_t k, ArenaInterval* out,
                    uint32_t i, uint32_t& pos) {
   if (i > k) return;
   FillEytzinger(sorted, k, out, 2 * i, pos);
-  out[i] = sorted[pos++];
+  out[i] = NarrowChecked(sorted[pos++]);
   FillEytzinger(sorted, k, out, 2 * i + 1, pos);
 }
 
@@ -40,11 +59,12 @@ int FilterShiftFor(Label max_label) {
 
 // Sets the coverage-filter bits of every interval in [begin, end), in any
 // order, into one node's filter line.
-void MarkFilter(const Interval* begin, const Interval* end, int shift,
-                uint64_t* words) {
-  for (const Interval* it = begin; it != end; ++it) {
-    const Label b_lo = it->lo >> shift;
-    const Label b_hi = std::min<Label>(it->hi >> shift, kFilterBuckets - 1);
+void MarkFilter(const ArenaInterval* begin, const ArenaInterval* end,
+                int shift, uint64_t* words) {
+  for (const ArenaInterval* it = begin; it != end; ++it) {
+    const Label b_lo = Label{it->lo} >> shift;
+    const Label b_hi =
+        std::min<Label>(Label{it->hi} >> shift, kFilterBuckets - 1);
     // Word-at-a-time fill: two masked writes plus a run of full words.
     // Wide intervals on dense closures span hundreds of buckets, and the
     // old bit-per-bucket loop was a measurable share of arena build time.
@@ -66,19 +86,21 @@ void MarkFilter(const Interval* begin, const Interval* end, int shift,
 // Eytzinger run at `run`, and its filter line from `set`, a sorted
 // antichain.
 void FillNode(const std::vector<Interval>& set, int shift,
-              LabelArena::NodeSlot& slot, Interval* run, uint64_t* words) {
+              LabelArena::NodeSlot& slot, ArenaInterval* run,
+              uint64_t* words) {
   if (set.empty()) return;
-  slot.first = set[0];
+  // Sorted antichain: both endpoint sequences ascend and every lo <= hi,
+  // so the first lo and the last hi bound every endpoint of the set.
+  CheckArenaLabel(set.front().lo);
+  CheckArenaLabel(set.back().hi);
+  slot.first = NarrowChecked(set[0]);
   slot.extra_count = static_cast<uint32_t>(set.size() - 1);
   if (slot.extra_count == 0) return;
-  TREL_CHECK_GE(set[1].lo, 0)
-      << "filter bucketing requires nonnegative interval endpoints";
   uint32_t pos = 0;
   FillEytzinger(set.data() + 1, slot.extra_count, run, 1, pos);
-  // Summary slot: the extras' min lo / max hi (sorted antichain: both
-  // endpoint sequences ascend), for the O(1) range reject.
-  run[0] = Interval{set[1].lo, set.back().hi};
-  MarkFilter(set.data() + 1, set.data() + set.size(), shift, words);
+  // Summary slot: the extras' min lo / max hi, for the O(1) range reject.
+  run[0] = NarrowChecked(Interval{set[1].lo, set.back().hi});
+  MarkFilter(run + 1, run + slot.extra_count + 1, shift, words);
 }
 
 }  // namespace
@@ -95,9 +117,9 @@ int64_t LabelArena::DirUpperBound(Label x) const {
 
 int64_t LabelArena::ByteSize() const {
   return static_cast<int64_t>(slots.size() * sizeof(NodeSlot) +
-                              extras.size() * sizeof(Interval) +
+                              extras.size() * sizeof(ArenaInterval) +
                               filters.size() * sizeof(uint64_t) +
-                              dir_labels.size() * sizeof(Label) +
+                              dir_labels.size() * sizeof(ArenaLabel) +
                               dir_nodes.size() * sizeof(NodeId));
 }
 
@@ -120,12 +142,11 @@ LabelArena BuildLabelArena(const NodeLabels& labels,
       };
 
   // Filter bucket scale: the largest assigned postorder number must land
-  // in the last bucket or below.  Labels are nonnegative (postorder
-  // numbering starts at 1; gap numbering only stretches upward).
+  // in the last bucket or below.  The range check also keeps every
+  // number inside the 32-bit slot and directory fields.
   Label max_label = 0;
   for (int64_t v = 0; v < n; ++v) {
-    TREL_CHECK_GE(labels.postorder[v], 0)
-        << "filter bucketing requires nonnegative postorder numbers";
+    CheckArenaLabel(labels.postorder[v]);
     max_label = std::max(max_label, labels.postorder[v]);
   }
   arena.filter_shift = FilterShiftFor(max_label);
@@ -152,20 +173,20 @@ LabelArena BuildLabelArena(const NodeLabels& labels,
 
   // Pass 2: fill slots, the per-node Eytzinger runs, and the coverage
   // filters.  Disjoint writes per node, so the pass shards cleanly.
+  // Slots are filled in place, so their padding keeps resize()'s zeros.
   arena.slots.resize(n);
-  arena.extras.resize(extra_begin[n], Interval{1, 0});
+  arena.extras.resize(extra_begin[n], ArenaInterval{1, 0});
   arena.filters.assign(static_cast<size_t>(n) * LabelArena::kFilterWords, 0);
   const int shift = arena.filter_shift;
   for_range(n, [&](int64_t begin, int64_t end) {
     for (int64_t v = begin; v < end; ++v) {
-      LabelArena::NodeSlot slot;
-      slot.postorder = labels.postorder[v];
+      LabelArena::NodeSlot& slot = arena.slots[v];
+      slot.postorder = static_cast<ArenaLabel>(labels.postorder[v]);
       slot.extra_begin = extra_begin[v];
       FillNode(labels.intervals[v].intervals(), shift, slot,
                arena.extras.data() + extra_begin[v],
                arena.filters.data() +
                    static_cast<size_t>(v) * LabelArena::kFilterWords);
-      arena.slots[v] = slot;
     }
   });
 
@@ -215,12 +236,14 @@ LabelArena BuildLabelArena(const NodeLabels& labels,
         << "sorted_directory must be sorted by postorder number";
   }
 
-  // Pass 4: split the directory into structure-of-arrays form.
+  // Pass 4: split the directory into structure-of-arrays form.  A
+  // caller's directory holds the same numbers pass 2 checked, unless it
+  // is inconsistent with `labels`, so it is narrowed with a check too.
   arena.dir_labels.resize(n);
   arena.dir_nodes.resize(n);
   for_range(n, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      arena.dir_labels[i] = sorted_directory[i].first;
+      arena.dir_labels[i] = NarrowLabel(sorted_directory[i].first);
       arena.dir_nodes[i] = sorted_directory[i].second;
     }
   });
@@ -244,19 +267,19 @@ LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
       total += set.size() > 1 ? set.size() : 0;
     } else {
       const LabelArena::NodeSlot& s = from->slots[m.from_slot];
-      max_label = std::max(max_label, s.first.hi);
+      max_label = std::max<Label>(max_label, s.first.hi);
       if (s.extra_count > 0) {
-        max_label = std::max(max_label, from->extras[s.extra_begin].hi);
+        max_label =
+            std::max<Label>(max_label, from->extras[s.extra_begin].hi);
         total += s.extra_count + 1;
       }
     }
   }
-  TREL_CHECK(n == 0 || members.front().postorder >= 0)
-      << "filter bucketing requires nonnegative postorder numbers";
   TREL_CHECK_LE(total, std::numeric_limits<uint32_t>::max())
       << "arena extras exceed the 32-bit slot offset";
   arena.filter_shift = FilterShiftFor(max_label);
 
+  // Slots are filled in place, so their padding keeps resize()'s zeros.
   arena.slots.resize(n);
   // Appended run by run: carried runs are most of the bytes, and copying
   // them into a pre-filled array would write every byte twice.
@@ -268,10 +291,11 @@ LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
     const OverlayMember& m = members[i];
     TREL_CHECK(i == 0 || members[i - 1].postorder < m.postorder)
         << "overlay members must be sorted by postorder number";
-    arena.dir_labels[i] = m.postorder;
+    const ArenaLabel postorder = NarrowLabel(m.postorder);
+    arena.dir_labels[i] = postorder;
     arena.dir_nodes[i] = m.node;
     LabelArena::NodeSlot& slot = arena.slots[i];
-    slot.postorder = m.postorder;
+    slot.postorder = postorder;
     slot.extra_begin = static_cast<uint32_t>(arena.extras.size());
     uint64_t* words = arena.filters.data() +
                       static_cast<size_t>(i) * LabelArena::kFilterWords;
@@ -289,7 +313,7 @@ LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
     slot.first = s.first;
     slot.extra_count = s.extra_count;
     if (s.extra_count == 0) continue;
-    const Interval* src = from->extras.data() + s.extra_begin;
+    const ArenaInterval* src = from->extras.data() + s.extra_begin;
     arena.extras.insert(arena.extras.end(), src, src + s.extra_count + 1);
     if (from->filter_shift == arena.filter_shift) {
       const uint64_t* line =

@@ -19,6 +19,22 @@ namespace trel {
 using ParallelRunner =
     std::function<void(int64_t, const std::function<void(int64_t, int64_t)>&)>;
 
+// A label as the arena stores it.  Labels are 64-bit (`Label`) everywhere
+// else; every postorder number and interval endpoint an arena holds lies
+// in [0, kArenaLabelLimit), which the builders below check as they narrow
+// (see interval.h for who keeps labels there).  Numbering starts at the
+// gap and every renumber compacts it, so labels are stored absolute, with
+// no per-arena base to subtract on every probe.
+using ArenaLabel = uint32_t;
+
+// An interval as the arena stores it: two 32-bit endpoints, 8 bytes.
+struct ArenaInterval {
+  ArenaLabel lo;
+  ArenaLabel hi;
+
+  Interval Widen() const { return Interval{lo, hi}; }
+};
+
 // Flat, cache-friendly storage for an interval labeling — the only label
 // store of a CompressedClosure: its immutable base layer, and (over just
 // the overlaid nodes) its WithDelta overlay layer.
@@ -32,20 +48,20 @@ using ParallelRunner =
 // where nearly all query time goes.  The arena attacks both:
 //
 //   * `slots[v]` packs v's postorder number, its FIRST interval inline,
-//     and the location of any remaining intervals, into one 32-byte slot
-//     (two slots per cache line).  Most nodes carry a single interval
-//     (the paper's central observation), so `slots[u]` + `slots[v]` is
-//     the whole query.
+//     and the location of any remaining intervals — 20 bytes of fields —
+//     into one 32-byte-aligned slot (two slots per cache line).  Most
+//     nodes carry a single interval (the paper's central observation),
+//     so `slots[u]` + `slots[v]` is the whole query.
 //   * `extras` holds every interval after the first, for all nodes,
-//     grouped by node id.  Each node's run is laid out as an implicit
-//     BFS (Eytzinger) search tree keyed on `hi`, NOT in sorted order:
-//     the probe path descends index 2i/2i+1 so the next two levels can
-//     be software-prefetched while the current compare resolves, which
-//     roughly halves the dependent-miss chain of the search.  Index 0 of
-//     the run holds a summary interval {min lo, max hi} of the extras
-//     for an O(1) out-of-range reject; the tree occupies indices
-//     1..extra_count.  In-order traversal recovers ascending order
-//     (ForEachExtra).
+//     grouped by node id, at 8 bytes each.  Each node's run is laid out
+//     as an implicit BFS (Eytzinger) search tree keyed on `hi`, NOT in
+//     sorted order: the probe path descends index 2i/2i+1 so the next
+//     two levels can be software-prefetched while the current compare
+//     resolves, which roughly halves the dependent-miss chain of the
+//     search.  Index 0 of the run holds a summary interval {min lo, max
+//     hi} of the extras for an O(1) out-of-range reject; the tree
+//     occupies indices 1..extra_count.  In-order traversal recovers
+//     ascending order (ForEachExtra).
 //   * `filters` gives every node one 64-byte (512-bit) coverage bitmap
 //     over the postorder-label space (bucket = label >> filter_shift).
 //     A bit is set iff some extra of the node intersects that bucket.
@@ -54,23 +70,27 @@ using ParallelRunner =
 //     absence with a single cache-line load instead of a tree descent.
 //   * `dir_labels`/`dir_nodes` are the sorted postorder->node directory
 //     split into parallel arrays, so range binary searches touch densely
-//     packed labels and enumeration copies densely packed node ids.
+//     packed 4-byte labels and enumeration copies densely packed node ids.
 //
 // Everything here is plain data: built once, shared via shared_ptr by
 // WithDelta overlay snapshots, never mutated afterwards.  Slot indices are
 // node ids for a base arena; an overlay arena numbers its slots densely
 // and keeps the global node ids in `dir_nodes`.
 struct LabelArena {
-  struct NodeSlot {
-    Label postorder = 0;
+  // 20 bytes of fields, aligned to 32 so that a cache line holds exactly
+  // two slots and no slot straddles lines.  The builders write slots in
+  // place over value-initialized storage, so the padding stays zero and
+  // equal arenas compare equal byte for byte.
+  struct alignas(32) NodeSlot {
+    ArenaLabel postorder = 0;
     // The node's first (lowest-lo) interval; [1, 0] (empty) when the node
-    // has no intervals at all, so Contains() rejects without a branch on
-    // a separate count.
-    Interval first{1, 0};
+    // has no intervals at all, so a probe rejects without a branch on a
+    // separate count.
+    ArenaInterval first{1, 0};
     // Remaining intervals live in the Eytzinger run extras[extra_begin,
     // extra_begin + extra_count] (index extra_begin is the summary slot;
-    // zero run slots when extra_count == 0).  uint32 keeps the slot at 32
-    // bytes; arenas past 4G intervals are rejected at build time.
+    // zero run slots when extra_count == 0).  Arenas past 4G intervals
+    // are rejected at build time.
     uint32_t extra_begin = 0;
     uint32_t extra_count = 0;
   };
@@ -80,9 +100,9 @@ struct LabelArena {
   static constexpr int64_t kFilterWords = 8;
 
   std::vector<NodeSlot> slots;
-  std::vector<Interval> extras;
+  std::vector<ArenaInterval> extras;
   std::vector<uint64_t> filters;
-  std::vector<Label> dir_labels;
+  std::vector<ArenaLabel> dir_labels;
   std::vector<NodeId> dir_nodes;
   // Label-space scaling for filter buckets: bucket(x) = uint64(x) >>
   // filter_shift, guaranteed < kFilterWords * 64 for every assigned label
@@ -104,51 +124,14 @@ struct LabelArena {
     __builtin_prefetch(filters.data() + u * kFilterWords);
   }
 
-  // True iff some interval of `u` contains `x`.  The hot read path:
-  // inline first-interval check, then filter reject, then the prefetched
-  // Eytzinger descent — about two dependent misses end to end on large
-  // arenas where the old sorted-run binary search took six or more.
-  bool Contains(NodeId u, Label x) const {
-    const NodeSlot& s = slots[u];
-    if (x < s.first.lo) return false;  // Antichain: every lo is >= first.lo.
-    if (x <= s.first.hi) return true;
-    if (s.extra_count == 0) return false;
-    const Interval* base = extras.data() + s.extra_begin;
-    __builtin_prefetch(base);
-    const uint64_t b = static_cast<uint64_t>(x) >> filter_shift;
-    // Labels past the last bucket exceed every label this arena was built
-    // from (delta snapshots probe new nodes' numbers against old arenas),
-    // so no interval here can contain them.
-    if (b >= static_cast<uint64_t>(kFilterWords) * 64) return false;
-    if (((filters[u * kFilterWords + (b >> 6)] >> (b & 63)) & 1) == 0) {
-      return false;
-    }
-    if (x > base[0].hi) return false;  // Above every extra's hi.
-    // Descend for the smallest hi >= x; its lo decides (antichain: both
-    // endpoint sequences ascend in sorted order).  `cand` tracks the last
-    // left turn, i.e. the in-order successor when the walk falls off.
-    const uint32_t k = s.extra_count;
-    uint32_t i = 1, cand = 0;
-    while (i <= k) {
-      __builtin_prefetch(base + 4 * static_cast<size_t>(i));
-      if (base[i].hi >= x) {
-        cand = i;
-        i = 2 * i;
-      } else {
-        i = 2 * i + 1;
-      }
-    }
-    return cand != 0 && base[cand].lo <= x;
-  }
-
   // In-order traversal of u's extras — ascending (lo, hi) — calling
-  // `fn(const Interval&)`; stops early when fn returns false.  Returns
-  // false iff stopped early.
+  // `fn(const Interval&)` with each one widened to 64-bit labels; stops
+  // early when fn returns false.  Returns false iff stopped early.
   template <typename Fn>
   bool ForEachExtra(NodeId u, Fn&& fn) const {
     const NodeSlot& s = slots[u];
     if (s.extra_count == 0) return true;
-    const Interval* base = extras.data() + s.extra_begin;
+    const ArenaInterval* base = extras.data() + s.extra_begin;
     const uint32_t k = s.extra_count;
     // Iterative in-order walk of the implicit tree.  The explicit stack
     // holds the ancestors whose left subtree is still in progress, so
@@ -164,23 +147,28 @@ struct LabelArena {
         i = 2 * i;
       }
       const uint32_t node = stack[--top];
-      if (!fn(base[node])) return false;
+      if (!fn(base[node].Widen())) return false;
       i = 2 * node + 1;
     }
     return true;
   }
 
   // Directory binary searches: index of the first entry with label >= x /
-  // > x.  The label array is contiguous 8-byte keys, so these walk the
-  // minimum possible number of cache lines.
+  // > x.  The label array is contiguous 4-byte keys, so these walk the
+  // minimum possible number of cache lines.  `x` may be any Label: the
+  // compares widen the stored labels, never narrow x.
   int64_t DirLowerBound(Label x) const;
   int64_t DirUpperBound(Label x) const;
 
-  // Bytes held by the flat arrays (capacity is trimmed at build time).
+  // Bytes held by the flat arrays — slots (padding included), extras,
+  // filters and both directory arrays — each counted at its element size
+  // (capacity is trimmed at build time).
   int64_t ByteSize() const;
 };
 
-// Builds the arena for `labels`.
+// Builds the arena for `labels`, narrowing every label to 32 bits; aborts
+// if a postorder number or interval endpoint lies outside
+// [0, kArenaLabelLimit) (no labeling the library builds or loads does).
 //
 // `sorted_directory` may carry all (postorder, node) pairs already sorted
 // by postorder number — DynamicClosure maintains exactly this map, and
@@ -212,8 +200,8 @@ struct OverlayMember {
 // slot, run and (at an unchanged bucket scale) filter line from `from`
 // as is.  The coverage filters span every interval endpoint stored, not
 // just the members' postorders: an overlaid node's intervals reach
-// numbers owned by nodes outside the overlay, and Contains() answers
-// false past the last bucket.
+// numbers owned by nodes outside the overlay, and a probe answers false
+// past the last bucket.  Narrows and range-checks like BuildLabelArena.
 LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
                              const LabelArena* from);
 

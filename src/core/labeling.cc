@@ -1,6 +1,7 @@
 #include "core/labeling.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -84,6 +85,13 @@ void PropagateIntervals(const Digraph& graph,
   }
 }
 
+bool CompactNumberingFits(int64_t num_nodes, Label gap, Label reserve) {
+  if (num_nodes <= 0) return true;
+  const Label room = kArenaLabelLimit - 1 - reserve;
+  // num_nodes * gap <= room, without the product overflowing.
+  return room >= 0 && gap <= room / num_nodes;
+}
+
 StatusOr<NodeLabels> BuildLabels(const Digraph& graph, const TreeCover& cover,
                                  const LabelingOptions& options) {
   if (cover.NumNodes() != graph.NumNodes()) {
@@ -94,6 +102,11 @@ StatusOr<NodeLabels> BuildLabels(const Digraph& graph, const TreeCover& cover,
   }
   if (options.reserve < 0 || options.reserve >= options.gap) {
     return InvalidArgumentError("reserve must be in [0, gap)");
+  }
+  if (!CompactNumberingFits(graph.NumNodes(), options.gap, options.reserve)) {
+    return InvalidArgumentError(
+        "numbering " + std::to_string(graph.NumNodes()) + " nodes at gap " +
+        std::to_string(options.gap) + " passes the 32-bit label limit");
   }
   TREL_ASSIGN_OR_RETURN(std::vector<NodeId> topo, TopologicalOrder(graph));
 

@@ -58,10 +58,17 @@ struct NodeLabels {
   int64_t StorageUnits() const { return 2 * TotalIntervals(); }
 };
 
+// True iff a compact numbering of `num_nodes` nodes `gap` apart keeps
+// every label below kArenaLabelLimit: the highest number, num_nodes ×
+// gap, padded by `reserve` when propagated, must stay under 2^32.
+// Expects gap >= 1 and reserve in [0, gap).
+bool CompactNumberingFits(int64_t num_nodes, Label gap, Label reserve);
+
 // Assigns postorder numbers and tree intervals, then propagates interval
 // sets in reverse topological order over all arcs, discarding subsumed
 // intervals (Section 3.2).  Fails if `graph` is cyclic or options are
-// inconsistent.
+// inconsistent, and with InvalidArgument when the numbering would not
+// fit the arena's 32-bit labels (see CompactNumberingFits).
 StatusOr<NodeLabels> BuildLabels(const Digraph& graph, const TreeCover& cover,
                                  const LabelingOptions& options = {});
 

@@ -32,8 +32,8 @@ namespace trel {
 // scratch is thread-local).
 class TreeCoverIndex {
  public:
-  // Compact per-tree label: ranks fit int32 (they index [0, n)), halving
-  // the footprint of the arena's 16-byte Interval.
+  // Compact per-tree label: ranks fit int32 (they index [0, n)), so a
+  // label takes 8 bytes, like an arena interval, not a 16-byte Interval.
   struct TreeLabel {
     int32_t lo = 0;
     int32_t hi = -1;

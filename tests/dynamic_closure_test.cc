@@ -1,6 +1,8 @@
 #include "core/dynamic_closure.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -341,6 +343,130 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.gap) + "_res" +
              std::to_string(info.param.reserve);
     });
+
+// Near 2^27 apart, at most 32 nodes fit below the arena's 2^32 label
+// limit.  New roots and tree-arc deletions number past the current
+// maximum, so they soon reach the limit and must compact the numbering
+// instead.  Every step checks that all labels stay arena labels and that
+// the index, a delta snapshot over the previous one, and a full export
+// all answer like DFS.
+class LabelLimitTest : public ::testing::Test {
+ protected:
+  static constexpr Label kGap = (Label{1} << 27) - 3;  // 32 × gap < 2^32.
+  static constexpr NodeId kMaxNodes = 32;
+
+  void SetUp() override {
+    ClosureOptions options = DynamicClosure::DefaultOptions();
+    options.labeling.gap = kGap;
+    // A path 0 -> 1 -> ... -> 9 plus two shortcuts.
+    Digraph graph(10);
+    for (NodeId v = 0; v + 1 < 10; ++v) ASSERT_TRUE(graph.AddArc(v, v + 1).ok());
+    ASSERT_TRUE(graph.AddArc(0, 5).ok());
+    ASSERT_TRUE(graph.AddArc(3, 9).ok());
+    auto built = DynamicClosure::Build(graph, options);
+    ASSERT_TRUE(built.ok());
+    closure_ = std::move(built).value();
+    base_ = closure_.ExportClosure();
+    closure_.MarkClean();
+  }
+
+  void ExpectExact(const std::string& step) {
+    const NodeLabels& labels = closure_.labels();
+    for (NodeId v = 0; v < closure_.NumNodes(); ++v) {
+      // A full reserve pool above each number must fit too: AddArc pads
+      // propagated tree intervals with it.
+      ASSERT_LT(labels.postorder[v] + labels.reserve, kArenaLabelLimit)
+          << step << " node " << v;
+      ASSERT_LT(labels.intervals[v].intervals().back().hi, kArenaLabelLimit)
+          << step << " node " << v;
+    }
+    const CompressedClosure delta =
+        CompressedClosure::WithDelta(base_, closure_.ExportDelta());
+    const CompressedClosure full = closure_.ExportClosure();
+    const ReachabilityMatrix truth(closure_.graph());
+    for (NodeId u = 0; u < closure_.NumNodes(); ++u) {
+      for (NodeId v = 0; v < closure_.NumNodes(); ++v) {
+        const bool want = truth.Reaches(u, v);
+        ASSERT_EQ(closure_.Reaches(u, v), want) << step << " " << u << "->" << v;
+        ASSERT_EQ(delta.Reaches(u, v), want) << step << " delta " << u << "->" << v;
+        ASSERT_EQ(full.Reaches(u, v), want) << step << " full " << u << "->" << v;
+      }
+    }
+    // Alternate delta chains and fresh full bases.
+    base_ = ++steps_ % 3 == 0 ? full : delta;
+  }
+
+  // Deletes the tree arc into the lowest-id node that has a tree parent.
+  void RemoveSomeTreeArc() {
+    for (NodeId v = 0; v < closure_.NumNodes(); ++v) {
+      const NodeId parent = closure_.TreeParent(v);
+      if (parent != kNoNode) {
+        ASSERT_TRUE(closure_.RemoveArc(parent, v).ok());
+        return;
+      }
+    }
+    FAIL() << "no tree arc left";
+  }
+
+  DynamicClosure closure_;
+  CompressedClosure base_;
+  int steps_ = 0;
+};
+
+TEST_F(LabelLimitTest, TreeArcDeletionsAndNewRootsRenumberAtTheLimit) {
+  // Tree-arc deletions move the numbering up while n stays at 10.
+  const int64_t before_deletions = closure_.stats().renumbers;
+  for (int i = 0; i < 8 && closure_.stats().renumbers == before_deletions;
+       ++i) {
+    RemoveSomeTreeArc();
+    ExpectExact("deletion " + std::to_string(i));
+  }
+  ASSERT_GT(closure_.stats().renumbers, before_deletions)
+      << "tree-arc deletions never reached the label limit";
+
+  // One more deletion leaves the numbering above its compact form, so new
+  // roots reach the limit before the node count does.
+  RemoveSomeTreeArc();
+  ExpectExact("drift");
+  const int64_t before_roots = closure_.stats().renumbers;
+  while (closure_.stats().renumbers == before_roots &&
+         closure_.NumNodes() < kMaxNodes) {
+    ASSERT_TRUE(closure_.AddLeafUnder(kNoNode).ok());
+    ExpectExact("root " + std::to_string(closure_.NumNodes()));
+  }
+  EXPECT_GT(closure_.stats().renumbers, before_roots)
+      << "new roots never reached the label limit";
+}
+
+TEST_F(LabelLimitTest, OverLimitInsertFailsWithoutChangingAnything) {
+  while (closure_.NumNodes() < kMaxNodes) {
+    ASSERT_TRUE(closure_.AddLeafUnder(kNoNode).ok());
+  }
+  // Two fresh roots a -> b, so b has a reserve pool and a parent list.
+  const NodeId a = kMaxNodes - 2;
+  const NodeId b = kMaxNodes - 1;
+  ASSERT_TRUE(closure_.AddArc(a, b).ok());
+  ExpectExact("full");
+  const ReachabilityMatrix before(closure_.graph());
+  const int64_t renumbers = closure_.stats().renumbers;
+
+  EXPECT_EQ(closure_.AddLeafUnder(kNoNode).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(closure_.AddLeafUnder(a).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(closure_.RefineAbove(b, {a}).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(closure_.NumNodes(), kMaxNodes);
+  EXPECT_EQ(closure_.stats().renumbers, renumbers);
+  EXPECT_EQ(closure_.DirtyCount(), 0);
+  for (NodeId u = 0; u < kMaxNodes; ++u) {
+    for (NodeId v = 0; v < kMaxNodes; ++v) {
+      ASSERT_EQ(closure_.Reaches(u, v), before.Reaches(u, v))
+          << u << "->" << v;
+    }
+  }
+  ExpectExact("after rejected inserts");
+}
 
 TEST(DynamicClosureTest, SuccessorsMatchGroundTruthAfterUpdates) {
   Digraph graph = RandomDag(40, 2.0, 30);

@@ -1,10 +1,12 @@
 #include "core/labeling.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "core/chain_propagator.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
 #include "tests/test_util.h"
@@ -101,6 +103,51 @@ TEST(LabelingTest, RejectsBadOptions) {
   bad_reserve.gap = 4;
   bad_reserve.reserve = 4;
   EXPECT_FALSE(BuildLabels(graph, cover.value(), bad_reserve).ok());
+}
+
+// The arena stores labels in 32 bits, so a numbering whose highest label,
+// n × gap + reserve, would reach 2^32 is rejected up front by both full
+// builders rather than aborting the later arena build.
+TEST(LabelingTest, RejectsNumberingPastTheArenaLabelLimit) {
+  const Digraph graph = RandomDag(100, 2.0, 7);
+  auto cover = ComputeTreeCover(graph, TreeCoverStrategy::kOptimal);
+  ASSERT_TRUE(cover.ok());
+
+  LabelingOptions too_wide;
+  too_wide.gap = Label{1} << 26;  // 100 nodes would reach 6.7e9.
+  EXPECT_EQ(BuildLabels(graph, cover.value(), too_wide).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildChainLabeling(graph, too_wide).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The widest gap that fits: 100 × gap + reserve <= 2^32 - 1.
+  LabelingOptions widest;
+  widest.reserve = 7;
+  widest.gap = (kArenaLabelLimit - 1 - widest.reserve) / 100;
+  ASSERT_TRUE(CompactNumberingFits(100, widest.gap, widest.reserve));
+  const NodeLabels labels = MustBuild(graph, widest);
+  Label max_label = 0;
+  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+    max_label = std::max(max_label, labels.postorder[v]);
+    max_label = std::max(max_label, labels.intervals[v].intervals().back().hi);
+  }
+  EXPECT_EQ(*std::max_element(labels.postorder.begin(),
+                              labels.postorder.end()),
+            100 * widest.gap);
+  EXPECT_LT(max_label, kArenaLabelLimit);
+  const auto chain = BuildChainLabeling(graph, widest);
+  EXPECT_NE(chain.status().code(), StatusCode::kInvalidArgument)
+      << chain.status().ToString();
+
+  LabelingOptions one_more = widest;
+  one_more.gap += 1;
+  EXPECT_FALSE(CompactNumberingFits(100, one_more.gap, one_more.reserve));
+  EXPECT_EQ(BuildLabels(graph, cover.value(), one_more).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildChainLabeling(graph, one_more).status().code(),
+            StatusCode::kInvalidArgument);
+  // Gaps near 2^63 must not overflow the check.
+  EXPECT_FALSE(CompactNumberingFits(3, Label{1} << 62, 0));
 }
 
 TEST(LabelingTest, ReservePadsPropagatedCopiesOnly) {

@@ -127,7 +127,11 @@ TEST(SnapshotTest, RejectsGarbageAndTruncation) {
     for (int i = 7; i >= 0; --i) {
       num_arcs = (num_arcs << 8) | static_cast<uint8_t>(bytes[40 + i]);
     }
-    const size_t first_parent = 48 + 16 * static_cast<size_t>(num_arcs) + 24;
+    // Node 0's record, then its first interval's endpoints.
+    const size_t first_node = 48 + 16 * static_cast<size_t>(num_arcs);
+    const size_t first_parent = first_node + 24;
+    const size_t first_interval = first_node + 56;
+    constexpr int64_t kPastArena = int64_t{1} << 32;
     const struct {
       const char* field;
       size_t offset;
@@ -135,16 +139,47 @@ TEST(SnapshotTest, RejectsGarbageAndTruncation) {
     } cases[] = {
         {"node count wrapping negative", 8, int64_t{1} << 31},
         {"node count wrapping to the same size", 8, (int64_t{1} << 32) + 20},
+        {"gap numbering past the 32-bit labels", 16, int64_t{1} << 28},
         {"strategy past the last", 32, 4},
         {"negative strategy", 32, -1},
+        {"arc endpoint past the last node", 48, 20},
+        {"arc endpoint wrapping to a node id", 48, (int64_t{1} << 32) + 1},
+        {"negative postorder number", first_node, -5},
+        {"postorder number past the 32-bit labels", first_node, kPastArena},
+        {"negative tree interval start", first_node + 8, -1},
+        {"tree interval end past the 32-bit labels", first_node + 16,
+         kPastArena},
         {"tree parent past the last node", first_parent, 20},
         {"tree parent below kNoNode", first_parent, -2},
+        {"reserve pool past the reserve", first_node + 32, 17},
+        {"negative reserve pool", first_node + 32, -1},
+        {"negative interval start", first_interval, -1},
+        {"interval end past the 32-bit labels", first_interval + 8,
+         kPastArena},
     };
     ASSERT_TRUE(DynamicClosure::Load(buffer).ok());  // The image itself loads.
+    ASSERT_GT(num_arcs, 0);
+    ASSERT_GT(original->labels().intervals[0].size(), 0);
     for (const auto& c : cases) {
       std::stringstream hostile(patched(c.offset, c.value));
       EXPECT_FALSE(DynamicClosure::Load(hostile).ok()) << c.field;
     }
+  }
+  {
+    // A header-only image claiming INT32_MAX nodes at gap 1, whose
+    // numbering fits the 32-bit labels: nothing may be sized by the
+    // claimed count before the records that back it are read.
+    std::string header;
+    for (const int64_t field :
+         {int64_t{0x74726C736E617031}, int64_t{0x7FFFFFFF}, int64_t{1},
+          int64_t{0}, int64_t{0}, int64_t{0}}) {
+      for (int i = 0; i < 8; ++i) {
+        header.push_back(
+            static_cast<char>(static_cast<uint64_t>(field) >> (8 * i)));
+      }
+    }
+    std::stringstream hostile(header);
+    EXPECT_FALSE(DynamicClosure::Load(hostile).ok()) << "node count";
   }
 }
 

@@ -34,6 +34,10 @@
 #                              # storm under open-loop load + slow scrapes,
 #                              # failing on p99 drift or bad responses
 #                              # (TREL_SOAK_SMOKE=1 shrinks it for CI)
+#   tools/ci.sh --perfbench    # end-to-end benchmark self-test on tiny
+#                              # inputs: builds perfbench/ into
+#                              # .bench_build/ and checks every workload's
+#                              # metrics and answers against DFS
 #
 # Stages may be combined (e.g. `tools/ci.sh --tier1 --bench-smoke`).
 # Extra configure flags for all stages can be passed via TREL_CMAKE_FLAGS
@@ -391,6 +395,14 @@ arena_fuzz() {
   done
 }
 
+perfbench_selftest() {
+  # The end-to-end benchmark judges every perf change and checks every
+  # answer it gets against DFS, so its own build and contract are tested
+  # here: each workload on tiny inputs, traced and untraced, with seed
+  # determinism (about 20 s plus the build).
+  run python3 perfbench/selftest.py
+}
+
 if [[ $# -eq 0 ]]; then
   stages=(tier1 asan_ubsan tsan_service)
 else
@@ -408,11 +420,13 @@ else
       --shard-matrix) stages+=(shard_matrix) ;;
       --obs) stages+=(obs_stage) ;;
       --soak) stages+=(soak) ;;
+      --perfbench) stages+=(perfbench_selftest) ;;
       *)
         echo "unknown stage: ${arg}" >&2
         echo "usage: tools/ci.sh [--tier1] [--asan] [--tsan] [--bench-smoke]" \
           "[--arena-fuzz] [--simd-matrix] [--family-matrix]" \
-          "[--publish-matrix] [--shard-matrix] [--obs] [--soak]" >&2
+          "[--publish-matrix] [--shard-matrix] [--obs] [--soak]" \
+          "[--perfbench]" >&2
         exit 2
         ;;
     esac
