@@ -8,11 +8,11 @@
 
 #include <cstdio>
 
+#include "baselines/tree_cover_index.h"
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/compressed_closure.h"
-#include "core/tree_cover_index.h"
 #include "graph/generators.h"
 
 int main() {

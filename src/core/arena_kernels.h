@@ -20,7 +20,7 @@ enum class ProbeTag : uint8_t {
   kExtrasSearch = 3,  // searched an extras run (vector scan or descent)
   kOverlay = 4,       // resolved against a WithDelta overlay entry
   kHopIntersect = 5,  // decided by a 2-hop Lin/Lout merge-intersection
-  kFallback = 6,      // family fallback: pruned DFS or residual-index probe
+  kFallback = 6,      // hop residual-index probe, or TreeCoverIndex's DFS
   kBoundaryBitset = 7,  // decided by a cross-shard hub-bitset row intersection
 };
 constexpr int kNumProbeTags = 8;

@@ -11,8 +11,6 @@ const char* IndexFamilyName(IndexFamily family) {
   switch (family) {
     case IndexFamily::kIntervals:
       return "intervals";
-    case IndexFamily::kTrees:
-      return "trees";
     case IndexFamily::kHop:
       return "hop";
   }
@@ -24,7 +22,6 @@ IndexFamilySetting ParseIndexFamilySetting(const char* value) {
   if (std::strcmp(value, "intervals") == 0) {
     return IndexFamilySetting::kForceIntervals;
   }
-  if (std::strcmp(value, "trees") == 0) return IndexFamilySetting::kForceTrees;
   if (std::strcmp(value, "hop") == 0) return IndexFamilySetting::kForceHop;
   return IndexFamilySetting::kAuto;
 }
@@ -42,7 +39,6 @@ IndexFamily SelectIndexFamily(const Digraph& graph, int64_t total_intervals,
   sig.total_intervals = total_intervals;
   const double n = std::max<double>(1.0, sig.num_nodes);
   sig.interval_blowup = static_cast<double>(total_intervals) / n;
-  sig.arc_density = static_cast<double>(sig.num_arcs) / n;
 
   // Hub skew: how many arcs the kHubProbe highest-degree nodes touch.
   // One pass over degrees plus a partial sort of the probe set — cheap
@@ -77,11 +73,10 @@ IndexFamily SelectIndexFamily(const Digraph& graph, int64_t total_intervals,
         static_cast<double>(covered) / static_cast<double>(sig.num_arcs);
   }
 
-  if (sig.interval_blowup <= kMaxIntervalBlowup) {
-    return IndexFamily::kIntervals;
+  if (sig.interval_blowup > kMaxIntervalBlowup &&
+      sig.hub_arc_fraction >= kMinHubArcFraction) {
+    return IndexFamily::kHop;
   }
-  if (sig.hub_arc_fraction >= kMinHubArcFraction) return IndexFamily::kHop;
-  if (sig.arc_density >= kDenseArcsPerNode) return IndexFamily::kTrees;
   return IndexFamily::kIntervals;
 }
 
@@ -94,11 +89,6 @@ IndexFamily ResolveIndexFamily(IndexFamilySetting setting,
         SelectIndexFamily(graph, total_intervals, signals);
       }
       return IndexFamily::kIntervals;
-    case IndexFamilySetting::kForceTrees:
-      if (signals != nullptr) {
-        SelectIndexFamily(graph, total_intervals, signals);
-      }
-      return IndexFamily::kTrees;
     case IndexFamilySetting::kForceHop:
       if (signals != nullptr) {
         SelectIndexFamily(graph, total_intervals, signals);

@@ -10,34 +10,32 @@ namespace trel {
 // The reachability-index families a snapshot can be served from.  The
 // paper's interval antichains (kIntervals) are the default and the only
 // family that supports every query shape (successor enumeration,
-// predecessors, WithDelta overlays); the other two exist because the
-// intervals degrade on dense, non-tree-like DAGs — the paper's own
-// Fig 3.6/3.7 bipartite constructions blow the interval count up to
-// Theta(n^2):
-//   kTrees — k independent random tree labelings with a label-pruned DFS
-//            fallback (GRAIL-style; see tree_cover_index.h).  Wins when
-//            the closure is dense but the graph is sparse.
-//   kHop   — 2-hop hub labels over the high-degree spine plus an interval
-//            index on the hub-free residual (see hop_label_index.h).
-//            Wins when a few hub nodes carry most paths.
+// predecessors, WithDelta overlays).  Every snapshot holds the interval
+// arena whatever its family, so another family is a point-read
+// accelerator whose bytes add to the arena's, and it earns its place only
+// where its probe beats the arena's:
+//   kHop — 2-hop hub labels over the high-degree spine plus an interval
+//          index on the hub-free residual (see hop_label_index.h).  Wins
+//          when a few hub nodes carry most paths.
+// The GRAIL-style tree covers (baselines/tree_cover_index.h) are only a
+// comparator: on the dense shapes they save bytes on, their pruned DFS
+// answers 9-55x slower than the arena (DESIGN.md §6b).
 enum class IndexFamily : uint8_t {
   kIntervals = 0,
-  kTrees = 1,
-  kHop = 2,
+  kHop = 1,
 };
-constexpr int kNumIndexFamilies = 3;
+constexpr int kNumIndexFamilies = 2;
 
-// "intervals" / "trees" / "hop".
+// "intervals" / "hop".
 const char* IndexFamilyName(IndexFamily family);
 
 // How a publisher picks the family for a full export: let the selector
 // score the graph, or force one family (the TREL_INDEX env values
-// "auto" / "intervals" / "trees" / "hop").
+// "auto" / "intervals" / "hop").
 enum class IndexFamilySetting : uint8_t {
   kAuto = 0,
   kForceIntervals = 1,
-  kForceTrees = 2,
-  kForceHop = 3,
+  kForceHop = 2,
 };
 
 // Parses a TREL_INDEX-style value; nullptr/empty/unknown mean kAuto (the
@@ -57,32 +55,21 @@ struct FamilySignals {
   // one-interval-per-node ideal.  The paper's tree-like structures sit
   // near 1; the Fig 3.6 shapes reach Theta(n).
   double interval_blowup = 0.0;
-  // num_arcs / num_nodes.  High density is the signature of the
-  // bipartite-crossing shapes whose interval labels cannot compress
-  // (every arc crossing fragments some source's label); deep sparse DAGs
-  // grow intervals too, but organically, and keep O(1) probes worth it.
-  double arc_density = 0.0;
   // Fraction of arcs incident to the top-kHubProbe nodes by total degree.
   // Near 1 means a few hubs carry the graph — the 2-hop regime.
   double hub_arc_fraction = 0.0;
 };
 
 // Selector thresholds, shared with tests and trel_tool so the decision
-// is reproducible outside the service.  Decision order:
-//   * blowup <= kMaxIntervalBlowup -> intervals (the common case: the
-//     paper's structures stay near one interval per node).
-//   * hub fraction >= kMinHubArcFraction -> hop labels (a handful of
-//     high-degree nodes carries the blowup; label them instead).
-//   * density >= kDenseArcsPerNode -> tree covers (bipartite-style
-//     crossings: intervals pay Theta(n^2), tree labels stay linear and
-//     the shallow fallback DFS is cheap).
-//   * otherwise -> intervals.  A deep sparse DAG (e.g. the standard
-//     50k-node degree-4 random DAG) grows intervals into the tens per
-//     node, but queries stay two array loads; a pruned DFS there would
-//     wander long chains, so the arena remains the right trade.
+// is reproducible outside the service.  One rule: blowup >
+// kMaxIntervalBlowup and hub fraction >= kMinHubArcFraction select hop
+// labels (a handful of high-degree nodes carries the blowup; label them
+// instead).  Everything else stays on intervals: tree-like shapes sit
+// near one interval per node, and denser shapes whose intervals blow up
+// without hubs (the Fig 3.6 crossings, deep random DAGs) still answer in
+// two array loads from the arena the snapshot holds anyway.
 constexpr double kMaxIntervalBlowup = 4.0;
 constexpr double kMinHubArcFraction = 0.5;
-constexpr double kDenseArcsPerNode = 8.0;
 constexpr int kHubProbe = 16;
 
 // Scores `graph` (with the interval labeling's total interval count, as

@@ -209,14 +209,15 @@ std::string RenderMetricsz(const ServiceMetrics::View& view,
              PrometheusText::Label("name", view.simd_level_name),
              static_cast<int64_t>(view.simd_level));
   out.Family("trel_index_family",
-             "Index family serving the live snapshot "
-             "(0=intervals,1=trees,2=hop).",
+             "Index family serving the live snapshot (0=intervals,1=hop).",
              "gauge");
   out.Sample("trel_index_family",
              PrometheusText::Label("name", view.index_family_name),
              static_cast<int64_t>(view.index_family));
   out.Family("trel_family_label_bytes",
-             "Label footprint of the live snapshot's selected family.",
+             "Bytes of the live snapshot family's own labels, held in "
+             "addition to trel_snapshot_arena_bytes (equal to it when the "
+             "family is intervals).",
              "gauge");
   out.Sample("trel_family_label_bytes", "", view.family_label_bytes);
   out.Family("trel_family_selects_total",

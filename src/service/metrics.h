@@ -79,7 +79,8 @@ class ServiceMetrics {
     int simd_level = 0;
     std::string simd_level_name = "scalar";
     // Index family serving the live snapshot (gauge; filled by
-    // QueryService) plus the selected family's label footprint.
+    // QueryService) plus the bytes of the family's own labels, held in
+    // addition to snapshot_arena_bytes (equal to it on kIntervals).
     int index_family = 0;
     std::string index_family_name = "intervals";
     int64_t family_label_bytes = 0;

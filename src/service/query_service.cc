@@ -262,7 +262,6 @@ uint64_t QueryService::PublishLocked() {
     // overlay routing in ClosureSnapshot::FamilyCovers keeps the carried
     // index exact for untouched node pairs.
     snapshot->family = base->family;
-    snapshot->tree_index = base->tree_index;
     snapshot->hop_index = base->hop_index;
     snapshot->family_nodes = base->family_nodes;
     snapshot->family_label_bytes = base->family_label_bytes;
@@ -328,20 +327,13 @@ uint64_t QueryService::PublishLocked() {
       snapshot->closure = dynamic_.ExportClosure(nullptr, &arena_micros);
     }
     // Family selection and build ride the export phase: scoring is one
-    // degree pass, and a trees/hop build is the same order of work as
-    // the arena build it replaces on the query path.
+    // degree pass, and a hop build is the same order of work as the
+    // arena build it stands in for on the query path.
     snapshot->family = ResolveIndexFamily(options_.index_family,
                                           dynamic_.graph(),
                                           snapshot->closure.TotalIntervals());
     snapshot->family_nodes = num_nodes;
     switch (snapshot->family) {
-      case IndexFamily::kTrees:
-        snapshot->tree_index =
-            std::make_shared<const TreeCoverIndex>(TreeCoverIndex::Build(
-                dynamic_.graph(), TreeCoverIndex::kDefaultNumTrees,
-                /*seed=*/epoch_ + 1));
-        snapshot->family_label_bytes = snapshot->tree_index->LabelBytes();
-        break;
       case IndexFamily::kHop:
         snapshot->hop_index = std::make_shared<const HopLabelIndex>(
             HopLabelIndex::Build(dynamic_.graph()));

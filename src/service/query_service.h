@@ -89,9 +89,10 @@ struct ServiceOptions {
   ClosureOptions closure = DynamicClosure::DefaultOptions();
   // Index family for full publishes: kAuto lets the selector score the
   // graph per snapshot (core/index_family.h); the force values pin one
-  // family, mainly for the CI family matrix and benchmarks.  A TREL_INDEX
-  // env value ("auto"/"intervals"/"trees"/"hop") overrides this at
-  // construction.
+  // family, mainly for the CI family matrix and benchmarks.  The interval
+  // arena is built either way, so kForceHop adds the hop labels' bytes on
+  // top of it.  A TREL_INDEX env value ("auto"/"intervals"/"hop"; any
+  // other value means auto) overrides this at construction.
   IndexFamilySetting index_family = IndexFamilySetting::kAuto;
   // Publish tier selection (see PublishStrategySetting above).  A set
   // TREL_PUBLISH env value overrides this at construction, mirroring

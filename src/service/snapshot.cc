@@ -6,7 +6,7 @@ namespace {
 // Folds one family-path probe outcome into the batch tallies the metrics
 // layer already exposes.  Hop intersects and hub-bitset answers are
 // "decided from the labels alone", so they land in fast_path next to the
-// arena's slot hits; pruned-DFS and residual probes are extras searches.
+// arena's slot hits; hop residual probes are extras searches.
 void FoldTag(ProbeTag tag, BatchKernelStats* stats) {
   if (stats == nullptr) return;
   switch (tag) {
@@ -38,12 +38,7 @@ bool ClosureSnapshot::ReachesTraced(NodeId u, NodeId v,
     trace->extras_probes = 0;
     return false;
   }
-  if (UsesFamily(u, v)) {
-    return family == IndexFamily::kTrees ? tree_index->ReachesTraced(u, v,
-                                                                     trace)
-                                         : hop_index->ReachesTraced(u, v,
-                                                                    trace);
-  }
+  if (UsesFamily(u, v)) return hop_index->ReachesTraced(u, v, trace);
   return closure.ReachesTraced(u, v, trace);
 }
 

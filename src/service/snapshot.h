@@ -10,7 +10,6 @@
 #include "core/compressed_closure.h"
 #include "core/hop_label_index.h"
 #include "core/index_family.h"
-#include "core/tree_cover_index.h"
 #include "obs/span_log.h"
 
 namespace trel {
@@ -47,22 +46,23 @@ struct ClosureSnapshot {
   // for the Alg1 antichain-optimal cover.
   PublishStrategy publish_strategy = PublishStrategy::kOptimalFull;
   // Which index family answers point queries on this snapshot, plus the
-  // family structure itself when it is not the interval arena.  The
-  // interval closure above is ALWAYS present — it backs WithDelta
-  // overlays, successor/predecessor enumeration, and every query the
-  // family build does not cover — so a family index is a point-query
-  // accelerator layered on top, never a replacement.  Built on full
+  // hop index when family == kHop.  The interval closure above is ALWAYS
+  // present — it backs WithDelta overlays, successor/predecessor
+  // enumeration, and every query the family build does not cover — so a
+  // family index is a point-query accelerator layered on top, never a
+  // replacement, and its bytes add to the arena's.  Built on full
   // publishes only; delta publishes carry the base's family forward and
   // route queries touching changed nodes back to the (exact) overlay
   // closure via FamilyCovers below.
   IndexFamily family = IndexFamily::kIntervals;
-  std::shared_ptr<const TreeCoverIndex> tree_index;
   std::shared_ptr<const HopLabelIndex> hop_index;
   // Node-count high-water mark of the family build: ids >= family_nodes
   // were added after it and must use the interval closure.
   NodeId family_nodes = 0;
-  // Footprint of the selected family's labels (the interval arena's byte
-  // size when family == kIntervals), for /statusz and the benchmarks.
+  // Footprint of the family's own labels, held in addition to the arena
+  // (ServiceMetrics::View::snapshot_arena_bytes); when family ==
+  // kIntervals it is the arena's byte size itself.  For /statusz and the
+  // benchmarks.
   int64_t family_label_bytes = 0;
   // Publication instant on the MONOTONIC clock, captured by the writer
   // right before the atomic swap.  steady_clock by type so wall-clock
@@ -90,10 +90,7 @@ struct ClosureSnapshot {
   // reader holding an old snapshot cannot know what ids exist now.
   bool Reaches(NodeId u, NodeId v) const {
     if (!closure.IsValidNode(u) || !closure.IsValidNode(v)) return false;
-    if (UsesFamily(u, v)) {
-      return family == IndexFamily::kTrees ? tree_index->Reaches(u, v)
-                                           : hop_index->Reaches(u, v);
-    }
+    if (UsesFamily(u, v)) return hop_index->Reaches(u, v);
     return closure.Reaches(u, v);
   }
 
@@ -117,10 +114,10 @@ struct ClosureSnapshot {
 
   // Traced / batch twins of Reaches with the same family dispatch and
   // the same snapshot semantics as the closure's versions (out-of-range
-  // ids answer 0).  On non-interval families the batch runs per query —
-  // the family probes are merge scans and pruned searches, not the
-  // arena's pipelined kernel — with tags folded into `stats` (hop
-  // intersects count as fast path, fallback searches as extras).
+  // ids answer 0).  On the hop family the batch runs per query — its
+  // probes are merge scans, not the arena's pipelined kernel — with tags
+  // folded into `stats` (hop intersects count as fast path, residual
+  // probes as extras).
   bool ReachesTraced(NodeId u, NodeId v, ProbeTrace* trace) const;
   void BatchReaches(const std::pair<NodeId, NodeId>* pairs, int64_t n,
                     uint8_t* out, BatchKernelStats* stats) const;

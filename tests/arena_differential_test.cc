@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/tree_cover_index.h"
 #include "common/status.h"
 #include "core/arena_kernels.h"
 #include "core/chain_propagator.h"
@@ -31,7 +32,6 @@
 #include "core/labeling.h"
 #include "core/simd_dispatch.h"
 #include "core/tree_cover.h"
-#include "core/tree_cover_index.h"
 #include "service/snapshot.h"
 #include "common/random.h"
 #include "graph/generators.h"
@@ -779,10 +779,11 @@ TEST(ArenaHighLabelTest, IntervalStoreRoundTripsAboveTwoToThe31) {
 }
 
 // ---------------------------------------------------------------------------
-// Index-family differential suite: TreeCoverIndex and HopLabelIndex must
-// answer bit-for-bit like DFS ground truth (and hence like the interval
-// closure) on the adversarial shapes they exist for — the Fig 3.6 dense
-// bipartite layers that shred interval labels, and hub-dominated DAGs.
+// Index-family differential suite: HopLabelIndex and the TreeCoverIndex
+// comparator must answer bit-for-bit like DFS ground truth (and hence
+// like the interval closure) on the adversarial shapes they exist for —
+// the Fig 3.6 dense bipartite layers that shred interval labels, and
+// hub-dominated DAGs.
 
 // The generator mix: shapes where each family is at home plus shapes
 // where it is at a disadvantage, so correctness never leans on the
@@ -874,9 +875,9 @@ TEST(TreeCoverIndexTest, MoreTreesNeverMeanMoreFallbacks) {
   EXPECT_LT(four_fallbacks, one_fallbacks);
 }
 
-// The selector's contract on the canonical shapes: the paper's random
-// DAGs stay on intervals, the bipartite blowup flips to tree covers,
-// hub-dominated graphs flip to 2-hop labels.
+// The selector's contract on the canonical shapes: only hub-dominated
+// graphs with a blown-up labeling flip to 2-hop labels; the paper's
+// random DAGs, trees and the hub-free bipartite blowup stay on intervals.
 TEST(IndexFamilySelectorTest, PicksTheExpectedFamilyPerShape) {
   const auto intervals_of = [](const Digraph& g) {
     auto closure = CompressedClosure::Build(g);
@@ -885,14 +886,14 @@ TEST(IndexFamilySelectorTest, PicksTheExpectedFamilyPerShape) {
   };
 
   // The standard benchmark shape: interval counts blow up organically
-  // (tens per node) but the graph stays sparse — intervals must win on
-  // density, not on blowup.
+  // (tens per node) but no hubs carry the graph — intervals must win on
+  // hub skew, not on blowup.
   const Digraph standard = RandomDag(2000, 4.0, 5);
   FamilySignals signals;
   EXPECT_EQ(SelectIndexFamily(standard, intervals_of(standard), &signals),
             IndexFamily::kIntervals);
   EXPECT_GT(signals.interval_blowup, kMaxIntervalBlowup);
-  EXPECT_LT(signals.arc_density, kDenseArcsPerNode);
+  EXPECT_LT(signals.hub_arc_fraction, kMinHubArcFraction);
 
   // Tree-like shapes stay on intervals via the blowup cutoff alone.
   const Digraph tree = RandomTree(2000, 5);
@@ -900,11 +901,12 @@ TEST(IndexFamilySelectorTest, PicksTheExpectedFamilyPerShape) {
             IndexFamily::kIntervals);
   EXPECT_LE(signals.interval_blowup, kMaxIntervalBlowup);
 
+  // The Fig 3.6 crossing blows the labeling up without hubs: the arena
+  // every snapshot holds answers it.
   const Digraph bipartite = CompleteBipartite(60, 60);
   EXPECT_EQ(SelectIndexFamily(bipartite, intervals_of(bipartite), &signals),
-            IndexFamily::kTrees);
+            IndexFamily::kIntervals);
   EXPECT_GT(signals.interval_blowup, kMaxIntervalBlowup);
-  EXPECT_GE(signals.arc_density, kDenseArcsPerNode);
   EXPECT_LT(signals.hub_arc_fraction, kMinHubArcFraction);
 
   const Digraph hub = HubDag(400, 6, 300, 6);
@@ -927,10 +929,10 @@ TEST(IndexFamilySelectorTest, EnvParsingNeverFails) {
   EXPECT_EQ(ParseIndexFamilySetting(""), IndexFamilySetting::kAuto);
   EXPECT_EQ(ParseIndexFamilySetting("auto"), IndexFamilySetting::kAuto);
   EXPECT_EQ(ParseIndexFamilySetting("bogus"), IndexFamilySetting::kAuto);
+  // The retired trees family is an unknown value like any other.
+  EXPECT_EQ(ParseIndexFamilySetting("trees"), IndexFamilySetting::kAuto);
   EXPECT_EQ(ParseIndexFamilySetting("intervals"),
             IndexFamilySetting::kForceIntervals);
-  EXPECT_EQ(ParseIndexFamilySetting("trees"),
-            IndexFamilySetting::kForceTrees);
   EXPECT_EQ(ParseIndexFamilySetting("hop"), IndexFamilySetting::kForceHop);
 }
 
@@ -963,10 +965,18 @@ TEST(IndexFamilyDifferentialTest, FamiliesBeatIntervalBytesOnTheirShapes) {
 // WithDelta overlay chains per family, through the snapshot dispatch
 // layer the service uses: any pair touching an overlaid or post-build
 // node must route back to the (exact) interval overlay, so the carried
-// family index never serves stale answers.
+// family index never serves stale answers.  Each family runs two chains:
+// one that only adds arcs and leaves, and one whose rounds first delete
+// a tree arc and two non-tree arcs, so paths also disappear under the
+// carried index.
 TEST(IndexFamilyOverlayTest, OverlayChainsStayExactUnderEveryFamily) {
-  for (const IndexFamily family :
-       {IndexFamily::kIntervals, IndexFamily::kTrees, IndexFamily::kHop}) {
+  for (const auto& [family, deletions] :
+       {std::pair{IndexFamily::kIntervals, false},
+        std::pair{IndexFamily::kIntervals, true},
+        std::pair{IndexFamily::kHop, false},
+        std::pair{IndexFamily::kHop, true}}) {
+    const std::string chain =
+        std::string(IndexFamilyName(family)) + (deletions ? "+deletions" : "");
     auto dynamic = DynamicClosure::Build(HubDag(30, 4, 26, 55));
     ASSERT_TRUE(dynamic.ok());
 
@@ -977,16 +987,32 @@ TEST(IndexFamilyOverlayTest, OverlayChainsStayExactUnderEveryFamily) {
     dynamic->MarkClean();
     snapshot.family = family;
     snapshot.family_nodes = dynamic->NumNodes();
-    if (family == IndexFamily::kTrees) {
-      snapshot.tree_index = std::make_shared<const TreeCoverIndex>(
-          TreeCoverIndex::Build(dynamic->graph(), 2, 3));
-    } else if (family == IndexFamily::kHop) {
+    if (family == IndexFamily::kHop) {
       snapshot.hop_index = std::make_shared<const HopLabelIndex>(
           HopLabelIndex::Build(dynamic->graph(), 8));
     }
 
     Random rng(137);
     for (int round = 0; round < 5; ++round) {
+      if (deletions) {
+        int tree_removals = 1;
+        int non_tree_removals = 2;
+        auto arcs = dynamic->graph().Arcs();
+        while (tree_removals + non_tree_removals > 0 && !arcs.empty()) {
+          const size_t pick = rng.Uniform(arcs.size());
+          const auto [a, b] = arcs[pick];
+          arcs[pick] = arcs.back();
+          arcs.pop_back();
+          int& budget =
+              dynamic->IsTreeArc(a, b) ? tree_removals : non_tree_removals;
+          if (budget == 0) continue;
+          ASSERT_TRUE(dynamic->RemoveArc(a, b).ok())
+              << chain << " round " << round << " " << a << "->" << b;
+          --budget;
+        }
+        ASSERT_EQ(tree_removals + non_tree_removals, 0)
+            << chain << " round " << round;
+      }
       for (int i = 0; i < 4; ++i) {
         const NodeId u =
             static_cast<NodeId>(rng.Uniform(dynamic->NumNodes()));
@@ -1010,19 +1036,20 @@ TEST(IndexFamilyOverlayTest, OverlayChainsStayExactUnderEveryFamily) {
       for (NodeId u = 0; u < n; ++u) {
         for (NodeId v = 0; v < n; ++v) {
           ASSERT_EQ(snapshot.Reaches(u, v), truth.Reaches(u, v))
-              << IndexFamilyName(family) << " round " << round << " " << u
-              << "->" << v;
+              << chain << " round " << round << " " << u << "->" << v;
           if (snapshot.UsesFamily(u, v)) ++family_answered;
         }
       }
-      if (family != IndexFamily::kIntervals) {
+      // RemoveArc re-propagates every label, so a deletion's delta
+      // overlays every node and the carried family answers no pair; the
+      // deletion chains are checked for exactness alone.
+      if (family != IndexFamily::kIntervals && !deletions) {
         // The overlay must not swallow the family entirely; on the first
         // round (a handful of dirty nodes) it must still carry the bulk.
-        EXPECT_GT(family_answered, 0)
-            << IndexFamilyName(family) << " round " << round;
+        EXPECT_GT(family_answered, 0) << chain << " round " << round;
         if (round == 0) {
           EXPECT_GT(family_answered, static_cast<int64_t>(n) * n / 2)
-              << IndexFamilyName(family);
+              << chain;
         }
       }
 
@@ -1041,11 +1068,9 @@ TEST(IndexFamilyOverlayTest, OverlayChainsStayExactUnderEveryFamily) {
         const bool valid = snapshot.closure.IsValidNode(u) &&
                            snapshot.closure.IsValidNode(v);
         const uint8_t want = valid && truth.Reaches(u, v) ? 1 : 0;
-        ASSERT_EQ(out[i], want) << IndexFamilyName(family) << " batch " << u
-                                << "->" << v;
+        ASSERT_EQ(out[i], want) << chain << " batch " << u << "->" << v;
         ASSERT_EQ(untagged[i], want)
-            << IndexFamilyName(family) << " untagged batch " << u << "->"
-            << v;
+            << chain << " untagged batch " << u << "->" << v;
         ASSERT_LT(tags[i], kNumProbeTags);
       }
     }

@@ -13,10 +13,10 @@
 #include "baselines/full_closure.h"
 #include "baselines/inverse_closure.h"
 #include "baselines/multi_hierarchy.h"
+#include "baselines/tree_cover_index.h"
 #include "core/compressed_closure.h"
 #include "core/dynamic_closure.h"
 #include "core/predecessor_index.h"
-#include "core/tree_cover_index.h"
 #include "graph/families.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"

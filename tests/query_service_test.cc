@@ -263,7 +263,7 @@ TEST(QueryServiceFamilyTest, EveryFamilyServesExactAnswers) {
   const Digraph graph = HubDag(40, 5, 36, 31);
   for (const IndexFamilySetting setting :
        {IndexFamilySetting::kAuto, IndexFamilySetting::kForceIntervals,
-        IndexFamilySetting::kForceTrees, IndexFamilySetting::kForceHop}) {
+        IndexFamilySetting::kForceHop}) {
     ServiceOptions options = SmallBatchOptions();
     options.index_family = setting;
     QueryService service(options);
@@ -319,13 +319,21 @@ TEST(QueryServiceFamilyTest, SelectionIsRecordedInMetrics) {
   EXPECT_LT(view.family_label_bytes, view.snapshot_arena_bytes);
   EXPECT_GT(view.family_selects[static_cast<int>(IndexFamily::kHop)], 0);
 
-  // Standard sparse random DAG: auto stays on intervals.
-  ASSERT_TRUE(service.Load(RandomDag(2000, 4.0, 5)).ok());
-  view = service.Metrics();
-  EXPECT_EQ(view.index_family_name, "intervals");
-  EXPECT_EQ(view.family_label_bytes, view.snapshot_arena_bytes);
-  EXPECT_GT(view.family_selects[static_cast<int>(IndexFamily::kIntervals)],
-            0);
+  // Standard sparse random DAG, the Fig 3.6 crossing and a dense random
+  // DAG: auto stays on intervals, so the family adds no bytes to the
+  // arena.  The last two blow the labeling up without hubs.
+  const std::pair<const char*, Digraph> hub_free[] = {
+      {"random_sparse", RandomDag(2000, 4.0, 5)},
+      {"bipartite", CompleteBipartite(60, 60)},
+      {"random_dense", RandomDag(2000, 12.0, 6)}};
+  for (const auto& [name, graph] : hub_free) {
+    ASSERT_TRUE(service.Load(graph).ok()) << name;
+    view = service.Metrics();
+    EXPECT_EQ(view.index_family_name, "intervals") << name;
+    EXPECT_EQ(view.family_label_bytes, view.snapshot_arena_bytes) << name;
+  }
+  EXPECT_GE(view.family_selects[static_cast<int>(IndexFamily::kIntervals)],
+            3);
 }
 
 // --- Publish strategies -----------------------------------------------------

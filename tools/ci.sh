@@ -13,8 +13,8 @@
 #   tools/ci.sh --simd-matrix  # tier-1 test battery under each TREL_SIMD
 #                              # level the host can execute
 #   tools/ci.sh --family-matrix # differential + service test battery under
-#                              # each TREL_INDEX family (intervals, trees,
-#                              # hop, auto) — every family must be
+#                              # each TREL_INDEX value (intervals, hop,
+#                              # auto) — every family must be
 #                              # bit-for-bit exact
 #   tools/ci.sh --publish-matrix # differential + service test battery under
 #                              # each TREL_PUBLISH tier (delta, chain,
@@ -190,7 +190,7 @@ family_matrix() {
   echo "==> ./build/tools/trel_tool generate random 500 3 11 > ${graph}"
   ./build/tools/trel_tool generate random 500 3 11 > "${graph}"
   local family
-  for family in intervals trees hop auto; do
+  for family in intervals hop auto; do
     echo "==> family matrix: TREL_INDEX=${family}"
     run env TREL_INDEX="${family}" ./build/tools/trel_tool index "${graph}"
     run env TREL_INDEX="${family}" ./build/tests/arena_differential_test

@@ -28,7 +28,6 @@
 #include "core/hop_label_index.h"
 #include "core/index_family.h"
 #include "core/simd_dispatch.h"
-#include "core/tree_cover_index.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "graph/reachability.h"
@@ -77,7 +76,7 @@ int Usage() {
       "environment:\n"
       "  TREL_SIMD   force a query-kernel level (scalar|avx2|auto)\n"
       "  TREL_INDEX  force the snapshot index family\n"
-      "              (intervals|trees|hop|auto); unknown values mean auto\n"
+      "              (intervals|hop|auto); unknown values mean auto\n"
       "  TREL_PUBLISH  force the service publish tier\n"
       "              (delta|chain|optimal|auto); unknown values mean auto\n"
       "  TREL_TRACE_SAMPLE  sample 1-in-N queries into the tracer\n"
@@ -132,7 +131,6 @@ int IndexInfo(const Digraph& graph) {
   const IndexFamilySetting setting = IndexFamilySettingFromEnv();
   const IndexFamily resolved =
       ResolveIndexFamily(setting, graph, closure->TotalIntervals());
-  const TreeCoverIndex trees = TreeCoverIndex::Build(graph);
   const HopLabelIndex hop = HopLabelIndex::Build(graph);
   const char* env = std::getenv("TREL_INDEX");
 
@@ -141,15 +139,13 @@ int IndexInfo(const Digraph& graph) {
               static_cast<long long>(signals.num_arcs));
   std::printf("total intervals:   %lld\n",
               static_cast<long long>(signals.total_intervals));
-  std::printf("interval blowup:   %.2f  (intervals -> trees/hop above %.1f)\n",
+  std::printf("interval blowup:   %.2f  (hop needs above %.1f)\n",
               signals.interval_blowup, kMaxIntervalBlowup);
-  std::printf("arc density:       %.2f  (trees at or above %.1f)\n",
-              signals.arc_density, kDenseArcsPerNode);
-  std::printf("hub arc fraction:  %.3f  (hop at or above %.2f, top-%d hubs)\n",
+  std::printf("hub arc fraction:  %.3f  (hop needs at or above %.2f, "
+              "top-%d hubs)\n",
               signals.hub_arc_fraction, kMinHubArcFraction, kHubProbe);
-  std::printf("label bytes:       intervals=%lld trees=%lld hop=%lld\n",
+  std::printf("label bytes:       intervals=%lld hop=%lld\n",
               static_cast<long long>(closure->ArenaByteSize()),
-              static_cast<long long>(trees.LabelBytes()),
               static_cast<long long>(hop.LabelBytes()));
   std::printf("selector picks:    %s\n", IndexFamilyName(picked));
   std::printf("TREL_INDEX:        %s\n", env != nullptr ? env : "(unset)");
