@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
               kParts, static_cast<long long>(graph.NumArcs()),
               build_graph.ElapsedSeconds());
 
-  // Compress with the DFS cover (Alg1's predecessor bitsets are quadratic
-  // memory; at 100k nodes the heuristic cover is the right tool — see
-  // bench/tbl_cover_ablation for what it costs in storage).
+  // Compress with the DFS cover, the cheapest heuristic cover to compute
+  // (bench/tbl_cover_ablation measures what it costs in storage against
+  // Alg1's optimal one).
   Stopwatch compress;
   ClosureOptions options;
   options.strategy = TreeCoverStrategy::kDfs;

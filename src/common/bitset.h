@@ -9,9 +9,9 @@
 
 namespace trel {
 
-// Fixed-size bitset whose size is chosen at runtime.  Used for predecessor
-// sets in the optimal tree-cover algorithm and for ground-truth closure
-// matrices, where word-parallel union dominates the running time.
+// Fixed-size bitset whose size is chosen at runtime.  Used for the rows
+// of ground-truth closure matrices (ReachabilityMatrix), where
+// word-parallel union dominates the running time.
 class DynamicBitset {
  public:
   DynamicBitset() : num_bits_(0) {}

@@ -23,7 +23,7 @@ namespace trel {
 // intervals start at the block base, and the only per-(node, chain) datum
 // is the highest block number reachable — the chain's first-reachable
 // frontier.  BuildChainLabeling exploits that: one O(n + m) pass per
-// 64-chain block of max-propagations replaces the per-interval antichain
+// 64-chain block of max-propagations replaces the per-arc antichain
 // merges of the generic propagator, and the result is BIT-IDENTICAL to
 // BuildLabels(graph, path cover) — same postorder numbers, same tree
 // intervals, same per-node interval sets.  The price is label quality:

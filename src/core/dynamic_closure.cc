@@ -430,6 +430,7 @@ Status DynamicClosure::RemoveArc(NodeId from, NodeId to) {
         by_postorder_[next] = frame.node;
         // The fresh position has a full, unclaimed pool above it.
         reserve_remaining_[frame.node] = labels_.reserve;
+        MarkDirty(frame.node);
         stack.pop_back();
       }
     }
@@ -446,10 +447,14 @@ void DynamicClosure::RepropagateAll() {
   TREL_CHECK(topo.ok()) << "dynamic closure graph must stay acyclic";
   std::vector<NodeId> reverse_topo(topo.value().rbegin(),
                                    topo.value().rend());
+  std::vector<IntervalSet> before = std::move(labels_.intervals);
   PropagateIntervals(graph_, reverse_topo, labels_, &reserve_remaining_);
-  // Interval sets were rewritten from scratch (and the caller may have
-  // renumbered a detached subtree first); treat everything as changed.
-  MarkAllDirty();
+  // A delta entry is (postorder, interval set), so a node whose set came
+  // out unchanged, and whose number the caller did not move (RemoveArc
+  // marks the renumbered subtree itself), answers the same from the base.
+  for (NodeId v = 0; v < graph_.NumNodes(); ++v) {
+    if (!(labels_.intervals[v] == before[v])) MarkDirty(v);
+  }
 }
 
 void DynamicClosure::Renumber() {

@@ -59,7 +59,7 @@ class DynamicClosure {
 
   // Like Build, but labels via the chain-fast path (chain_propagator.h):
   // greedy path cover + blocked frontier propagation instead of Alg1's
-  // antichain-optimal cover + per-interval merges.  Much cheaper on
+  // antichain-optimal cover + per-arc antichain merges.  Much cheaper on
   // chain-structured graphs; label quality (interval count) can be worse.
   // Fails like BuildChainLabeling does (incl. ResourceExhausted on the
   // entry cap) — callers fall back to Build.  options.strategy is ignored
@@ -170,7 +170,8 @@ class DynamicClosure {
   // interval, or interval set) changed since the dirty set was last
   // cleared.  The set is a sound overapproximation: a node whose labels
   // changed is always in it; maintenance that rewrites labels wholesale
-  // (Renumber, Reoptimize, deletions' re-propagation) marks every node.
+  // (Renumber, Reoptimize) marks every node.  A deletion marks only the
+  // nodes it renumbers and those whose interval set it changes.
 
   // Number of nodes currently dirty.  Publishers compare this against
   // NumNodes() to decide between ExportDelta and a full ExportClosure.
@@ -205,6 +206,12 @@ class DynamicClosure {
     TREL_CHECK(graph_.IsValidNode(v));
     return tree_parent_[v];
   }
+  // Unused refinement slots above v's postorder number: the pad v's tree
+  // interval carries when propagated to predecessors.
+  Label ReservePool(NodeId v) const {
+    TREL_CHECK(graph_.IsValidNode(v));
+    return reserve_remaining_[v];
+  }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -230,7 +237,8 @@ class DynamicClosure {
   // stopping where subsumption makes it a no-op.
   void PropagateIntoPredecessors(NodeId start,
                                  const std::vector<Interval>& delta);
-  // Rebuild intervals for the whole graph with current numbering.
+  // Rebuild intervals for the whole graph with current numbering, and
+  // mark dirty the nodes whose interval set changed.
   void RepropagateAll();
   // Shared post-rebuild bookkeeping.
   void AdoptCover(const TreeCover& cover, NodeLabels labels);

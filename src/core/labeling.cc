@@ -1,6 +1,8 @@
 #include "core/labeling.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +59,41 @@ void AssignPostorder(const TreeCover& cover, Label gap, Label reserve,
   }
 }
 
+// out = the maximal intervals of `acc` ∪ `succ`, where `succ` is an
+// out-neighbour's set whose member equal to that neighbour's tree
+// interval `succ_tree` is padded by `pad`.  Both inputs ascend by lo
+// with distinct lo, so one linear merge visits their union in (lo
+// ascending, hi descending) order.  In that order an interval is
+// subsumed iff an earlier one reaches at least as high, so keeping each
+// interval whose hi exceeds every hi before it leaves a sorted antichain.
+void MergeMaximal(const std::vector<Interval>& acc,
+                  const std::vector<Interval>& succ, const Interval& succ_tree,
+                  Label pad, std::vector<Interval>& out) {
+  out.clear();
+  Label max_hi = std::numeric_limits<Label>::min();
+  size_t a = 0;
+  size_t b = 0;
+  while (a < acc.size() || b < succ.size()) {
+    Interval next{0, 0};
+    bool take_succ = b < succ.size();
+    if (take_succ) {
+      next = succ[b];
+      if (next == succ_tree) next.hi += pad;
+      take_succ = a == acc.size() || next.lo < acc[a].lo ||
+                  (next.lo == acc[a].lo && next.hi > acc[a].hi);
+    }
+    if (take_succ) {
+      ++b;
+    } else {
+      next = acc[a++];
+    }
+    if (next.hi > max_hi) {
+      out.push_back(next);
+      max_hi = next.hi;
+    }
+  }
+}
+
 }  // namespace
 
 void PropagateIntervals(const Digraph& graph,
@@ -65,23 +102,32 @@ void PropagateIntervals(const Digraph& graph,
                         const std::vector<Label>* pad_per_node) {
   const NodeId n = graph.NumNodes();
   labels.intervals.assign(n, IntervalSet());
+  // p's set is the maximal antichain of its own tree interval and every
+  // out-neighbour's set: "for every arc (p,q), add all the intervals
+  // associated with the node q to the intervals associated with the node
+  // p" — tree arcs included; subsumption discards the redundant ones.
+  // q's own tree interval is padded with the reserve slack on the way in
+  // (Section 4.1), so that predecessors keep claiming nodes later refined
+  // in below q.  The antichain does not depend on insertion order, so
+  // one linear merge per arc builds it.
+  std::vector<Interval> acc;
+  std::vector<Interval> merged;
   for (NodeId p : reverse_topo) {
-    labels.intervals[p].Insert(labels.tree_interval[p]);
-    // "For every arc (p,q), add all the intervals associated with the node
-    // q to the intervals associated with the node p" — tree arcs included;
-    // subsumption discards the redundant ones.  q's own tree interval is
-    // padded with the reserve slack on the way in (Section 4.1), so that
-    // predecessors keep claiming nodes later refined in below q.
+    acc.assign(1, labels.tree_interval[p]);
     for (NodeId q : graph.OutNeighbors(p)) {
       const Label pad = pad_per_node ? (*pad_per_node)[q] : labels.reserve;
-      for (const Interval& interval : labels.intervals[q].intervals()) {
-        Interval to_insert = interval;
-        if (interval == labels.tree_interval[q]) {
-          to_insert.hi += pad;
-        }
-        labels.intervals[p].Insert(to_insert);
-      }
+      MergeMaximal(acc, labels.intervals[q].intervals(),
+                   labels.tree_interval[q], pad, merged);
+      acc.swap(merged);
     }
+    // Keep the capacity one-at-a-time insertion would have grown, the
+    // next power of two: AddArc and RefineAbove insert into these sets,
+    // and exact-capacity sets reallocate on their first insert, which
+    // slowed the writer's updates and publishes.
+    std::vector<Interval> set;
+    set.reserve(std::bit_ceil(acc.size()));
+    set.assign(acc.begin(), acc.end());
+    labels.intervals[p] = IntervalSet::FromSortedAntichain(std::move(set));
   }
 }
 

@@ -95,10 +95,14 @@ struct ClosureDelta {
 
 // Propagation only: recomputes intervals[] from tree_interval[] and the
 // arcs, reusing the existing postorder numbering.  `reverse_topo` must be
-// a reverse topological order of `graph`.  A node's tree interval is
-// padded on propagation by pad_per_node[v] if provided, else by
-// labels.reserve uniformly.  Used by the dynamic index after structural
-// deletions, where partially consumed reserve pools require per-node pads.
+// a reverse topological order of `graph`.  Each node's set is the maximal
+// antichain of its own tree interval and its out-neighbours' sets, built
+// by one linear merge per arc; it equals what inserting every inherited
+// interval one at a time would leave, since the antichain does not depend
+// on insertion order.  An out-neighbour's tree interval is padded on the
+// way in by pad_per_node[q] if provided, else by labels.reserve
+// uniformly.  Used by the dynamic index after structural deletions,
+// where partially consumed reserve pools require per-node pads.
 void PropagateIntervals(const Digraph& graph,
                         const std::vector<NodeId>& reverse_topo,
                         NodeLabels& labels,

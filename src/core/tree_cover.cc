@@ -2,12 +2,12 @@
 
 
 #include <algorithm>
-#include <string>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/bitset.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "graph/topology.h"
@@ -31,35 +31,81 @@ TreeCover FinishCover(std::vector<NodeId> parent) {
   return cover;
 }
 
-// Alg1 (optimum tree-cover): in topological order, give each node the
-// immediate predecessor with the largest predecessor set as tree parent,
-// and accumulate pred(j) = union over immediate predecessors i of
-// pred(i) + {i}.  Predecessor sets are bitsets; the union is
-// word-parallel, so the whole pass is O(n * m / 64).
+// Alg1 counts predecessors in blocks of this many topological ranks, one
+// pass over the graph per block.  Each rank keeps one 64-byte row of the
+// block's bits, so memory stays linear in n.
+constexpr int64_t kPredBlock = 512;
+constexpr int kPredBlockWords = static_cast<int>(kPredBlock / 64);
+
+// Alg1 (optimum tree-cover): give each node the immediate predecessor
+// with the largest predecessor set as tree parent, where
+// pred(j) = union over immediate predecessors i of pred(i) + {i}.
+// Parents depend only on the exact sizes |pred(j)|, so those are counted
+// one block of topological ranks at a time: for block [b0, b1), ranks
+// from b0 up each OR their in-neighbours' rows (those neighbours' pred
+// bits in the block) and the neighbours' own bits.  In-neighbours are
+// visited by descending rank, and the first one below b0 ends the visit:
+// neither it nor any later one has a bit in the block.
+// O((n + m) * n / 512) word operations and O(n + m) memory.
 std::vector<NodeId> OptimalParents(const Digraph& graph,
                                    const std::vector<NodeId>& topo) {
   const NodeId n = graph.NumNodes();
-  std::vector<NodeId> parent(n, kNoNode);
-  std::vector<DynamicBitset> pred(n);
-  std::vector<size_t> pred_size(n, 0);
-  for (NodeId v = 0; v < n; ++v) pred[v] = DynamicBitset(n);
+  std::vector<NodeId> rank(n);
+  for (NodeId r = 0; r < n; ++r) rank[topo[r]] = r;
 
-  for (NodeId j : topo) {
+  // In-neighbour ranks per rank (CSR), each run sorted descending.
+  std::vector<int64_t> in_begin(static_cast<size_t>(n) + 1, 0);
+  for (NodeId r = 0; r < n; ++r) {
+    in_begin[r + 1] = in_begin[r] + graph.InDegree(topo[r]);
+  }
+  std::vector<NodeId> in_rank(static_cast<size_t>(in_begin[n]));
+  for (NodeId r = 0; r < n; ++r) {
+    const auto first = in_rank.begin() + in_begin[r];
+    auto out = first;
+    for (NodeId i : graph.InNeighbors(topo[r])) *out++ = rank[i];
+    std::sort(first, out, std::greater<NodeId>());
+  }
+
+  // pred_count[r] = |pred| of the node at rank r, summed over blocks.
+  std::vector<int64_t> pred_count(n, 0);
+  // rows[(r - b0) * kPredBlockWords ...] = pred(r) restricted to the block.
+  std::vector<uint64_t> rows(static_cast<size_t>(n) * kPredBlockWords);
+  for (int64_t b0 = 0; b0 < n; b0 += kPredBlock) {
+    const int64_t b1 = std::min<int64_t>(n, b0 + kPredBlock);
+    for (int64_t r = b0; r < n; ++r) {
+      uint64_t acc[kPredBlockWords] = {};
+      for (int64_t k = in_begin[r]; k < in_begin[r + 1]; ++k) {
+        const int64_t i = in_rank[k];
+        if (i < b0) break;
+        const uint64_t* from = rows.data() + (i - b0) * kPredBlockWords;
+        for (int w = 0; w < kPredBlockWords; ++w) acc[w] |= from[w];
+        if (i < b1) acc[(i - b0) >> 6] |= uint64_t{1} << ((i - b0) & 63);
+      }
+      uint64_t* row = rows.data() + (r - b0) * kPredBlockWords;
+      int64_t count = 0;
+      for (int w = 0; w < kPredBlockWords; ++w) {
+        row[w] = acc[w];
+        count += __builtin_popcountll(acc[w]);
+      }
+      pred_count[r] += count;
+    }
+  }
+
+  std::vector<NodeId> parent(n, kNoNode);
+  for (NodeId j = 0; j < n; ++j) {
     NodeId best = kNoNode;
-    size_t best_size = 0;
+    int64_t best_count = 0;
     for (NodeId i : graph.InNeighbors(j)) {
       // Deterministic tie-break on node id keeps builds reproducible; the
       // optimality theorem is indifferent to ties.
-      if (best == kNoNode || pred_size[i] > best_size ||
-          (pred_size[i] == best_size && i < best)) {
+      const int64_t count = pred_count[rank[i]];
+      if (best == kNoNode || count > best_count ||
+          (count == best_count && i < best)) {
         best = i;
-        best_size = pred_size[i];
+        best_count = count;
       }
-      pred[j].UnionWith(pred[i]);
-      pred[j].Set(static_cast<size_t>(i));
     }
     parent[j] = best;
-    pred_size[j] = pred[j].Count();
   }
   return parent;
 }

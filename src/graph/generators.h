@@ -68,7 +68,8 @@ Digraph HubDag(NodeId num_sources, NodeId num_hubs, NodeId num_sinks,
 // This is the chain-fast publish tier's home turf (DESIGN.md §"Publish
 // strategies"): the greedy path cover recovers ~num_chains chains, so
 // BuildChainLabeling needs ceil(num_chains / 64) cheap passes where
-// Alg1's optimal-cover build pays per-interval antichain merges — while
+// the optimal-cover build pays Alg1's predecessor count and per-arc
+// antichain merges — while
 // the cross arcs keep the closure dense enough that the build time
 // actually matters.  avg_degree counts ALL arcs (the n - num_chains
 // chain arcs included) and must be >= their share.

@@ -156,8 +156,9 @@ TEST(DeltaSnapshotTest, OverlaySharesBaseStorageAndLeavesBaseUntouched) {
   EXPECT_EQ(base.Reaches(0, 199), base_reach);
 }
 
-// RemoveArc re-propagates labels wholesale, which must surface as an
-// everything-dirty delta that still reconstructs exact answers.
+// RemoveArc re-propagates every label but dirties only the nodes it
+// renumbers or whose interval set it changes; that delta must still
+// reconstruct exact answers.
 TEST(DeltaSnapshotTest, RemovalBatchesStayExactThroughDeltaChain) {
   auto dyn = DynamicClosure::Build(RandomDag(60, 2.5, 44));
   ASSERT_TRUE(dyn.ok());
@@ -256,19 +257,57 @@ TEST(DeltaSnapshotTest, ServiceFallsBackToFullWhenMostNodesDirty) {
   options.max_delta_dirty_fraction = 0.5;
   QueryService service(options);
   ASSERT_TRUE(service.Load(RandomDag(40, 2.0, 47)).ok());
-  // Removing an arc re-propagates (and dirties) every node, pushing the
-  // dirty fraction past the threshold: the publish must go full.
+  // Renumbering relabels (and dirties) every node, pushing the dirty
+  // fraction past the threshold: the publish must go full.
   ASSERT_TRUE(service
                   .Apply([](DynamicClosure& dynamic) {
-                    auto arcs = dynamic.graph().Arcs();
-                    const auto& [a, b] = arcs.front();
-                    return dynamic.RemoveArc(a, b);
+                    dynamic.Renumber();
+                    return Status::Ok();
                   })
                   .ok());
   service.Publish();
   ServiceMetrics::View view = service.Metrics();
   EXPECT_EQ(view.publishes_full, 3);
   EXPECT_EQ(view.publishes_delta, 0);
+}
+
+// A non-tree deletion dirties only the nodes whose interval sets it
+// changes, so it publishes as a small delta rather than a full export.
+TEST(DeltaSnapshotTest, NonTreeRemovalPublishesPreciseDelta) {
+  const NodeId n = 2000;
+  QueryService service(SerialOptions());
+  ASSERT_TRUE(service.Load(RandomDag(n, 3.0, 51)).ok());
+  Digraph graph;
+  int64_t dirty = -1;
+  ASSERT_TRUE(service
+                  .Apply([&](DynamicClosure& dynamic) {
+                    // The first non-tree arc whose removal cuts a path.
+                    for (const auto& [a, b] : dynamic.graph().Arcs()) {
+                      if (dynamic.IsTreeArc(a, b)) continue;
+                      Digraph without = dynamic.graph();
+                      TREL_RETURN_IF_ERROR(without.RemoveArc(a, b));
+                      if (DfsReaches(without, a, b)) continue;
+                      TREL_RETURN_IF_ERROR(dynamic.RemoveArc(a, b));
+                      graph = dynamic.graph();
+                      dirty = dynamic.DirtyCount();
+                      return Status::Ok();
+                    }
+                    return NotFoundError("no path-cutting non-tree arc");
+                  })
+                  .ok());
+  EXPECT_GT(dirty, 0);
+  service.Publish();
+  auto snapshot = service.Snapshot();
+  ASSERT_TRUE(snapshot->delta_publish);
+  EXPECT_EQ(snapshot->delta_entries, dirty);
+  EXPECT_LT(snapshot->delta_entries, n);
+  for (NodeId u = 0; u < n; ++u) {
+    std::vector<bool> reached(n, false);
+    for (NodeId v : DfsReachableSet(graph, u)) reached[v] = true;
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(snapshot->Reaches(u, v), reached[v]) << u << "->" << v;
+    }
+  }
 }
 
 TEST(DeltaSnapshotTest, ServiceLoadForcesFullPublish) {

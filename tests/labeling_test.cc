@@ -1,14 +1,19 @@
 #include "core/labeling.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/random.h"
 #include "core/chain_propagator.h"
+#include "core/dynamic_closure.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
+#include "graph/topology.h"
 #include "tests/test_util.h"
 
 namespace trel {
@@ -198,6 +203,159 @@ TEST(LabelingTest, BipartiteWorstCaseIsQuadratic) {
   // Routed: bottoms m, middle 1, adopting top 1, and 2 for each other top
   // node = 3m.
   EXPECT_EQ(routed.TotalIntervals(), 3 * m);
+}
+
+// Section 3.2's propagation as literally stated: one IntervalSet::Insert
+// per inherited interval, in reverse topological order, with each
+// out-neighbour's tree interval padded by pad_per_node (or the uniform
+// reserve).  PropagateIntervals must reproduce it exactly.
+std::vector<IntervalSet> ReferencePropagation(
+    const Digraph& graph, const NodeLabels& labels,
+    const std::vector<Label>* pad_per_node = nullptr) {
+  auto topo = TopologicalOrder(graph);
+  TREL_CHECK(topo.ok());
+  std::vector<IntervalSet> intervals(graph.NumNodes());
+  for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
+    const NodeId p = *it;
+    intervals[p].Insert(labels.tree_interval[p]);
+    for (NodeId q : graph.OutNeighbors(p)) {
+      const Label pad = pad_per_node ? (*pad_per_node)[q] : labels.reserve;
+      for (const Interval& interval : intervals[q].intervals()) {
+        Interval to_insert = interval;
+        if (interval == labels.tree_interval[q]) to_insert.hi += pad;
+        intervals[p].Insert(to_insert);
+      }
+    }
+  }
+  return intervals;
+}
+
+void ExpectSameSets(const std::vector<IntervalSet>& got,
+                    const std::vector<IntervalSet>& want,
+                    const std::string& name) {
+  ASSERT_EQ(got.size(), want.size()) << name;
+  for (size_t v = 0; v < want.size(); ++v) {
+    ASSERT_EQ(got[v], want[v]) << name << " node " << v << ": got " << got[v]
+                               << " want " << want[v];
+  }
+}
+
+TEST(LabelingTest, PropagationEqualsPerIntervalInsertion) {
+  const std::vector<std::pair<std::string, Digraph>> graphs = {
+      {"random", RandomDag(600, 3.0, 61)},
+      {"layered", LayeredDag(6, 90, 0.06, 62)},
+      {"bipartite", CompleteBipartite(120, 150)}};
+  for (const auto& [graph_name, graph] : graphs) {
+    for (TreeCoverStrategy strategy :
+         {TreeCoverStrategy::kOptimal, TreeCoverStrategy::kDfs,
+          TreeCoverStrategy::kFirstParent, TreeCoverStrategy::kRandom}) {
+      auto cover = ComputeTreeCover(graph, strategy, 63);
+      ASSERT_TRUE(cover.ok());
+      for (Label gap : {1, 4, 64}) {
+        for (Label reserve : {Label{0}, gap - 1}) {
+          if (gap == 1 && reserve > 0) continue;
+          for (bool merge : {false, true}) {
+            LabelingOptions options;
+            options.gap = gap;
+            options.reserve = reserve;
+            options.merge_adjacent = merge;
+            auto labels = BuildLabels(graph, cover.value(), options);
+            ASSERT_TRUE(labels.ok());
+            std::vector<IntervalSet> want =
+                ReferencePropagation(graph, labels.value());
+            if (merge) {
+              for (IntervalSet& set : want) set.MergeAdjacent();
+            }
+            ExpectSameSets(labels->intervals, want,
+                           graph_name + " " +
+                               TreeCoverStrategyName(strategy) + " gap " +
+                               std::to_string(gap) + " reserve " +
+                               std::to_string(reserve) +
+                               (merge ? " merged" : ""));
+          }
+        }
+      }
+    }
+  }
+}
+
+// Per-node pads, including pads past the gap: a padded tree interval can
+// then subsume its owner's other intervals, and the merge must still
+// leave exactly the antichain Insert leaves.
+TEST(LabelingTest, PropagationEqualsInsertionWithMixedPads) {
+  const Digraph graph = RandomDag(500, 3.0, 64);
+  LabelingOptions options;
+  options.gap = 8;
+  options.reserve = 7;
+  NodeLabels labels = MustBuild(graph, options);
+  Random rng(65);
+  std::vector<Label> pads(graph.NumNodes());
+  for (Label& pad : pads) pad = static_cast<Label>(rng.Uniform(3 * 8));
+  const std::vector<IntervalSet> want =
+      ReferencePropagation(graph, labels, &pads);
+  auto topo = TopologicalOrder(graph);
+  ASSERT_TRUE(topo.ok());
+  PropagateIntervals(graph, std::vector<NodeId>(topo->rbegin(), topo->rend()),
+                     labels, &pads);
+  ExpectSameSets(labels.intervals, want, "mixed pads");
+}
+
+// Deletions re-propagate a dynamic index with its per-node reserve pools
+// as pads.  Leaves stacked under one parent by AddLeafUnder hold pools
+// capped by their holes, so the pads differ from node to node.
+TEST(LabelingTest, DeletionRepropagationEqualsInsertion) {
+  auto dynamic = DynamicClosure::Build(RandomDag(300, 2.0, 66));
+  ASSERT_TRUE(dynamic.ok());
+  // Per parent: two leaves and a grandchild under the first.  The later
+  // leaves' holes are narrower than the reserve, which caps their pools.
+  std::vector<NodeId> leaves;
+  for (NodeId parent = 0; parent < 20; ++parent) {
+    auto first = dynamic->AddLeafUnder(parent);
+    auto second = dynamic->AddLeafUnder(parent);
+    ASSERT_TRUE(first.ok() && second.ok());
+    auto grandchild = dynamic->AddLeafUnder(first.value());
+    ASSERT_TRUE(grandchild.ok());
+    leaves.insert(leaves.end(),
+                  {first.value(), second.value(), grandchild.value()});
+  }
+  ASSERT_EQ(dynamic->stats().renumbers, 0);
+  Random rng(67);
+  for (NodeId leaf : leaves) {
+    (void)dynamic->AddArc(static_cast<NodeId>(20 + rng.Uniform(280)), leaf);
+  }
+  const auto pools = [&] {
+    std::vector<Label> pads;
+    for (NodeId v = 0; v < dynamic->NumNodes(); ++v) {
+      pads.push_back(dynamic->ReservePool(v));
+    }
+    return pads;
+  };
+  std::vector<Label> distinct = pools();
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  ASSERT_GE(distinct.size(), 3u);
+
+  for (int round = 0; round < 6; ++round) {
+    // Alternate non-tree and tree arcs; both end in re-propagation.
+    const bool tree = round % 2 == 1;
+    auto arcs = dynamic->graph().Arcs();
+    const size_t start = rng.Uniform(arcs.size());
+    bool removed = false;
+    for (size_t k = 0; k < arcs.size() && !removed; ++k) {
+      const auto [a, b] = arcs[(start + k) % arcs.size()];
+      if (dynamic->IsTreeArc(a, b) != tree) continue;
+      ASSERT_TRUE(dynamic->RemoveArc(a, b).ok());
+      removed = true;
+    }
+    ASSERT_TRUE(removed);
+    ASSERT_EQ(dynamic->stats().reoptimizes, 0);
+    const std::vector<Label> pads = pools();
+    ExpectSameSets(dynamic->labels().intervals,
+                   ReferencePropagation(dynamic->graph(), dynamic->labels(),
+                                        &pads),
+                   "round " + std::to_string(round));
+  }
 }
 
 }  // namespace
