@@ -11,8 +11,9 @@
 //
 // A second section measures publish latency with delta publication on vs
 // off: 10-arc update batches against a large DAG, where a delta publish
-// ships only the dirty nodes (see DESIGN.md §4c) and a full publish
-// re-exports the whole labeling.
+// ships only the dirty nodes as an overlay (see DESIGN.md §4c) and a full
+// publish folds them into a copy of the previous base arena.  Every
+// measured full publish folds: only the Load before them rebuilds.
 //
 // Usage: micro_concurrent_query [nodes] [seconds_per_config] [publish_nodes]
 
@@ -107,12 +108,12 @@ struct PublishResult {
 // Applies `batches` update batches of `arcs_per_batch` random arcs each,
 // publishing after every batch, and returns the mean wall-clock publish
 // latency.  The same seed is used for both modes so they replay the same
-// arc sequence.  `workers` > 0 gives the service a pool, which full
-// publishes use to shard the snapshot arena build.
+// arc sequence.  The service gets no worker pool: the fold every
+// measured full publish takes is serial.
 PublishResult RunPublishConfig(NodeId nodes, bool delta_publish, int batches,
-                               int arcs_per_batch, int workers = 0) {
+                               int arcs_per_batch) {
   ServiceOptions options;
-  options.num_workers = workers;
+  options.num_workers = 0;
   options.stats_on_publish = false;
   options.delta_publish = delta_publish;
   options.max_delta_publishes = batches + 1;  // No forced fulls mid-run.
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  // --- Publish latency: full export vs delta overlay ----------------------
+  // --- Publish latency: full (folding) publish vs delta overlay -----------
   const int batches = static_cast<int>(bench_util::ScaleReps(30, 3));
   const int arcs_per_batch = 10;
   std::printf(
@@ -211,10 +212,6 @@ int main(int argc, char** argv) {
   PublishResult full = RunPublishConfig(static_cast<NodeId>(publish_nodes),
                                         /*delta_publish=*/false, batches,
                                         arcs_per_batch);
-  // Same full exports, but with a worker pool sharding the arena build.
-  PublishResult pooled = RunPublishConfig(static_cast<NodeId>(publish_nodes),
-                                          /*delta_publish=*/false, batches,
-                                          arcs_per_batch, /*workers=*/2);
   PublishResult delta = RunPublishConfig(static_cast<NodeId>(publish_nodes),
                                          /*delta_publish=*/true, batches,
                                          arcs_per_batch);
@@ -223,10 +220,6 @@ int main(int argc, char** argv) {
   publish_table.AddRow({"full", bench_util::Fmt(int64_t{full.publishes}),
                         bench_util::Fmt(full.mean_micros),
                         bench_util::Fmt(full.mean_delta_entries)});
-  publish_table.AddRow({"full_pooled",
-                        bench_util::Fmt(int64_t{pooled.publishes}),
-                        bench_util::Fmt(pooled.mean_micros),
-                        bench_util::Fmt(pooled.mean_delta_entries)});
   publish_table.AddRow({"delta", bench_util::Fmt(int64_t{delta.publishes}),
                         bench_util::Fmt(delta.mean_micros),
                         bench_util::Fmt(delta.mean_delta_entries)});

@@ -176,6 +176,25 @@ CompressedClosure CompressedClosure::WithDelta(const CompressedClosure& base,
   return result;
 }
 
+CompressedClosure CompressedClosure::Fold(const CompressedClosure& layered,
+                                          TreeCover tree_cover) {
+  TREL_CHECK_EQ(static_cast<int64_t>(tree_cover.parent.size()),
+                static_cast<int64_t>(layered.num_nodes_));
+  CompressedClosure result;
+  result.num_nodes_ = layered.num_nodes_;
+  result.total_intervals_ = layered.total_intervals_;
+  result.tree_cover_ = std::make_shared<const TreeCover>(std::move(tree_cover));
+  if (layered.overlay_ == nullptr) {
+    result.arena_ = layered.arena_;
+  } else {
+    const Overlay& overlay = *layered.overlay_;
+    result.arena_ = std::make_shared<const LabelArena>(
+        FoldOverlayArena(*layered.arena_, overlay.arena, overlay.slot_of,
+                         overlay.stale_labels));
+  }
+  return result;
+}
+
 IntervalSet CompressedClosure::IntervalsOf(NodeId v) const {
   TREL_CHECK(IsValidNode(v));
   const LabelRef ref = LabelOf(v);

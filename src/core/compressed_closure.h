@@ -99,6 +99,16 @@ class CompressedClosure {
   static CompressedClosure WithDelta(const CompressedClosure& base,
                                      const ClosureDelta& delta);
 
+  // A base-only closure that answers exactly like `layered`, typically a
+  // WithDelta closure: its overlay is folded into a new base arena
+  // (FoldOverlayArena), byte for byte the arena FromParts builds over the
+  // same labeling, at the cost of the overlay plus bulk copies of the
+  // base — serially, with no runner.  An overlay-free `layered` shares
+  // its arena as is.  `tree_cover` must be the labeling's cover, as
+  // DynamicClosure::ExportTreeCover() hands it out.
+  static CompressedClosure Fold(const CompressedClosure& layered,
+                                TreeCover tree_cover);
+
   // True iff there is a directed path from `u` to `v` (every node reaches
   // itself).  Two flat array loads in the common case: u's slot (which
   // inlines its first interval) and v's slot (for the postorder number).

@@ -542,14 +542,18 @@ std::vector<NodeId> DynamicClosure::Successors(NodeId u) const {
   return result;
 }
 
-CompressedClosure DynamicClosure::ExportClosure(const ParallelRunner* runner,
-                                                int64_t* arena_micros) const {
+TreeCover DynamicClosure::ExportTreeCover() const {
   TreeCover cover;
   cover.parent = tree_parent_;
   cover.children = tree_children_;
   for (NodeId v = 0; v < graph_.NumNodes(); ++v) {
     if (tree_parent_[v] == kNoNode) cover.roots.push_back(v);
   }
+  return cover;
+}
+
+CompressedClosure DynamicClosure::ExportClosure(const ParallelRunner* runner,
+                                                int64_t* arena_micros) const {
   // by_postorder_ already orders (number, node) ascending, so the export
   // can hand the arena builder a ready-made directory and skip its
   // O(n log n) sort.
@@ -560,7 +564,7 @@ CompressedClosure DynamicClosure::ExportClosure(const ParallelRunner* runner,
   for (const auto& [number, node] : by_postorder_) {
     hints.sorted_directory.emplace_back(number, node);
   }
-  return CompressedClosure::FromParts(labels_, std::move(cover),
+  return CompressedClosure::FromParts(labels_, ExportTreeCover(),
                                       std::move(hints));
 }
 

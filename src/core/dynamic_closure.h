@@ -152,17 +152,24 @@ class DynamicClosure {
   std::vector<NodeId> Predecessors(NodeId v) const;
 
   // Builds an immutable CompressedClosure that answers exactly like this
-  // index does right now.  Costs one O(n) arena build that reads the
-  // labels in place — no per-node copy, no postorder sort (the index's
-  // by-postorder map is handed over pre-sorted), no tree-cover or
-  // propagation work — so a query service can publish read-only snapshots
-  // frequently (see src/service/).  A non-null `runner` shards the arena
-  // build across the caller's worker pool.  Does not touch the dirty set;
-  // a publisher that treats this export as its new delta base must call
-  // MarkClean() alongside it.  A non-null `arena_micros` receives the
-  // arena-build portion of the export time (obs publish spans).
+  // index does right now.  Costs one O(n + intervals) arena build that
+  // reads the labels in place — no per-node copy, no postorder sort (the
+  // index's by-postorder map is handed over pre-sorted), no tree-cover or
+  // propagation work.  A non-null `runner` shards the arena build across
+  // the caller's worker pool.  Does not touch the dirty set; a publisher
+  // that treats this export as its new delta base must call MarkClean()
+  // alongside it.  A non-null `arena_micros` receives the arena-build
+  // portion of the export time (obs publish spans).  A publisher holding
+  // the previous export skips this build on most full publishes: it
+  // folds ExportDelta() into that base instead (CompressedClosure::Fold,
+  // DESIGN.md §4c), which yields the same arena byte for byte.
   CompressedClosure ExportClosure(const ParallelRunner* runner = nullptr,
                                   int64_t* arena_micros = nullptr) const;
+
+  // The current tree cover (parents, children and roots), copied out
+  // without an arena build: the cover ExportClosure() attaches, and the
+  // one CompressedClosure::Fold needs.
+  TreeCover ExportTreeCover() const;
 
   // --- Delta export (dirty tracking) --------------------------------------
   //

@@ -82,6 +82,24 @@ void MarkFilter(const ArenaInterval* begin, const ArenaInterval* end,
   }
 }
 
+// Number of extras entries `slot`'s run occupies: its extras plus the
+// summary, or none.
+uint32_t RunLength(const LabelArena::NodeSlot& slot) {
+  return slot.extra_count > 0 ? slot.extra_count + 1 : 0;
+}
+
+// Appends one zeroed filter line and marks `slot`'s extras into it; the
+// run is read from `extras`, where the slot already points.
+void AppendMarkedLine(const LabelArena::NodeSlot& slot,
+                      const std::vector<ArenaInterval>& extras, int shift,
+                      std::vector<uint64_t>& filters) {
+  filters.resize(filters.size() + LabelArena::kFilterWords, 0);
+  if (slot.extra_count == 0) return;
+  const ArenaInterval* run = extras.data() + slot.extra_begin;
+  MarkFilter(run + 1, run + slot.extra_count + 1, shift,
+             filters.data() + filters.size() - LabelArena::kFilterWords);
+}
+
 // Fills one node's slot (postorder and extra_begin already set), its
 // Eytzinger run at `run`, and its filter line from `set`, a sorted
 // antichain.
@@ -173,7 +191,6 @@ LabelArena BuildLabelArena(const NodeLabels& labels,
 
   // Pass 2: fill slots, the per-node Eytzinger runs, and the coverage
   // filters.  Disjoint writes per node, so the pass shards cleanly.
-  // Slots are filled in place, so their padding keeps resize()'s zeros.
   arena.slots.resize(n);
   arena.extras.resize(extra_begin[n], ArenaInterval{1, 0});
   arena.filters.assign(static_cast<size_t>(n) * LabelArena::kFilterWords, 0);
@@ -279,7 +296,6 @@ LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
       << "arena extras exceed the 32-bit slot offset";
   arena.filter_shift = FilterShiftFor(max_label);
 
-  // Slots are filled in place, so their padding keeps resize()'s zeros.
   arena.slots.resize(n);
   // Appended run by run: carried runs are most of the bytes, and copying
   // them into a pre-filled array would write every byte twice.
@@ -324,6 +340,115 @@ LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
       MarkFilter(src + 1, src + s.extra_count + 1, arena.filter_shift, words);
     }
   }
+  return arena;
+}
+
+LabelArena FoldOverlayArena(const LabelArena& base, const LabelArena& overlay,
+                            const std::vector<int32_t>& slot_of,
+                            const std::vector<Label>& stale_labels) {
+  const int64_t n = static_cast<int64_t>(slot_of.size());
+  const NodeId base_nodes = base.num_nodes();
+  TREL_CHECK_GE(n, base_nodes) << "node ids are never recycled";
+  LabelArena arena;
+  if (n == 0) return arena;
+
+  // The directory: the base's entries minus the numbers the overlay
+  // superseded, merged with the overlay's.  All three lists ascend.
+  arena.dir_labels.resize(n);
+  arena.dir_nodes.resize(n);
+  {
+    auto stale = stale_labels.begin();
+    const int64_t base_end = static_cast<int64_t>(base.dir_labels.size());
+    const int64_t over_end = static_cast<int64_t>(overlay.dir_labels.size());
+    int64_t b = 0;
+    int64_t o = 0;
+    int64_t out = 0;
+    while (b < base_end || o < over_end) {
+      TREL_CHECK_LT(out, n) << "folded directory outgrows the node count";
+      if (b < base_end) {
+        const ArenaLabel label = base.dir_labels[b];
+        while (stale != stale_labels.end() && *stale < label) ++stale;
+        if (stale != stale_labels.end() && *stale == label) {
+          ++b;
+          continue;
+        }
+        if (o == over_end || label < overlay.dir_labels[o]) {
+          arena.dir_labels[out] = label;
+          arena.dir_nodes[out++] = base.dir_nodes[b++];
+          continue;
+        }
+      }
+      arena.dir_labels[out] = overlay.dir_labels[o];
+      arena.dir_nodes[out++] = overlay.dir_nodes[o++];
+    }
+    TREL_CHECK_EQ(out, n) << "folded directory must list every node once";
+  }
+  // BuildLabelArena's scale: the largest live postorder number, which the
+  // merged directory ends with.
+  arena.filter_shift = FilterShiftFor(arena.dir_labels.back());
+  const int shift = arena.filter_shift;
+  const bool copy_lines = base.filter_shift == shift;
+
+  // The extras total moves only by the overlaid nodes' runs.
+  uint64_t total = base.extras.size();
+  for (NodeId s = 0; s < overlay.num_nodes(); ++s) {
+    const NodeId v = overlay.dir_nodes[s];
+    if (v < base_nodes) total -= RunLength(base.slots[v]);
+    total += RunLength(overlay.slots[s]);
+  }
+  TREL_CHECK_LE(total, std::numeric_limits<uint32_t>::max())
+      << "arena extras exceed the 32-bit slot offset";
+
+  // Every array is appended to exact capacity, so no byte is written
+  // twice.
+  arena.slots.reserve(n);
+  arena.extras.reserve(total);
+  arena.filters.reserve(static_cast<size_t>(n) * LabelArena::kFilterWords);
+  for (int64_t v = 0; v < n;) {
+    if (slot_of[v] >= 0) {
+      LabelArena::NodeSlot slot = overlay.slots[slot_of[v]];
+      const auto run = overlay.extras.begin() + slot.extra_begin;
+      slot.extra_begin = static_cast<uint32_t>(arena.extras.size());
+      arena.extras.insert(arena.extras.end(), run, run + RunLength(slot));
+      arena.slots.push_back(slot);
+      AppendMarkedLine(slot, arena.extras, shift, arena.filters);
+      ++v;
+      continue;
+    }
+    // A run [v, end) of base nodes left alone: their runs sit contiguous
+    // in base.extras, so each array takes one copy.
+    int64_t end = v + 1;
+    while (end < n && slot_of[end] < 0) ++end;
+    TREL_CHECK_LE(end, base_nodes)
+        << "every node past the base must be overlaid";
+    const LabelArena::NodeSlot& last = base.slots[end - 1];
+    const uint32_t src = base.slots[v].extra_begin;
+    const uint32_t src_end = last.extra_begin + RunLength(last);
+    // Unsigned wrap-around makes this a signed move in the 32-bit space.
+    const uint32_t rebase = static_cast<uint32_t>(arena.extras.size()) - src;
+    arena.extras.insert(arena.extras.end(), base.extras.begin() + src,
+                        base.extras.begin() + src_end);
+    const size_t first = arena.slots.size();
+    arena.slots.insert(arena.slots.end(), base.slots.begin() + v,
+                       base.slots.begin() + end);
+    if (rebase != 0) {
+      for (size_t i = first; i < arena.slots.size(); ++i) {
+        arena.slots[i].extra_begin += rebase;
+      }
+    }
+    if (copy_lines) {
+      arena.filters.insert(
+          arena.filters.end(),
+          base.filters.begin() + v * LabelArena::kFilterWords,
+          base.filters.begin() + end * LabelArena::kFilterWords);
+    } else {
+      for (size_t i = first; i < arena.slots.size(); ++i) {
+        AppendMarkedLine(arena.slots[i], arena.extras, shift, arena.filters);
+      }
+    }
+    v = end;
+  }
+  TREL_CHECK_EQ(arena.extras.size(), total);
   return arena;
 }
 

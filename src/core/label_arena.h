@@ -78,9 +78,10 @@ struct ArenaInterval {
 // and keeps the global node ids in `dir_nodes`.
 struct LabelArena {
   // 20 bytes of fields, aligned to 32 so that a cache line holds exactly
-  // two slots and no slot straddles lines.  The builders write slots in
-  // place over value-initialized storage, so the padding stays zero and
-  // equal arenas compare equal byte for byte.
+  // two slots and no slot straddles lines.  The 12 bytes after the fields
+  // are a named member, so every constructed slot zeroes them (compiler
+  // padding would keep whatever the heap held): equal arenas compare
+  // equal byte for byte, and bulk copies carry zeros.
   struct alignas(32) NodeSlot {
     ArenaLabel postorder = 0;
     // The node's first (lowest-lo) interval; [1, 0] (empty) when the node
@@ -93,6 +94,8 @@ struct LabelArena {
     // are rejected at build time.
     uint32_t extra_begin = 0;
     uint32_t extra_count = 0;
+    // Always zero; no reader touches it.
+    uint32_t zero_pad[3] = {0, 0, 0};
   };
   static_assert(sizeof(NodeSlot) == 32, "NodeSlot must stay cache-packed");
 
@@ -204,6 +207,25 @@ struct OverlayMember {
 // past the last bucket.  Narrows and range-checks like BuildLabelArena.
 LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
                              const LabelArena* from);
+
+// Folds a WithDelta overlay into a new base arena: byte for byte the
+// arena BuildLabelArena builds over the labeling the two layers answer
+// with, at the cost of the overlay plus bulk copies of the base.
+// `slot_of[v]` is v's slot in `overlay`, or negative when v's label lives
+// in `base`; it spans every node, and every node past base.num_nodes() is
+// overlaid.  `stale_labels` are the base's postorder numbers the overlay
+// supersedes, sorted.  `base` must have BuildLabelArena's layout (runs in
+// node order), as every arena BuildLabelArena or this fold makes has.
+//
+// Each run of consecutive base nodes that are not overlaid is one copy of
+// slots, extras and filter lines, with extra_begin re-based.  Base filter
+// lines are copied while the bucket scale is unchanged and re-marked from
+// their runs when it moved; overlay nodes' lines are always re-marked,
+// since an overlay arena scales its buckets to its largest interval
+// endpoint rather than its largest postorder number.
+LabelArena FoldOverlayArena(const LabelArena& base, const LabelArena& overlay,
+                            const std::vector<int32_t>& slot_of,
+                            const std::vector<Label>& stale_labels);
 
 }  // namespace trel
 

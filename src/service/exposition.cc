@@ -141,6 +141,11 @@ std::string RenderMetricsz(const ServiceMetrics::View& view,
              view.publishes_chain_full);
   out.Sample("trel_publishes_total", "kind=\"optimal_full\"",
              view.publishes_optimal_full);
+  out.Family("trel_publishes_folded_total",
+             "Full publishes that folded the dirty nodes into the previous "
+             "base arena instead of rebuilding it.",
+             "counter");
+  out.Sample("trel_publishes_folded_total", "", view.publishes_folded);
   out.Family("trel_publish_micros_total",
              "Wall microseconds spent publishing, split by strategy.",
              "counter");
@@ -324,6 +329,8 @@ std::string RenderStatusz(const ServiceMetrics::View& view,
       << " chain_full=" << view.publishes_chain_full
       << " optimal_full=" << view.publishes_optimal_full
       << " chain_blowup=" << view.chain_interval_blowup << "\n";
+  out << "publishes_folded: " << view.publishes_folded << " of "
+      << view.publishes_full << " full\n";
   if (spans != nullptr) {
     const SpanLog::Aggregate agg = spans->Read();
     // Indexed by PublishStrategy, like the aggregate.

@@ -27,7 +27,9 @@ void ServiceMetrics::RecordBatch(int64_t micros) {
 
 void ServiceMetrics::RecordPublishFull(PublishStrategy strategy,
                                        int64_t micros,
-                                       int64_t total_intervals) {
+                                       int64_t total_intervals,
+                                       bool folded) {
+  if (folded) publishes_folded_.fetch_add(1, std::memory_order_relaxed);
   if (strategy == PublishStrategy::kChainFull) {
     publishes_chain_full_.fetch_add(1, std::memory_order_relaxed);
     publish_chain_full_micros_total_.fetch_add(micros,
@@ -78,6 +80,7 @@ ServiceMetrics::View ServiceMetrics::Read() const {
   view.publishes_full = view.publishes_chain_full + view.publishes_optimal_full;
   view.publishes_delta = publishes_delta_.load(std::memory_order_relaxed);
   view.publishes = view.publishes_full + view.publishes_delta;
+  view.publishes_folded = publishes_folded_.load(std::memory_order_relaxed);
   view.publish_chain_full_micros_total =
       publish_chain_full_micros_total_.load(std::memory_order_relaxed);
   view.publish_optimal_full_micros_total =
@@ -165,6 +168,9 @@ std::string ServiceMetrics::View::ToString() const {
       << " chain_intervals_last=" << chain_full_intervals_last
       << " optimal_intervals_last=" << optimal_full_intervals_last
       << " chain_blowup=" << chain_interval_blowup;
+  // How many of the full publishes folded, past the strategy block for
+  // the same leftmost-match reason.
+  out << " publishes_folded=" << publishes_folded;
   return out.str();
 }
 

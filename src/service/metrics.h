@@ -46,6 +46,9 @@ class ServiceMetrics {
     int64_t publishes_delta = 0;
     int64_t publishes_chain_full = 0;
     int64_t publishes_optimal_full = 0;
+    // The full publishes that folded the dirty nodes into the previous
+    // base arena instead of rebuilding it (a subset of publishes_full).
+    int64_t publishes_folded = 0;
     int64_t publish_micros_total = 0;
     int64_t publish_full_micros_total = 0;
     int64_t publish_delta_micros_total = 0;
@@ -116,8 +119,10 @@ class ServiceMetrics {
   // which full tier built it (kDelta is invalid here);
   // `total_intervals` is the published snapshot's interval count, kept
   // per tier so the chain-vs-optimal blowup ratio is observable.
+  // `folded` says whether the arena was folded from the previous base
+  // rather than rebuilt from every label.
   void RecordPublishFull(PublishStrategy strategy, int64_t micros,
-                         int64_t total_intervals);
+                         int64_t total_intervals, bool folded);
   // One publish that shipped `delta_nodes` changed entries as an overlay.
   void RecordPublishDelta(int64_t micros, int64_t delta_nodes);
   // Folds one batch invocation's kernel tallies in (four relaxed adds —
@@ -139,6 +144,7 @@ class ServiceMetrics {
   std::atomic<int64_t> publishes_chain_full_{0};
   std::atomic<int64_t> publishes_optimal_full_{0};
   std::atomic<int64_t> publishes_delta_{0};
+  std::atomic<int64_t> publishes_folded_{0};
   std::atomic<int64_t> publish_chain_full_micros_total_{0};
   std::atomic<int64_t> publish_optimal_full_micros_total_{0};
   std::atomic<int64_t> publish_delta_micros_total_{0};

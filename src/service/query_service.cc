@@ -238,12 +238,18 @@ uint64_t QueryService::PublishLocked() {
   span.epoch = epoch_;
 
   const NodeId num_nodes = dynamic_.NumNodes();
-  const int64_t dirty = dynamic_.DirtyCount();
-  const bool use_delta =
-      options_.delta_publish && !force_full_publish_ && base != nullptr &&
-      delta_publishes_since_full_ < options_.max_delta_publishes &&
-      static_cast<double>(dirty) <=
-          options_.max_delta_dirty_fraction * static_cast<double>(num_nodes);
+  // The previous snapshot is a base for this lineage, and few enough
+  // nodes changed since it that an overlay over it stays cheap.
+  const bool has_base = !force_full_publish_ && base != nullptr;
+  const auto few_dirty = [&] {
+    return static_cast<double>(dynamic_.DirtyCount()) <=
+           options_.max_delta_dirty_fraction * static_cast<double>(num_nodes);
+  };
+  const bool use_delta = options_.delta_publish && has_base &&
+                         delta_publishes_since_full_ <
+                             options_.max_delta_publishes &&
+                         few_dirty();
+  bool folded = false;
   Stopwatch phase;
   if (use_delta) {
     span.strategy = PublishStrategy::kDelta;
@@ -313,8 +319,20 @@ uint64_t QueryService::PublishLocked() {
     } else {
       chain_fulls_since_optimal_ = 0;
     }
+    // Counted after the tier step: a rebuild above dirtied every node.
+    folded = has_base && few_dirty();
     int64_t arena_micros = 0;
-    if (pool_ != nullptr) {
+    if (folded) {
+      // Fold the dirty nodes into a copy of the base arena instead of
+      // rebuilding it from every label set (DESIGN.md §4c): the same
+      // arena, byte for byte, built serially without the pool.
+      const CompressedClosure layered =
+          CompressedClosure::WithDelta(base->closure, dynamic_.ExportDelta());
+      TreeCover cover = dynamic_.ExportTreeCover();
+      Stopwatch fold_timer;
+      snapshot->closure = CompressedClosure::Fold(layered, std::move(cover));
+      arena_micros = fold_timer.ElapsedMicros();
+    } else if (pool_ != nullptr) {
       // Shard the arena build of the full export across the worker pool
       // (readers keep querying the old snapshot; the pool only blocks
       // batch queries, which share it).
@@ -344,14 +362,16 @@ uint64_t QueryService::PublishLocked() {
         break;
     }
     metrics_.RecordFamilySelect(snapshot->family);
-    // The export span is the label walk minus the arena construction the
-    // closure timed for us (§4d's build-time tradeoff, now measured).
+    // The export span is the label walk (or, when folding, the delta
+    // drain, overlay and cover copy) minus the arena construction or fold
+    // (§4d's build-time tradeoff, now measured).
     span.phase_micros[static_cast<int>(PublishPhase::kExport)] =
         std::max<int64_t>(0, phase.ElapsedMicros() - arena_micros);
     span.phase_micros[static_cast<int>(PublishPhase::kArenaBuild)] =
         arena_micros;
     phase.Restart();
-    // The full export captured every node, so the dirty set is settled.
+    // The full export captured every node, so the dirty set is settled
+    // (a fold already drained it).
     dynamic_.MarkClean();
     span.phase_micros[static_cast<int>(PublishPhase::kDrain)] =
         phase.ElapsedMicros();
@@ -378,7 +398,7 @@ uint64_t QueryService::PublishLocked() {
     metrics_.RecordPublishDelta(span.total_micros, delta_entries);
   } else {
     metrics_.RecordPublishFull(span.strategy, span.total_micros,
-                               total_intervals);
+                               total_intervals, folded);
   }
   return epoch_;
 }

@@ -75,15 +75,21 @@ struct ServiceOptions {
   // Publish copy-on-write delta snapshots (CompressedClosure::WithDelta)
   // when the update batch touched few nodes, making publish cost
   // proportional to the batch instead of the graph.  Off = every publish
-  // is a full export (the pre-delta behavior).
+  // is a full one with an overlay-free snapshot; after the first, each
+  // still folds the dirty nodes into the previous base arena whenever
+  // the dirty fraction allows (see max_delta_dirty_fraction).
   bool delta_publish = true;
-  // Force a full export after this many consecutive delta publishes,
+  // Force a full publish after this many consecutive delta publishes,
   // bounding the accumulated overlay (and the memory pinned in the shared
-  // base snapshot) regardless of workload.  Must be >= 1.
+  // base snapshot) regardless of workload.  That full publish folds the
+  // overlay into a new base arena by bulk copy (CompressedClosure::Fold)
+  // unless a rebuild or a lineage change dirtied most nodes, in which
+  // case it rebuilds the arena from every label.  Must be >= 1.
   int max_delta_publishes = 32;
   // Fall back to a full export when more than this fraction of all nodes
   // is dirty — at that point the overlay would cost more to query than a
-  // fresh base, and exporting it is no cheaper.
+  // fresh base, and exporting it is no cheaper.  The same bound decides
+  // whether a full publish folds or rebuilds its arena.
   double max_delta_dirty_fraction = 0.5;
   // Build options for the underlying index (gap numbering etc.).
   ClosureOptions closure = DynamicClosure::DefaultOptions();
@@ -298,7 +304,8 @@ class QueryService {
   };
 
   // Builds and swaps in a snapshot of `dynamic_`; writer mutex held.
-  // Chooses between a full export and a WithDelta overlay publish (see
+  // Chooses between a WithDelta overlay publish and a full one, and for a
+  // full one between folding into the previous base and rebuilding (see
   // ServiceOptions::delta_publish and DESIGN.md §4c).
   uint64_t PublishLocked();
 

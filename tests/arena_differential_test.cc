@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "common/status.h"
 #include "core/arena_kernels.h"
 #include "core/chain_propagator.h"
+#include "core/closure_stats.h"
 #include "core/compressed_closure.h"
 #include "core/dynamic_closure.h"
 #include "core/hop_label_index.h"
@@ -403,6 +406,313 @@ TEST(ArenaParallelBuildTest, ParallelBuildIsDeterministic) {
     ASSERT_EQ(sharded.Reaches(u, v), ref.Reaches(u, v))
         << "sharded " << u << "->" << v;
   }
+}
+
+// Every slot's 12 bytes past its fields must be zero, even over heap
+// memory that held other bytes: a memcmp of two arenas (above, and in the
+// fold tests below) compares those bytes too, and the fold copies them.
+// Each round fills and frees a block a little larger than the 64 000-byte
+// slot array, so the build is likely to reuse it.  A small allocation
+// kept past the build stops the freed block from merging into the top of
+// the heap, which the allocator could hand back to the system as zeroes.
+TEST(ArenaSlotPaddingTest, PaddingIsZeroOverDirtyHeap) {
+  const Parts parts = BuildParts(RandomDag(2000, 3.0, 11));
+  constexpr size_t kFieldBytes =
+      offsetof(LabelArena::NodeSlot, extra_count) + sizeof(uint32_t);
+  static_assert(kFieldBytes == 20, "NodeSlot fields are 20 bytes");
+  constexpr size_t kJunkBytes = 120000;
+  for (int round = 0; round < 20; ++round) {
+    std::unique_ptr<unsigned char[]> junk(new unsigned char[kJunkBytes]);
+    std::memset(junk.get(), 0xA5 + round, kJunkBytes);
+    // Keeps the compiler from dropping the fill as a dead store.
+    asm volatile("" : : "r"(junk.get()) : "memory");
+    const auto fence = std::make_unique<uint64_t>(round);
+    junk.reset();
+    const CompressedClosure closure =
+        CompressedClosure::FromParts(parts.labels, parts.cover);
+    const LabelArena& arena = closure.arena();
+    for (NodeId v = 0; v < arena.num_nodes(); ++v) {
+      unsigned char bytes[sizeof(LabelArena::NodeSlot)];
+      std::memcpy(bytes, &arena.slots[v], sizeof(bytes));
+      for (size_t i = kFieldBytes; i < sizeof(bytes); ++i) {
+        ASSERT_EQ(bytes[i], 0) << "round " << round << " slot " << v
+                               << " byte " << i;
+      }
+    }
+  }
+}
+
+// --- Fold identity -----------------------------------------------------------
+//
+// CompressedClosure::Fold folds a WithDelta closure into a new base arena
+// by copying slots, runs and filter lines out of the two layers.  It must
+// yield the arena BuildLabelArena builds over the writer's labels, byte
+// for byte, and the same answers as DFS.  The chains below cover new
+// roots that move the filter scale, arcs, tree and non-tree deletions
+// (whose renumbered subtrees leave stale base labels), overlays of new
+// nodes only, empty deltas, and folds of folds.
+
+// `got` against `want`, array by array.  A mismatch names the node and
+// its label in `layered`, the two-layer closure the fold read.
+void ExpectSameArena(const LabelArena& got, const LabelArena& want,
+                     const CompressedClosure& layered,
+                     const std::string& what) {
+  ASSERT_EQ(got.filter_shift, want.filter_shift) << what;
+  ASSERT_EQ(got.num_nodes(), want.num_nodes()) << what;
+  ASSERT_EQ(got.extras.size(), want.extras.size()) << what;
+  ASSERT_EQ(got.filters.size(), want.filters.size()) << what;
+  constexpr int64_t kWords = LabelArena::kFilterWords;
+  for (NodeId v = 0; v < want.num_nodes(); ++v) {
+    const LabelArena::NodeSlot& a = got.slots[v];
+    const LabelArena::NodeSlot& b = want.slots[v];
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(a)), 0)
+        << what << " slot of " << DescribeNode(layered, v)
+        << ": extra_begin " << a.extra_begin << " vs " << b.extra_begin
+        << ", extra_count " << a.extra_count << " vs " << b.extra_count;
+    if (b.extra_count > 0) {
+      ASSERT_EQ(std::memcmp(got.extras.data() + b.extra_begin,
+                            want.extras.data() + b.extra_begin,
+                            (b.extra_count + 1) * sizeof(ArenaInterval)),
+                0)
+          << what << " extras run of " << DescribeNode(layered, v);
+    }
+    ASSERT_TRUE(std::equal(got.filters.begin() + v * kWords,
+                           got.filters.begin() + (v + 1) * kWords,
+                           want.filters.begin() + v * kWords))
+        << what << " filter line of " << DescribeNode(layered, v)
+        << " at shift " << want.filter_shift;
+  }
+  ASSERT_EQ(got.dir_labels, want.dir_labels) << what;
+  ASSERT_EQ(got.dir_nodes, want.dir_nodes) << what;
+}
+
+// Point, batch, successor, count and predecessor answers against DFS.
+void ExpectMatchesDfs(const CompressedClosure& closure, const Digraph& graph,
+                      uint64_t seed, const std::string& what) {
+  const ReachabilityMatrix truth(graph);
+  const NodeId n = graph.NumNodes();
+  ASSERT_EQ(closure.NumNodes(), n) << what;
+  for (NodeId u = 0; u < n; ++u) {
+    std::vector<NodeId> preds;
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(closure.Reaches(u, v), truth.Reaches(u, v))
+          << what << " Reaches " << u << "->" << v
+          << DescribePair(closure, u, v);
+      if (v != u && truth.Reaches(v, u)) preds.push_back(v);
+    }
+    const std::vector<NodeId> want = truth.Successors(u);
+    std::vector<NodeId> succ = closure.Successors(u);
+    std::sort(succ.begin(), succ.end());
+    ASSERT_EQ(succ, want) << what << " Successors of "
+                          << DescribeNode(closure, u);
+    ASSERT_EQ(closure.CountSuccessors(u), static_cast<int64_t>(want.size()))
+        << what << " CountSuccessors of " << DescribeNode(closure, u);
+    ASSERT_EQ(closure.Predecessors(u), preds)
+        << what << " Predecessors of " << DescribeNode(closure, u);
+  }
+  const auto pairs = FuzzPairs(n, seed, 2048);
+  const std::vector<uint8_t> got = closure.BatchReaches(pairs);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    const bool valid = closure.IsValidNode(u) && closure.IsValidNode(v);
+    ASSERT_EQ(got[i], valid && truth.Reaches(u, v) ? 1 : 0)
+        << what << " batch " << u << "->" << v << DescribePair(closure, u, v);
+  }
+}
+
+// Folds `layered` with the writer's cover and checks the result against
+// the writer's from-labels export (arena, interval total, cover, stats)
+// and against DFS.
+void FoldAndCheck(const CompressedClosure& layered,
+                  const DynamicClosure& dynamic, uint64_t seed,
+                  const std::string& what, CompressedClosure* folded) {
+  *folded = CompressedClosure::Fold(layered, dynamic.ExportTreeCover());
+  const CompressedClosure want = dynamic.ExportClosure();
+  ASSERT_FALSE(folded->IsOverlay()) << what;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectSameArena(folded->arena(), want.arena(), layered, what));
+  EXPECT_EQ(folded->TotalIntervals(), want.TotalIntervals()) << what;
+  EXPECT_EQ(folded->tree_cover().parent, want.tree_cover().parent) << what;
+  EXPECT_EQ(folded->tree_cover().children, want.tree_cover().children)
+      << what;
+  EXPECT_EQ(folded->tree_cover().roots, want.tree_cover().roots) << what;
+  EXPECT_EQ(ComputeClosureStats(dynamic.graph(), *folded).ToString(),
+            ComputeClosureStats(dynamic.graph(), want).ToString())
+      << what;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMatchesDfs(*folded, dynamic.graph(), seed, what));
+}
+
+// `folds` times: publish `deltas` WithDelta layers over the current base,
+// one `mutate` call before each, then fold them into the next base, so
+// every fold after the first folds a fold.  Returns, in `shift_moves`,
+// how many folds changed the filter scale.
+struct FoldChain {
+  const char* name;
+  Digraph graph;
+  int folds;
+  int deltas;
+  std::function<void(DynamicClosure&, Random&)> mutate;
+  // Also assert that each overlay holds only nodes added since its base.
+  bool only_new_nodes = false;
+};
+
+void RunFoldChain(const FoldChain& chain, uint64_t seed, int* shift_moves) {
+  auto dynamic = DynamicClosure::Build(chain.graph);
+  ASSERT_TRUE(dynamic.ok()) << chain.name;
+  CompressedClosure base = dynamic->ExportClosure();
+  dynamic->MarkClean();
+  Random rng(seed);
+  *shift_moves = 0;
+  for (int f = 0; f < chain.folds; ++f) {
+    CompressedClosure layered = base;
+    for (int d = 0; d < chain.deltas; ++d) {
+      chain.mutate(*dynamic, rng);
+      layered = CompressedClosure::WithDelta(layered, dynamic->ExportDelta());
+    }
+    const std::string what =
+        std::string(chain.name) + " fold " + std::to_string(f);
+    if (chain.only_new_nodes) {
+      ASSERT_TRUE(layered.IsOverlay()) << what;
+      for (NodeId v = 0; v < base.NumNodes(); ++v) {
+        ASSERT_FALSE(layered.IsOverlayMember(v))
+            << what << " overlays old " << DescribeNode(layered, v);
+      }
+    }
+    CompressedClosure folded;
+    ASSERT_NO_FATAL_FAILURE(
+        FoldAndCheck(layered, *dynamic, seed + f, what, &folded));
+    if (folded.arena().filter_shift != base.arena().filter_shift) {
+      ++*shift_moves;
+    }
+    base = std::move(folded);
+  }
+}
+
+// A random arc of `dynamic` (which must have one).
+std::pair<NodeId, NodeId> RandomArc(const DynamicClosure& dynamic,
+                                    Random& rng) {
+  const std::vector<std::pair<NodeId, NodeId>> arcs = dynamic.graph().Arcs();
+  return arcs[rng.Uniform(arcs.size())];
+}
+
+NodeId RandomNode(const DynamicClosure& dynamic, Random& rng) {
+  return static_cast<NodeId>(rng.Uniform(dynamic.NumNodes()));
+}
+
+// Each chain runs over four graph and update seeds.
+constexpr uint64_t kFoldSeeds[] = {1, 2, 3, 4};
+
+TEST(ArenaFoldTest, MixedUpdatesFoldByteForByte) {
+  for (const uint64_t seed : kFoldSeeds) {
+    const FoldChain chain{
+        "mixed", RandomDag(80, 1.5, 610 + seed), 6, 3,
+        [](DynamicClosure& dynamic, Random& rng) {
+          for (int i = 0; i < 3; ++i) {
+            (void)dynamic.AddArc(RandomNode(dynamic, rng),
+                                 RandomNode(dynamic, rng));
+          }
+          TREL_CHECK(dynamic.AddLeafUnder(RandomNode(dynamic, rng)).ok());
+          if (rng.Uniform(3) == 0) {
+            const auto [from, to] = RandomArc(dynamic, rng);
+            TREL_CHECK(dynamic.RemoveArc(from, to).ok());
+          }
+        }};
+    int shift_moves = 0;
+    ASSERT_NO_FATAL_FAILURE(RunFoldChain(chain, seed, &shift_moves));
+  }
+}
+
+// New roots number past the maximum, so enough of them move the filter
+// scale: base lines must then be re-marked, not copied.
+TEST(ArenaFoldTest, NewRootsMoveTheFilterScale) {
+  for (const uint64_t seed : kFoldSeeds) {
+    const FoldChain chain{
+        "new_roots", RandomDag(40, 2.0, 620 + seed), 5, 2,
+        [](DynamicClosure& dynamic, Random& rng) {
+          for (int i = 0; i < 4; ++i) {
+            TREL_CHECK(dynamic.AddLeafUnder(kNoNode).ok());
+          }
+          // Into a new root, so the overlay's runs reach past the base.
+          (void)dynamic.AddArc(RandomNode(dynamic, rng),
+                               dynamic.NumNodes() - 1);
+        }};
+    int shift_moves = 0;
+    ASSERT_NO_FATAL_FAILURE(RunFoldChain(chain, seed, &shift_moves));
+    EXPECT_GT(shift_moves, 0) << "seed " << seed
+                              << " never moved the filter scale";
+  }
+}
+
+// Tree-arc deletions renumber the detached subtree past the maximum,
+// leaving its old numbers stale in the base directory; non-tree
+// deletions change interval sets only.
+TEST(ArenaFoldTest, DeletionsLeaveStaleLabelsBehind) {
+  int tree_removals = 0;
+  int other_removals = 0;
+  for (const uint64_t seed : kFoldSeeds) {
+    const FoldChain chain{
+        "removals", RandomDag(70, 2.0, 630 + seed), 5, 2,
+        [&](DynamicClosure& dynamic, Random& rng) {
+          for (int i = 0; i < 2; ++i) {
+            const auto [from, to] = RandomArc(dynamic, rng);
+            ++(dynamic.IsTreeArc(from, to) ? tree_removals : other_removals);
+            TREL_CHECK(dynamic.RemoveArc(from, to).ok());
+          }
+          (void)dynamic.AddArc(RandomNode(dynamic, rng),
+                               RandomNode(dynamic, rng));
+        }};
+    int shift_moves = 0;
+    ASSERT_NO_FATAL_FAILURE(RunFoldChain(chain, seed, &shift_moves));
+  }
+  EXPECT_GT(tree_removals, 0);
+  EXPECT_GT(other_removals, 0);
+}
+
+// New leaves under distinct old parents dirty only themselves, so every
+// overlay holds new nodes only and no base label goes stale.
+TEST(ArenaFoldTest, OverlayOfNewNodesOnly) {
+  for (const uint64_t seed : kFoldSeeds) {
+    int next_parent = 0;
+    FoldChain chain{"new_only", RandomDag(60, 1.5, 640 + seed), 4, 3,
+                    [&](DynamicClosure& dynamic, Random&) {
+                      for (int i = 0; i < 3; ++i) {
+                        const NodeId parent = (next_parent++ * 7) % 60;
+                        TREL_CHECK(dynamic.AddLeafUnder(parent).ok());
+                      }
+                    }};
+    chain.only_new_nodes = true;
+    int shift_moves = 0;
+    ASSERT_NO_FATAL_FAILURE(RunFoldChain(chain, seed, &shift_moves));
+  }
+}
+
+// An empty delta over a base alone leaves nothing to fold: the fold
+// shares the base arena.  Over an overlay it carries that overlay, which
+// then folds like any other.
+TEST(ArenaFoldTest, EmptyDeltas) {
+  auto dynamic = DynamicClosure::Build(RandomDag(50, 2.0, 65));
+  ASSERT_TRUE(dynamic.ok());
+  const CompressedClosure base = dynamic->ExportClosure();
+  dynamic->MarkClean();
+
+  const CompressedClosure empty =
+      CompressedClosure::WithDelta(base, dynamic->ExportDelta());
+  ASSERT_FALSE(empty.IsOverlay());
+  CompressedClosure folded;
+  ASSERT_NO_FATAL_FAILURE(
+      FoldAndCheck(empty, *dynamic, 650, "empty over base", &folded));
+  EXPECT_EQ(&folded.arena(), &base.arena());
+
+  ASSERT_TRUE(dynamic->AddLeafUnder(3).ok());
+  const CompressedClosure layered =
+      CompressedClosure::WithDelta(base, dynamic->ExportDelta());
+  ASSERT_TRUE(layered.IsOverlay());
+  const CompressedClosure carried =
+      CompressedClosure::WithDelta(layered, dynamic->ExportDelta());
+  ASSERT_TRUE(carried.IsOverlay());
+  ASSERT_NO_FATAL_FAILURE(
+      FoldAndCheck(carried, *dynamic, 651, "empty over overlay", &folded));
 }
 
 // Kernel tables for every level this HOST can execute (the build always

@@ -3,6 +3,7 @@
 // every query surface, across randomized interleaved update batches, and
 // QueryService's full-vs-delta publish policy must follow its knobs.
 
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -178,6 +179,39 @@ TEST(DeltaSnapshotTest, RemovalBatchesStayExactThroughDeltaChain) {
 
 // --- QueryService publish policy -------------------------------------------
 
+// The live snapshot's base arena against the writer's from-labels
+// export, array by array and byte for byte: a folded full publish must
+// be exactly the arena a rebuild would have made.
+void ExpectLiveArenaMatchesExport(QueryService& service) {
+  CompressedClosure want;
+  ASSERT_TRUE(service
+                  .Apply([&want](DynamicClosure& dynamic) {
+                    want = dynamic.ExportClosure();
+                    return Status::Ok();
+                  })
+                  .ok());
+  const auto snapshot = service.Snapshot();
+  ASSERT_FALSE(snapshot->closure.IsOverlay());
+  const LabelArena& a = snapshot->closure.arena();
+  const LabelArena& b = want.arena();
+  EXPECT_EQ(a.filter_shift, b.filter_shift);
+  ASSERT_EQ(a.slots.size(), b.slots.size());
+  ASSERT_EQ(a.extras.size(), b.extras.size());
+  ASSERT_GT(a.slots.size(), 0u);
+  EXPECT_EQ(std::memcmp(a.slots.data(), b.slots.data(),
+                        a.slots.size() * sizeof(LabelArena::NodeSlot)),
+            0);
+  if (!b.extras.empty()) {
+    EXPECT_EQ(std::memcmp(a.extras.data(), b.extras.data(),
+                          a.extras.size() * sizeof(ArenaInterval)),
+              0);
+  }
+  EXPECT_EQ(a.filters, b.filters);
+  EXPECT_EQ(a.dir_labels, b.dir_labels);
+  EXPECT_EQ(a.dir_nodes, b.dir_nodes);
+  EXPECT_EQ(snapshot->closure.TotalIntervals(), want.TotalIntervals());
+}
+
 ServiceOptions SerialOptions() {
   ServiceOptions options;
   options.num_workers = 0;
@@ -190,23 +224,31 @@ TEST(DeltaSnapshotTest, ServiceForcesFullExportEveryK) {
   QueryService service(options);
   ASSERT_TRUE(service.Load(RandomDag(300, 2.0, 45)).ok());
 
-  // Construction and Load are new-lineage publishes: always full.
+  // Construction and Load are new-lineage publishes: always full, and
+  // rebuilt, since there is no base of their lineage to fold into.
   ServiceMetrics::View view = service.Metrics();
   EXPECT_EQ(view.publishes_full, 2);
   EXPECT_EQ(view.publishes_delta, 0);
+  EXPECT_EQ(view.publishes_folded, 0);
 
   Random rng(11);
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(
         service.AddLeafUnder(static_cast<NodeId>(rng.Uniform(300))).ok());
     service.Publish();
+    if (i == 9) {
+      // Publish 10 folded its deltas into the previous base arena.
+      ASSERT_FALSE(service.Snapshot()->delta_publish);
+      ASSERT_NO_FATAL_FAILURE(ExpectLiveArenaMatchesExport(service));
+    }
   }
   view = service.Metrics();
   // Of the 12 explicit publishes, every 5th (the one after 4 consecutive
-  // deltas) is forced full: publishes 5 and 10.
+  // deltas) is forced full: publishes 5 and 10.  Both fold.
   EXPECT_EQ(view.publishes_full, 4);
   EXPECT_EQ(view.publishes_delta, 10);
   EXPECT_EQ(view.publishes, 14);
+  EXPECT_EQ(view.publishes_folded, 2);
   EXPECT_GT(view.delta_nodes_total, 0);
   int64_t histogram_total = 0;
   for (int64_t bucket : view.delta_nodes_histogram) histogram_total += bucket;
@@ -248,8 +290,22 @@ TEST(DeltaSnapshotTest, ServiceDeltaDisabledAlwaysExportsFull) {
   ServiceMetrics::View view = service.Metrics();
   EXPECT_EQ(view.publishes_delta, 0);
   EXPECT_EQ(view.publishes_full, 7);
+  // Every publish after Load folds the dirty nodes into its base, except
+  // the third: its leaf exhausts the hole under node 0, and the renumber
+  // that follows dirties every node, so that publish rebuilds.  The
+  // snapshots stay overlay-free all the same.
+  int64_t renumbers = -1;
+  ASSERT_TRUE(service
+                  .Apply([&renumbers](DynamicClosure& dynamic) {
+                    renumbers = dynamic.stats().renumbers;
+                    return Status::Ok();
+                  })
+                  .ok());
+  EXPECT_EQ(renumbers, 1);
+  EXPECT_EQ(view.publishes_folded, 4);
   EXPECT_FALSE(service.Snapshot()->delta_publish);
   EXPECT_EQ(view.snapshot_overlay_nodes, 0);
+  ASSERT_NO_FATAL_FAILURE(ExpectLiveArenaMatchesExport(service));
 }
 
 TEST(DeltaSnapshotTest, ServiceFallsBackToFullWhenMostNodesDirty) {
@@ -258,7 +314,8 @@ TEST(DeltaSnapshotTest, ServiceFallsBackToFullWhenMostNodesDirty) {
   QueryService service(options);
   ASSERT_TRUE(service.Load(RandomDag(40, 2.0, 47)).ok());
   // Renumbering relabels (and dirties) every node, pushing the dirty
-  // fraction past the threshold: the publish must go full.
+  // fraction past the threshold: the publish must go full, and rebuild
+  // the arena rather than fold.
   ASSERT_TRUE(service
                   .Apply([](DynamicClosure& dynamic) {
                     dynamic.Renumber();
@@ -269,6 +326,7 @@ TEST(DeltaSnapshotTest, ServiceFallsBackToFullWhenMostNodesDirty) {
   ServiceMetrics::View view = service.Metrics();
   EXPECT_EQ(view.publishes_full, 3);
   EXPECT_EQ(view.publishes_delta, 0);
+  EXPECT_EQ(view.publishes_folded, 0);
 }
 
 // A non-tree deletion dirties only the nodes whose interval sets it

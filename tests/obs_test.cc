@@ -155,6 +155,7 @@ TEST(ServiceMetricsViewTest, ToStringGolden) {
   view.publishes_delta = 1;
   view.publishes_chain_full = 1;
   view.publishes_optimal_full = 1;
+  view.publishes_folded = 1;
   view.publish_micros_total = 1020;
   view.publish_full_micros_total = 1000;
   view.publish_delta_micros_total = 20;
@@ -185,7 +186,7 @@ TEST(ServiceMetricsViewTest, ToStringGolden) {
             "publish_strategy=chain_full publishes_chain_full=1 "
             "publishes_optimal_full=1 publish_us_chain_full=300 "
             "publish_us_optimal_full=700 chain_intervals_last=24 "
-            "optimal_intervals_last=12 chain_blowup=2");
+            "optimal_intervals_last=12 chain_blowup=2 publishes_folded=1");
 }
 
 // ---------------------------------------------------------------------------

@@ -479,7 +479,9 @@ TEST(QueryServicePublishStrategyTest, AutoSelectsByEligibilityAndCadence) {
   ScopedClearPublishEnv clear_env;
   ServiceOptions options;
   options.num_workers = 0;
-  options.delta_publish = false;  // Every publish is a full export.
+  // Every publish is full: a rebuild at Load, then a fold of the dirty
+  // nodes unless a tier rebuild dirtied every node first.
+  options.delta_publish = false;
   options.chain_reoptimize_cadence = 2;
   QueryService service(options);
 
@@ -499,7 +501,11 @@ TEST(QueryServicePublishStrategyTest, AutoSelectsByEligibilityAndCadence) {
             PublishStrategy::kOptimalFull);
   view = service.Metrics();
   EXPECT_EQ(view.publishes_chain_full, 1);
+  EXPECT_EQ(view.publishes_optimal_full, 2);  // Bootstrap + this one.
   EXPECT_EQ(view.last_publish_strategy, "optimal_full");
+  // The Reoptimize relabeled every node, so this publish rebuilt its
+  // arena instead of folding.
+  EXPECT_EQ(view.publishes_folded, 0);
   // Both tiers have now published, so the blowup ratio is live (the chain
   // labeling can only be as good as or worse than Alg1's).
   EXPECT_GT(view.chain_full_intervals_last, 0);

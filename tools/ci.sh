@@ -16,10 +16,10 @@
 #                              # each TREL_INDEX value (intervals, hop,
 #                              # auto) — every family must be
 #                              # bit-for-bit exact
-#   tools/ci.sh --publish-matrix # differential + service test battery under
-#                              # each TREL_PUBLISH tier (delta, chain,
-#                              # optimal, auto) — every tier must be
-#                              # bit-for-bit exact
+#   tools/ci.sh --publish-matrix # differential + service + sharded test
+#                              # battery under each TREL_PUBLISH tier
+#                              # (delta, chain, optimal, auto) — every
+#                              # tier must be bit-for-bit exact
 #   tools/ci.sh --shard-matrix # partitioner invariants + the sharded-vs-
 #                              # monolithic differential battery once per
 #                              # TREL_SHARDS in {1, 2, 4, 8} — every shard
@@ -206,13 +206,16 @@ publish_matrix() {
   # graph; delta only suppresses rebuilds — the delta gate itself never
   # moves), so a tier whose labels or provenance plumbing drift from the
   # DFS/interval ground truth fails the same differential assertions the
-  # default build passes.  `trel_tool chains` runs first per tier as a
+  # default build passes.  Under every tier most full publishes fold the
+  # delta into the previous base arena rather than rebuild it, and the
+  # sharded service's shards publish through the same path, so its
+  # battery runs here too.  `trel_tool chains` runs first per tier as a
   # cheap offline probe of the same eligibility signals the service uses,
   # on both a chain-friendly and a chain-hostile graph.
   run cmake -B build -S . "${EXTRA_CMAKE_FLAGS[@]}"
   run cmake --build build -j "${JOBS}" --target \
     trel_tool arena_differential_test query_service_test \
-    delta_snapshot_test snapshot_test
+    delta_snapshot_test snapshot_test sharded_service_test
   local chained="build/publish-chained.el"
   local random="build/publish-random.el"
   echo "==> ./build/tools/trel_tool generate chained 16 125 4.0 7 > ${chained}"
@@ -228,6 +231,7 @@ publish_matrix() {
     run env TREL_PUBLISH="${tier}" ./build/tests/query_service_test
     run env TREL_PUBLISH="${tier}" ./build/tests/delta_snapshot_test
     run env TREL_PUBLISH="${tier}" ./build/tests/snapshot_test
+    run env TREL_PUBLISH="${tier}" ./build/tests/sharded_service_test
   done
 }
 

@@ -78,6 +78,7 @@ STATUSZ_TO_METRICSZ = {
     "publish_us_delta": 'trel_publish_micros_total{kind="delta"}',
     "publishes_chain_full": 'trel_publishes_total{kind="chain_full"}',
     "publishes_optimal_full": 'trel_publishes_total{kind="optimal_full"}',
+    "publishes_folded": "trel_publishes_folded_total",
     "publish_us_chain_full": 'trel_publish_micros_total{kind="chain_full"}',
     "publish_us_optimal_full":
         'trel_publish_micros_total{kind="optimal_full"}',
@@ -268,6 +269,7 @@ def parse_statusz_metrics_line(statusz, errors):
     grab(r"publish_us=\d+ \(full=(\d+) delta=(\d+)\)", "publish_us_delta", 2)
     grab(r"\bpublishes_chain_full=(\d+)", "publishes_chain_full")
     grab(r"\bpublishes_optimal_full=(\d+)", "publishes_optimal_full")
+    grab(r"\bpublishes_folded=(\d+)", "publishes_folded")
     grab(r"\bpublish_us_chain_full=(\d+)", "publish_us_chain_full")
     grab(r"\bpublish_us_optimal_full=(\d+)", "publish_us_optimal_full")
     return fields
@@ -609,6 +611,12 @@ def main():
                 errors.append(
                     f"tier split: {total_field} {fields[total_field]:g} != "
                     f"{' + '.join(parts)} = {part_sum:g}")
+    # Folded publishes are full publishes whose arena was folded from the
+    # previous base rather than rebuilt.
+    if fields.get("publishes_folded", 0) > fields.get("publishes_full", 0):
+        errors.append(
+            f"fold split: publishes_folded {fields['publishes_folded']:g} > "
+            f"publishes_full {fields.get('publishes_full', 0):g}")
 
     # The warmed server must show real traffic, or the checks above are
     # vacuous.  Full publishes may be chain-fast or Alg1-optimal depending
