@@ -33,12 +33,9 @@ trel_add_bench(tbl_scaling)
 trel_add_bench(tbl_kb_workload)
 trel_add_microbench(micro_query)
 trel_add_microbench(micro_build)
-trel_add_bench(micro_concurrent_query)
-target_link_libraries(micro_concurrent_query PRIVATE trel_service)
 trel_add_microbench(micro_obs_overhead)
 target_link_libraries(micro_obs_overhead PRIVATE trel_service)
 trel_add_bench(micro_adversarial)
 trel_add_bench(micro_publish)
-target_link_libraries(micro_publish PRIVATE trel_service)
 trel_add_bench(micro_sharded)
 target_link_libraries(micro_sharded PRIVATE trel_service)

@@ -115,15 +115,6 @@ StatusOr<ChainBuild> BuildChainLabeling(const Digraph& graph,
     }
   }
 
-  // Ascending postorder is tail-to-head within a chain, chains in order.
-  build.sorted_directory.reserve(n);
-  for (int c = 0; c < num_chains; ++c) {
-    for (int64_t i = chain_len[c] - 1; i >= 0; --i) {
-      const NodeId v = member[offset[c] + i];
-      build.sorted_directory.emplace_back(labels.postorder[v], v);
-    }
-  }
-
   // Blocked frontier propagation.  frontier[v * width + j] is the highest
   // value chain (c0 + j) contributes to v's label: its own padded
   // postorder if v is the member, else the max over out-neighbors — the

@@ -2,8 +2,6 @@
 #define TREL_CORE_CHAIN_PROPAGATOR_H_
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/statusor.h"
 #include "core/chain_cover.h"
@@ -29,9 +27,9 @@ namespace trel {
 // intervals, same per-node interval sets.  The price is label quality:
 // the path cover is not Alg1's antichain-optimal cover, so the interval
 // count can blow up (bounded by num_chains per node; the entry cap below
-// aborts pathological cases).  Publishers therefore treat this as a fast
-// rebuild tier and re-tighten with an Alg1 build on a cadence
-// (ServiceOptions::chain_reoptimize_cadence).
+// aborts pathological cases).  The query service therefore uses it only
+// for Load on eligible graphs and re-tightens with an Alg1 build on a
+// fixed cadence (QueryService::kChainReoptimizeCadence).
 
 // What the chain analyzer saw; the offline twin is `trel_tool chains`.
 struct ChainSignals {
@@ -72,9 +70,6 @@ struct ChainBuild {
   TreeCover cover;
   // The labeling; bit-identical to BuildLabels(graph, cover, options).
   NodeLabels labels;
-  // (postorder, node) ascending — free here (block layout), saves the
-  // exporter's O(n log n) sort.
-  std::vector<std::pair<Label, NodeId>> sorted_directory;
   ChainSignals signals;
 };
 
@@ -89,9 +84,9 @@ StatusOr<ChainSignals> AnalyzeChains(const Digraph& graph);
 // past the arena's 32-bit labels (as BuildLabels does), and
 // ResourceExhausted when the entry cap trips mid-build — callers then
 // fall back to the Alg1 path.  The width thresholds are deliberately NOT
-// enforced here: auto-mode selectors consult AnalyzeChains (or the
-// returned signals) first, while TREL_PUBLISH=chain forces the build on
-// any graph and the entry cap alone backstops it.
+// enforced here: QueryService::Load consults AnalyzeChains first, while
+// benches and tests may build any graph and the entry cap alone
+// backstops it.
 StatusOr<ChainBuild> BuildChainLabeling(const Digraph& graph,
                                         const LabelingOptions& options);
 

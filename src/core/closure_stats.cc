@@ -29,23 +29,17 @@ std::string ClosureStats::ToString() const {
   return os.str();
 }
 
-ClosureStats ComputeClosureStats(const Digraph& graph,
+ClosureStats ComputeClosureStats(const Digraph& graph, const TreeCover& cover,
                                  const CompressedClosure& closure,
                                  int histogram_buckets) {
   TREL_CHECK_GE(histogram_buckets, 2);
   TREL_CHECK_EQ(graph.NumNodes(), closure.NumNodes());
-  // Depth statistics walk the tree cover, which only describes the shared
-  // base layer of a WithDelta overlay snapshot; stats are a full-export
-  // affair (QueryService refreshes them on full publishes only).
-  TREL_CHECK_EQ(closure.NumNodes(), closure.tree_cover().NumNodes())
-      << "ComputeClosureStats requires a full-export closure, not a "
-         "WithDelta overlay";
+  TREL_CHECK_EQ(graph.NumNodes(), cover.NumNodes());
   ClosureStats stats;
   stats.num_nodes = graph.NumNodes();
   stats.num_arcs = graph.NumArcs();
   stats.interval_histogram.assign(histogram_buckets, 0);
 
-  const TreeCover& cover = closure.tree_cover();
   stats.num_roots = static_cast<int64_t>(cover.roots.size());
   int64_t single_interval_nodes = 0;
   int64_t depth_sum = 0;

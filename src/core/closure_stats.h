@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/compressed_closure.h"
+#include "core/tree_cover.h"
 #include "graph/digraph.h"
 
 namespace trel {
@@ -43,9 +44,11 @@ struct ClosureStats {
   std::string ToString() const;
 };
 
-// Computes stats for `closure` built over `graph`.  `histogram_buckets`
-// bounds the histogram length (>= 2).
-ClosureStats ComputeClosureStats(const Digraph& graph,
+// Computes stats for `closure` built over `graph` with tree cover
+// `cover`.  The closure keeps no cover (queries need only its labels), so
+// the caller that chose one passes it in; the depth and tree-arc figures
+// come from it.  `histogram_buckets` bounds the histogram length (>= 2).
+ClosureStats ComputeClosureStats(const Digraph& graph, const TreeCover& cover,
                                  const CompressedClosure& closure,
                                  int histogram_buckets = 8);
 

@@ -46,11 +46,10 @@ void VisitIntervals(const LabelArena& arena, NodeId slot, Fn&& visit) {
 }  // namespace
 
 CompressedClosure::CompressedClosure()
-    : tree_cover_(std::make_shared<const TreeCover>()),
-      arena_(std::make_shared<const LabelArena>()) {}
+    : arena_(std::make_shared<const LabelArena>()) {}
 
 CompressedClosure::CompressedClosure(const NodeLabels& labels,
-                                     TreeCover tree_cover, ExportHints hints) {
+                                     ExportHints hints) {
   num_nodes_ = static_cast<NodeId>(labels.postorder.size());
   Stopwatch arena_timer;
   auto arena = std::make_shared<LabelArena>(BuildLabelArena(
@@ -66,7 +65,6 @@ CompressedClosure::CompressedClosure(const NodeLabels& labels,
     total_intervals_ += arena->IntervalCount(v);
   }
   arena_ = std::move(arena);
-  tree_cover_ = std::make_shared<const TreeCover>(std::move(tree_cover));
 }
 
 StatusOr<CompressedClosure> CompressedClosure::Build(
@@ -77,15 +75,13 @@ StatusOr<CompressedClosure> CompressedClosure::Build(
   ReorderChildren(cover, options.child_order);
   TREL_ASSIGN_OR_RETURN(NodeLabels labels,
                         BuildLabels(graph, cover, options.labeling));
-  return CompressedClosure(labels, std::move(cover), {});
+  return CompressedClosure(labels, {});
 }
 
 CompressedClosure CompressedClosure::FromParts(const NodeLabels& labels,
-                                               TreeCover tree_cover,
                                                ExportHints hints) {
   TREL_CHECK_EQ(labels.postorder.size(), labels.intervals.size());
-  TREL_CHECK_EQ(labels.postorder.size(), tree_cover.parent.size());
-  return CompressedClosure(labels, std::move(tree_cover), std::move(hints));
+  return CompressedClosure(labels, std::move(hints));
 }
 
 CompressedClosure CompressedClosure::WithDelta(const CompressedClosure& base,
@@ -94,7 +90,6 @@ CompressedClosure CompressedClosure::WithDelta(const CompressedClosure& base,
       << "node ids are never recycled; a shrinking universe means the delta "
          "came from a different index lineage";
   CompressedClosure result;
-  result.tree_cover_ = base.tree_cover_;
   result.arena_ = base.arena_;
   result.num_nodes_ = delta.num_nodes;
 
@@ -176,14 +171,10 @@ CompressedClosure CompressedClosure::WithDelta(const CompressedClosure& base,
   return result;
 }
 
-CompressedClosure CompressedClosure::Fold(const CompressedClosure& layered,
-                                          TreeCover tree_cover) {
-  TREL_CHECK_EQ(static_cast<int64_t>(tree_cover.parent.size()),
-                static_cast<int64_t>(layered.num_nodes_));
+CompressedClosure CompressedClosure::Fold(const CompressedClosure& layered) {
   CompressedClosure result;
   result.num_nodes_ = layered.num_nodes_;
   result.total_intervals_ = layered.total_intervals_;
-  result.tree_cover_ = std::make_shared<const TreeCover>(std::move(tree_cover));
   if (layered.overlay_ == nullptr) {
     result.arena_ = layered.arena_;
   } else {

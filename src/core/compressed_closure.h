@@ -79,11 +79,11 @@ class CompressedClosure {
   // path: the arena is built by READING `labels`, which the closure does
   // not retain, so a query service can publish an immutable snapshot in
   // O(n log n) (the postorder sort — O(n) when hints carry a pre-sorted
-  // directory) without copying the per-node interval sets.  `labels` and
-  // `tree_cover` must describe the same node set and come from a sound
-  // labeling.
+  // directory) without copying the per-node interval sets.  `labels` must
+  // come from a sound labeling.  The tree cover that chose the numbering
+  // is not needed to answer queries (§3: u reaches v iff v's postorder
+  // number lies in one of u's intervals), so the closure keeps none.
   static CompressedClosure FromParts(const NodeLabels& labels,
-                                     TreeCover tree_cover,
                                      ExportHints hints = {});
 
   // Copy-on-write overlay constructor: a closure that answers exactly
@@ -95,7 +95,7 @@ class CompressedClosure {
   // Chaining is flattened: building from an overlay closure merges the
   // accumulated overlay, so lookups never walk a chain; publishers bound
   // the overlay's growth by forcing a periodic full export (see
-  // ServiceOptions::max_delta_publishes).
+  // QueryService::kMaxDeltaPublishes).
   static CompressedClosure WithDelta(const CompressedClosure& base,
                                      const ClosureDelta& delta);
 
@@ -104,10 +104,8 @@ class CompressedClosure {
   // (FoldOverlayArena), byte for byte the arena FromParts builds over the
   // same labeling, at the cost of the overlay plus bulk copies of the
   // base — serially, with no runner.  An overlay-free `layered` shares
-  // its arena as is.  `tree_cover` must be the labeling's cover, as
-  // DynamicClosure::ExportTreeCover() hands it out.
-  static CompressedClosure Fold(const CompressedClosure& layered,
-                                TreeCover tree_cover);
+  // its arena as is.
+  static CompressedClosure Fold(const CompressedClosure& layered);
 
   // True iff there is a directed path from `u` to `v` (every node reaches
   // itself).  Two flat array loads in the common case: u's slot (which
@@ -199,10 +197,9 @@ class CompressedClosure {
   }
 
   // Introspection (used by tests, benches, and the dynamic index).
-  // `tree_cover()` and `arena()` expose the shared *base* layer: exact
-  // for full exports, stale for overlaid nodes of a WithDelta closure
-  // (use PostorderOf/IntervalsOf for overlay-aware per-node access).
-  const TreeCover& tree_cover() const { return *tree_cover_; }
+  // `arena()` exposes the shared *base* layer: exact for full exports,
+  // stale for overlaid nodes of a WithDelta closure (use
+  // PostorderOf/IntervalsOf for overlay-aware per-node access).
   const LabelArena& arena() const { return *arena_; }
   // Bytes pinned by the base arena: slots, extras, coverage filters and
   // directory, each array at its element size (LabelArena::ByteSize).
@@ -240,8 +237,7 @@ class CompressedClosure {
     NodeId slot;
   };
 
-  CompressedClosure(const NodeLabels& labels, TreeCover tree_cover,
-                    ExportHints hints);
+  CompressedClosure(const NodeLabels& labels, ExportHints hints);
 
   LabelRef LabelOf(NodeId v) const {
     if (overlay_ != nullptr) {
@@ -271,7 +267,6 @@ class CompressedClosure {
   int64_t CountNodesInRange(Label lo, Label hi) const;
 
   // --- Shared base layer (immutable once built, never overlaid) ---------
-  std::shared_ptr<const TreeCover> tree_cover_;
   std::shared_ptr<const LabelArena> arena_;
   // Process-wide dispatched kernel table (never null); resolved once at
   // first use, so every closure in the process probes with the same ISA

@@ -54,15 +54,6 @@ StatusOr<DynamicClosure> DynamicClosure::BuildWithChains(
   return closure;
 }
 
-Status DynamicClosure::RebuildWithChains() {
-  auto chain = BuildChainLabeling(graph_, options_.labeling);
-  if (!chain.ok()) return chain.status();
-  AdoptCover(chain->cover, std::move(chain->labels));
-  cover_is_chain_ = true;
-  ++stats_.chain_rebuilds;
-  return Status::Ok();
-}
-
 void DynamicClosure::AdoptCover(const TreeCover& cover, NodeLabels labels) {
   labels_ = std::move(labels);
   tree_parent_ = cover.parent;
@@ -542,16 +533,6 @@ std::vector<NodeId> DynamicClosure::Successors(NodeId u) const {
   return result;
 }
 
-TreeCover DynamicClosure::ExportTreeCover() const {
-  TreeCover cover;
-  cover.parent = tree_parent_;
-  cover.children = tree_children_;
-  for (NodeId v = 0; v < graph_.NumNodes(); ++v) {
-    if (tree_parent_[v] == kNoNode) cover.roots.push_back(v);
-  }
-  return cover;
-}
-
 CompressedClosure DynamicClosure::ExportClosure(const ParallelRunner* runner,
                                                 int64_t* arena_micros) const {
   // by_postorder_ already orders (number, node) ascending, so the export
@@ -564,8 +545,7 @@ CompressedClosure DynamicClosure::ExportClosure(const ParallelRunner* runner,
   for (const auto& [number, node] : by_postorder_) {
     hints.sorted_directory.emplace_back(number, node);
   }
-  return CompressedClosure::FromParts(labels_, ExportTreeCover(),
-                                      std::move(hints));
+  return CompressedClosure::FromParts(labels_, std::move(hints));
 }
 
 

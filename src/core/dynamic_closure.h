@@ -42,7 +42,6 @@ class DynamicClosure {
   struct Stats {
     int64_t renumbers = 0;      // automatic renumberings (CompactNumbering)
     int64_t reoptimizes = 0;    // full rebuilds (explicit or forced)
-    int64_t chain_rebuilds = 0;  // chain-fast rebuilds (RebuildWithChains)
     int64_t propagation_node_visits = 0;  // nodes touched by AddArc floods
   };
 
@@ -66,11 +65,6 @@ class DynamicClosure {
   // (the cover IS the path cover).
   static StatusOr<DynamicClosure> BuildWithChains(
       const Digraph& graph, const ClosureOptions& options = DefaultOptions());
-
-  // In-place chain-fast rebuild of the current graph: the fast analogue
-  // of Reoptimize().  On failure the index is left untouched and the
-  // error returned (callers then Reoptimize instead).
-  Status RebuildWithChains();
 
   // True iff the current labeling came from a chain-fast build (and no
   // Alg1 rebuild has replaced it since).  Publishers use this as the
@@ -155,7 +149,8 @@ class DynamicClosure {
   // index does right now.  Costs one O(n + intervals) arena build that
   // reads the labels in place — no per-node copy, no postorder sort (the
   // index's by-postorder map is handed over pre-sorted), no tree-cover or
-  // propagation work.  A non-null `runner` shards the arena build across
+  // propagation work, and no copy of the cover (the closure answers from
+  // labels alone).  A non-null `runner` shards the arena build across
   // the caller's worker pool.  Does not touch the dirty set; a publisher
   // that treats this export as its new delta base must call MarkClean()
   // alongside it.  A non-null `arena_micros` receives the arena-build
@@ -165,11 +160,6 @@ class DynamicClosure {
   // DESIGN.md §4c), which yields the same arena byte for byte.
   CompressedClosure ExportClosure(const ParallelRunner* runner = nullptr,
                                   int64_t* arena_micros = nullptr) const;
-
-  // The current tree cover (parents, children and roots), copied out
-  // without an arena build: the cover ExportClosure() attaches, and the
-  // one CompressedClosure::Fold needs.
-  TreeCover ExportTreeCover() const;
 
   // --- Delta export (dirty tracking) --------------------------------------
   //
@@ -266,10 +256,10 @@ class DynamicClosure {
   // (the flag dedups, the list keeps draining O(dirty) not O(n)).
   std::vector<bool> dirty_flag_;
   std::vector<NodeId> dirty_list_;
-  // Labeling provenance: set by BuildWithChains/RebuildWithChains,
-  // cleared by any Alg1 rebuild (Reoptimize constructs a fresh index and
-  // move-assigns it over *this, carrying its default false).  Renumber
-  // keeps the cover — and therefore the flag.
+  // Labeling provenance: set by BuildWithChains, cleared by any Alg1
+  // rebuild (Reoptimize constructs a fresh index and move-assigns it over
+  // *this, carrying its default false).  Renumber keeps the cover — and
+  // therefore the flag.
   bool cover_is_chain_ = false;
   Stats stats_;
 };

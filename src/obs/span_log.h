@@ -13,20 +13,22 @@
 namespace trel {
 
 // The named phases of one QueryService publish, in execution order.
-// Full publishes spend their time in export + arena_build (+ stats),
-// whether they rebuild the arena or fold the delta into the previous
-// base; delta publishes in drain (ExportDelta) + export (WithDelta) and
-// leave the other phases at 0.  rebuild covers in-publish index rebuilds
-// (chain-fast RebuildWithChains or the cadence-driven Reoptimize) and is
-// 0 when the publish reused the standing labeling.  See DESIGN.md §5.
+// Full publishes spend their time in export + arena_build, whether they
+// rebuild the arena or fold the delta into the previous base; delta
+// publishes in drain (ExportDelta) + export (WithDelta) and leave the
+// other phases at 0.  rebuild covers the in-publish index rebuild (the
+// cadence-driven Alg1 Reoptimize) and is 0 when the publish reused the
+// standing labeling.  stats is never recorded: snapshots carry no
+// ClosureStats, and the phase keeps its slot only because the
+// end-to-end benchmark still names it.  See DESIGN.md §5.
 enum class PublishPhase : int {
   kDrain = 0,       // Dirty-set drain: ExportDelta (delta) / MarkClean (full).
   kExport = 1,      // Label export minus the arena build; WithDelta for
-                    // delta; ExportDelta + WithDelta + cover copy for a fold.
+                    // delta; ExportDelta + WithDelta for a fold.
   kArenaBuild = 2,  // Flat LabelArena build or fold (full publishes only).
-  kStats = 3,       // Optional ClosureStats pass (full publishes only).
+  kStats = 3,       // Unrecorded; always 0 (see above).
   kSwap = 4,        // The atomic snapshot pointer store.
-  kRebuild = 5,     // In-publish relabeling (chain-fast or Alg1 reoptimize).
+  kRebuild = 5,     // In-publish relabeling (the cadence Alg1 reoptimize).
 };
 constexpr int kNumPublishPhases = 6;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 
 #include "common/check.h"
@@ -24,38 +23,6 @@ constexpr int kRollupSingle = 0;
 constexpr int kRollupBatch = 1;
 
 }  // namespace
-
-PublishStrategySetting ParsePublishStrategySetting(const char* value) {
-  if (value == nullptr) return PublishStrategySetting::kAuto;
-  if (std::strcmp(value, "delta") == 0) {
-    return PublishStrategySetting::kForceDelta;
-  }
-  if (std::strcmp(value, "chain") == 0) {
-    return PublishStrategySetting::kForceChain;
-  }
-  if (std::strcmp(value, "optimal") == 0) {
-    return PublishStrategySetting::kForceOptimal;
-  }
-  return PublishStrategySetting::kAuto;
-}
-
-PublishStrategySetting PublishStrategySettingFromEnv() {
-  return ParsePublishStrategySetting(std::getenv("TREL_PUBLISH"));
-}
-
-const char* PublishStrategySettingName(PublishStrategySetting setting) {
-  switch (setting) {
-    case PublishStrategySetting::kAuto:
-      return "auto";
-    case PublishStrategySetting::kForceDelta:
-      return "delta";
-    case PublishStrategySetting::kForceChain:
-      return "chain";
-    case PublishStrategySetting::kForceOptimal:
-      return "optimal";
-  }
-  return "auto";
-}
 
 // --- WorkerPool ------------------------------------------------------------
 
@@ -138,9 +105,6 @@ QueryService::QueryService(const ServiceOptions& options)
   if (std::getenv("TREL_INDEX") != nullptr) {
     options_.index_family = IndexFamilySettingFromEnv();
   }
-  if (std::getenv("TREL_PUBLISH") != nullptr) {
-    options_.publish_strategy = PublishStrategySettingFromEnv();
-  }
   if (options_.num_workers > 0) {
     pool_ = std::make_unique<WorkerPool>(options_.num_workers);
   }
@@ -152,20 +116,14 @@ QueryService::QueryService(const ServiceOptions& options)
 QueryService::~QueryService() = default;
 
 Status QueryService::Load(const Digraph& graph) {
-  // Tiered build (DESIGN.md §"Publish strategies"): the chain-fast path
-  // replaces Alg1's antichain-optimal cover with a greedy path cover when
-  // the cover is narrow, cutting the dominant full-build cost.  Any
-  // chain-path failure (cycle, entry cap) falls through to the Alg1
-  // build, which reports the authoritative status.
+  // Tiered build (DESIGN.md §4f): the chain-fast path replaces Alg1's
+  // antichain-optimal cover with a greedy path cover when the cover is
+  // narrow, cutting the dominant full-build cost.  Any chain-path failure
+  // (cycle, entry cap) falls through to the Alg1 build, which reports the
+  // authoritative status.
   StatusOr<DynamicClosure> built(FailedPreconditionError("unbuilt"));
-  const bool want_chain =
-      options_.publish_strategy == PublishStrategySetting::kForceChain ||
-      (options_.publish_strategy == PublishStrategySetting::kAuto &&
-       [&graph] {
-         StatusOr<ChainSignals> signals = AnalyzeChains(graph);
-         return signals.ok() && signals->eligible;
-       }());
-  if (want_chain) {
+  const StatusOr<ChainSignals> signals = AnalyzeChains(graph);
+  if (signals.ok() && signals->eligible) {
     built = DynamicClosure::BuildWithChains(graph, options_.closure);
   }
   if (!built.ok()) {
@@ -243,11 +201,10 @@ uint64_t QueryService::PublishLocked() {
   const bool has_base = !force_full_publish_ && base != nullptr;
   const auto few_dirty = [&] {
     return static_cast<double>(dynamic_.DirtyCount()) <=
-           options_.max_delta_dirty_fraction * static_cast<double>(num_nodes);
+           kMaxDeltaDirtyFraction * static_cast<double>(num_nodes);
   };
-  const bool use_delta = options_.delta_publish && has_base &&
-                         delta_publishes_since_full_ <
-                             options_.max_delta_publishes &&
+  const bool use_delta = has_base &&
+                         delta_publishes_since_full_ < kMaxDeltaPublishes &&
                          few_dirty();
   bool folded = false;
   Stopwatch phase;
@@ -261,12 +218,9 @@ uint64_t QueryService::PublishLocked() {
     snapshot->closure = CompressedClosure::WithDelta(base->closure, delta);
     span.phase_micros[static_cast<int>(PublishPhase::kExport)] =
         phase.ElapsedMicros();
-    // Recomputing stats is O(n) — exactly the cost a delta publish exists
-    // to avoid — so carry the base's forward (see snapshot.h).
-    snapshot->stats = base->stats;
-    // Likewise the family index: rebuilt on full publishes only.  The
-    // overlay routing in ClosureSnapshot::FamilyCovers keeps the carried
-    // index exact for untouched node pairs.
+    // The family index is rebuilt on full publishes only.  The overlay
+    // routing in ClosureSnapshot::FamilyCovers keeps the carried index
+    // exact for untouched node pairs.
     snapshot->family = base->family;
     snapshot->hop_index = base->hop_index;
     snapshot->family_nodes = base->family_nodes;
@@ -275,40 +229,17 @@ uint64_t QueryService::PublishLocked() {
     snapshot->delta_entries = static_cast<int64_t>(delta.entries.size());
     ++delta_publishes_since_full_;
   } else {
-    // Tier selection for the full export: decide whether to relabel
-    // before exporting.  Rebuilds are timed as their own span phase —
-    // they are the cost the chain-fast tier exists to cut.
-    switch (options_.publish_strategy) {
-      case PublishStrategySetting::kAuto:
-        // Chain labelings trade interval count for build speed; every
-        // Nth consecutive chain full re-tightens with an Alg1 rebuild.
-        if (dynamic_.UsesChainCover() &&
-            options_.chain_reoptimize_cadence > 0 &&
-            chain_fulls_since_optimal_ + 1 >=
-                options_.chain_reoptimize_cadence) {
-          dynamic_.Reoptimize();
-        }
-        break;
-      case PublishStrategySetting::kForceChain:
-        if (!dynamic_.UsesChainCover()) {
-          // Best effort: on failure (entry cap, cycle) the index is
-          // untouched and this publish is tagged by its true provenance.
-          const Status rebuilt = dynamic_.RebuildWithChains();
-          (void)rebuilt;
-        }
-        break;
-      case PublishStrategySetting::kForceOptimal:
-        if (dynamic_.UsesChainCover()) dynamic_.Reoptimize();
-        break;
-      case PublishStrategySetting::kForceDelta:
-        // Never rebuilds; the delta gate still demanded a full export.
-        break;
+    // Chain labelings trade interval count for build speed; every Nth
+    // consecutive chain full re-tightens with an Alg1 rebuild before
+    // exporting.  Rebuilds are timed as their own span phase.
+    if (dynamic_.UsesChainCover() &&
+        chain_fulls_since_optimal_ + 1 >= kChainReoptimizeCadence) {
+      dynamic_.Reoptimize();
     }
     span.phase_micros[static_cast<int>(PublishPhase::kRebuild)] =
         phase.ElapsedMicros();
     phase.Restart();
-    // The strategy tag records labeling PROVENANCE, not intent: a failed
-    // chain rebuild publishes (correctly) as optimal_full.
+    // The strategy tag records labeling provenance.
     const PublishStrategy full_strategy =
         dynamic_.UsesChainCover() ? PublishStrategy::kChainFull
                                   : PublishStrategy::kOptimalFull;
@@ -328,9 +259,8 @@ uint64_t QueryService::PublishLocked() {
       // arena, byte for byte, built serially without the pool.
       const CompressedClosure layered =
           CompressedClosure::WithDelta(base->closure, dynamic_.ExportDelta());
-      TreeCover cover = dynamic_.ExportTreeCover();
       Stopwatch fold_timer;
-      snapshot->closure = CompressedClosure::Fold(layered, std::move(cover));
+      snapshot->closure = CompressedClosure::Fold(layered);
       arena_micros = fold_timer.ElapsedMicros();
     } else if (pool_ != nullptr) {
       // Shard the arena build of the full export across the worker pool
@@ -363,8 +293,8 @@ uint64_t QueryService::PublishLocked() {
     }
     metrics_.RecordFamilySelect(snapshot->family);
     // The export span is the label walk (or, when folding, the delta
-    // drain, overlay and cover copy) minus the arena construction or fold
-    // (§4d's build-time tradeoff, now measured).
+    // drain and overlay) minus the arena construction or fold (§4d's
+    // build-time tradeoff, now measured).
     span.phase_micros[static_cast<int>(PublishPhase::kExport)] =
         std::max<int64_t>(0, phase.ElapsedMicros() - arena_micros);
     span.phase_micros[static_cast<int>(PublishPhase::kArenaBuild)] =
@@ -375,13 +305,6 @@ uint64_t QueryService::PublishLocked() {
     dynamic_.MarkClean();
     span.phase_micros[static_cast<int>(PublishPhase::kDrain)] =
         phase.ElapsedMicros();
-    phase.Restart();
-    if (options_.stats_on_publish) {
-      snapshot->stats =
-          ComputeClosureStats(dynamic_.graph(), snapshot->closure);
-      span.phase_micros[static_cast<int>(PublishPhase::kStats)] =
-          phase.ElapsedMicros();
-    }
     delta_publishes_since_full_ = 0;
     force_full_publish_ = false;
   }

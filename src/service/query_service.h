@@ -26,30 +26,6 @@
 
 namespace trel {
 
-// How the service picks its publish tier (DESIGN.md §"Publish
-// strategies").  kAuto runs the full selector: delta overlay when the
-// dirty set is small, chain-fast full builds when the graph's greedy
-// path cover is narrow (core/chain_propagator.h), Alg1-optimal fulls
-// otherwise plus on the re-optimization cadence.  The force values pin
-// one tier for the CI publish matrix and benchmarks; forcing never
-// changes the delta gate conditions (kForceDelta only suppresses
-// rebuilds — a full export still happens when the gate demands one).
-enum class PublishStrategySetting : uint8_t {
-  kAuto = 0,
-  kForceDelta = 1,
-  kForceChain = 2,
-  kForceOptimal = 3,
-};
-
-// "auto" / "delta" / "chain" / "optimal"; nullptr, empty, or unknown
-// values parse as kAuto (an unset env var means "let the service pick").
-PublishStrategySetting ParsePublishStrategySetting(const char* value);
-
-// ParsePublishStrategySetting(getenv("TREL_PUBLISH")).
-PublishStrategySetting PublishStrategySettingFromEnv();
-
-const char* PublishStrategySettingName(PublishStrategySetting setting);
-
 // Knobs for QueryService.
 struct ServiceOptions {
   // Worker threads for the batch APIs.  0 disables the pool entirely
@@ -67,30 +43,6 @@ struct ServiceOptions {
   // never rejected — they are the embedded/trusted API — but they do
   // occupy slots, so mixed traffic is gated coherently.
   int64_t max_inflight_batches = 0;
-  // Compute ClosureStats for every *full* publish.  One O(n + k) pass on
-  // the writer; turn off for very large graphs with frequent publishes.
-  // Delta publishes never recompute stats (they carry the base's
-  // forward) — that pass is exactly the cost they exist to avoid.
-  bool stats_on_publish = true;
-  // Publish copy-on-write delta snapshots (CompressedClosure::WithDelta)
-  // when the update batch touched few nodes, making publish cost
-  // proportional to the batch instead of the graph.  Off = every publish
-  // is a full one with an overlay-free snapshot; after the first, each
-  // still folds the dirty nodes into the previous base arena whenever
-  // the dirty fraction allows (see max_delta_dirty_fraction).
-  bool delta_publish = true;
-  // Force a full publish after this many consecutive delta publishes,
-  // bounding the accumulated overlay (and the memory pinned in the shared
-  // base snapshot) regardless of workload.  That full publish folds the
-  // overlay into a new base arena by bulk copy (CompressedClosure::Fold)
-  // unless a rebuild or a lineage change dirtied most nodes, in which
-  // case it rebuilds the arena from every label.  Must be >= 1.
-  int max_delta_publishes = 32;
-  // Fall back to a full export when more than this fraction of all nodes
-  // is dirty — at that point the overlay would cost more to query than a
-  // fresh base, and exporting it is no cheaper.  The same bound decides
-  // whether a full publish folds or rebuilds its arena.
-  double max_delta_dirty_fraction = 0.5;
   // Build options for the underlying index (gap numbering etc.).
   ClosureOptions closure = DynamicClosure::DefaultOptions();
   // Index family for full publishes: kAuto lets the selector score the
@@ -100,15 +52,6 @@ struct ServiceOptions {
   // top of it.  A TREL_INDEX env value ("auto"/"intervals"/"hop"; any
   // other value means auto) overrides this at construction.
   IndexFamilySetting index_family = IndexFamilySetting::kAuto;
-  // Publish tier selection (see PublishStrategySetting above).  A set
-  // TREL_PUBLISH env value overrides this at construction, mirroring
-  // TREL_INDEX.
-  PublishStrategySetting publish_strategy = PublishStrategySetting::kAuto;
-  // Under kAuto, upgrade every Nth consecutive chain-full publish to an
-  // Alg1-optimal rebuild (Reoptimize), re-tightening the interval count
-  // the fast tier let grow.  <= 0 disables the cadence (chain labelings
-  // then persist until an explicit Reoptimize).
-  int chain_reoptimize_cadence = 8;
 
   // --- Observability (src/obs/, DESIGN.md §5) -----------------------------
   // Sample 1-in-N queries into the lock-free tracer; 0 = off (the
@@ -159,6 +102,20 @@ struct ServiceOptions {
 //     likes after newer epochs supersede it.
 class QueryService {
  public:
+  // The publish policy (DESIGN.md §4c, §4f), fixed for every service.
+  // A publish is a delta (a WithDelta overlay over the previous snapshot)
+  // unless the previous snapshot is of another lineage, kMaxDeltaPublishes
+  // deltas ran since the last full publish, or more than
+  // kMaxDeltaDirtyFraction of all nodes are dirty.  A full publish folds
+  // the dirty nodes into the previous base arena when that fraction
+  // allows, and rebuilds the arena from every label otherwise.  The
+  // kChainReoptimizeCadence-th consecutive full publish over a chain-fast
+  // cover first relabels with Alg1 (Reoptimize), re-tightening the
+  // interval count the chain tier let grow.
+  static constexpr int kMaxDeltaPublishes = 32;
+  static constexpr double kMaxDeltaDirtyFraction = 0.5;
+  static constexpr int kChainReoptimizeCadence = 8;
+
   explicit QueryService(const ServiceOptions& options = {});
   ~QueryService();
 
@@ -168,7 +125,9 @@ class QueryService {
   // --- Writer API (single writer) ----------------------------------------
 
   // Replaces the index with a freshly built closure of `graph` and
-  // publishes it.  Fails if `graph` is cyclic (condense first; see
+  // publishes it.  Chain-eligible graphs (AnalyzeChains) are labeled by
+  // the chain-fast build, all others, and any chain build that fails, by
+  // Alg1.  Fails if `graph` is cyclic (condense first; see
   // TransitiveClosureIndex).
   Status Load(const Digraph& graph);
 
@@ -306,7 +265,7 @@ class QueryService {
   // Builds and swaps in a snapshot of `dynamic_`; writer mutex held.
   // Chooses between a WithDelta overlay publish and a full one, and for a
   // full one between folding into the previous base and rebuilding (see
-  // ServiceOptions::delta_publish and DESIGN.md §4c).
+  // kMaxDeltaPublishes and DESIGN.md §4c).
   uint64_t PublishLocked();
 
   // Cold traced twin of Reaches, taken only for sampled queries.
@@ -336,7 +295,7 @@ class QueryService {
   // Delta publishes since the last full export; guarded by writer_mutex_.
   int delta_publishes_since_full_ = 0;
   // Consecutive chain-full publishes since the last Alg1-optimal one;
-  // drives the kAuto re-optimization cadence.  Guarded by writer_mutex_.
+  // drives kChainReoptimizeCadence.  Guarded by writer_mutex_.
   int chain_fulls_since_optimal_ = 0;
   // Set when the previous snapshot cannot serve as a delta base (initial
   // state, or Load() swapped in a new index lineage).

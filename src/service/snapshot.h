@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/closure_stats.h"
 #include "core/compressed_closure.h"
 #include "core/hop_label_index.h"
 #include "core/index_family.h"
@@ -26,14 +25,9 @@ struct ClosureSnapshot {
   // Monotonic publication counter: epoch e+1 replaced epoch e.  Epoch 0
   // is the empty pre-Load index.
   uint64_t epoch = 0;
-  // The queryable index, exported from the writer's DynamicClosure.
+  // The queryable index, exported from the writer's DynamicClosure: the
+  // labels readers probe and nothing else (no tree cover, no stats).
   CompressedClosure closure;
-  // Interval-set statistics; default-initialized when
-  // ServiceOptions::stats_on_publish is off.  Refreshed on *full*
-  // publishes only — a delta publish carries its base's stats forward
-  // (recomputing them is O(n), exactly the cost delta publication avoids),
-  // so on delta snapshots they describe the last full export.
-  ClosureStats stats;
   // Delta provenance: true when this snapshot was built as a
   // copy-on-write overlay over the previous one, with the number of
   // changed per-node entries the publish shipped.  Full exports leave

@@ -27,7 +27,6 @@
 #include "common/status.h"
 #include "core/arena_kernels.h"
 #include "core/chain_propagator.h"
-#include "core/closure_stats.h"
 #include "core/compressed_closure.h"
 #include "core/dynamic_closure.h"
 #include "core/hop_label_index.h"
@@ -90,20 +89,15 @@ class ReferenceClosure {
   const NodeLabels& labels_;
 };
 
-// The tree cover and labeling CompressedClosure::Build computes, for
-// tests that need the labels themselves (the closure keeps only its
-// arena).
-struct Parts {
-  TreeCover cover;
-  NodeLabels labels;
-};
-
-Parts BuildParts(const Digraph& graph, const LabelingOptions& labeling = {}) {
+// The labeling CompressedClosure::Build computes, for tests that need the
+// labels themselves (the closure keeps only its arena).
+NodeLabels OptimalLabels(const Digraph& graph,
+                         const LabelingOptions& labeling = {}) {
   auto cover = ComputeTreeCover(graph, TreeCoverStrategy::kOptimal);
   TREL_CHECK(cover.ok());
   auto labels = BuildLabels(graph, *cover, labeling);
   TREL_CHECK(labels.ok());
-  return Parts{std::move(*cover), std::move(*labels)};
+  return std::move(*labels);
 }
 
 // One endpoint's label as the closure reads it — postorder number,
@@ -205,20 +199,19 @@ TEST_P(ArenaDifferentialTest, ArenaAgreesWithIntervalSetReference) {
   ClosureOptions options;
   options.labeling.gap = gap;
   options.labeling.reserve = gap > 4 ? 3 : 0;
-  const Parts parts = BuildParts(graph, options.labeling);
-  const CompressedClosure closure =
-      CompressedClosure::FromParts(parts.labels, parts.cover);
+  const NodeLabels labels = OptimalLabels(graph, options.labeling);
+  const CompressedClosure closure = CompressedClosure::FromParts(labels);
 
-  const ReferenceClosure ref(parts.labels);
+  const ReferenceClosure ref(labels);
   ExpectMatchesReference(closure, ref, "build");
   ExpectBatchMatchesReference(closure, ref, seed * 31 + 7, "build");
-  EXPECT_EQ(closure.TotalIntervals(), parts.labels.TotalIntervals());
+  EXPECT_EQ(closure.TotalIntervals(), labels.TotalIntervals());
   for (NodeId v = 0; v < closure.NumNodes(); ++v) {
-    ASSERT_EQ(closure.PostorderOf(v), parts.labels.postorder[v])
+    ASSERT_EQ(closure.PostorderOf(v), labels.postorder[v])
         << "PostorderOf " << v;
-    ASSERT_EQ(closure.IntervalsOf(v), parts.labels.intervals[v])
+    ASSERT_EQ(closure.IntervalsOf(v), labels.intervals[v])
         << "IntervalsOf " << v;
-    ASSERT_EQ(closure.IntervalCountOf(v), parts.labels.intervals[v].size())
+    ASSERT_EQ(closure.IntervalCountOf(v), labels.intervals[v].size())
         << "IntervalCountOf " << v;
   }
 
@@ -359,9 +352,7 @@ TEST(ArenaOverlayDifferentialTest, OverlayChainAgreesWithReference) {
 TEST(ArenaParallelBuildTest, ParallelBuildIsDeterministic) {
   // Above kParallelBuildFloor (1 << 14) so the runner actually shards.
   const Digraph graph = RandomDag(20000, 2.0, 31);
-  const Parts parts = BuildParts(graph);
-  const NodeLabels& labels = parts.labels;
-  const TreeCover& cover = parts.cover;
+  const NodeLabels labels = OptimalLabels(graph);
 
   const ParallelRunner runner =
       [](int64_t count, const std::function<void(int64_t, int64_t)>& body) {
@@ -380,8 +371,8 @@ TEST(ArenaParallelBuildTest, ParallelBuildIsDeterministic) {
   CompressedClosure::ExportHints hints;
   hints.runner = &runner;
   const CompressedClosure sharded =
-      CompressedClosure::FromParts(labels, cover, std::move(hints));
-  const CompressedClosure serial = CompressedClosure::FromParts(labels, cover);
+      CompressedClosure::FromParts(labels, std::move(hints));
+  const CompressedClosure serial = CompressedClosure::FromParts(labels);
 
   const LabelArena& a = sharded.arena();
   const LabelArena& b = serial.arena();
@@ -416,7 +407,7 @@ TEST(ArenaParallelBuildTest, ParallelBuildIsDeterministic) {
 // kept past the build stops the freed block from merging into the top of
 // the heap, which the allocator could hand back to the system as zeroes.
 TEST(ArenaSlotPaddingTest, PaddingIsZeroOverDirtyHeap) {
-  const Parts parts = BuildParts(RandomDag(2000, 3.0, 11));
+  const NodeLabels labels = OptimalLabels(RandomDag(2000, 3.0, 11));
   constexpr size_t kFieldBytes =
       offsetof(LabelArena::NodeSlot, extra_count) + sizeof(uint32_t);
   static_assert(kFieldBytes == 20, "NodeSlot fields are 20 bytes");
@@ -428,8 +419,7 @@ TEST(ArenaSlotPaddingTest, PaddingIsZeroOverDirtyHeap) {
     asm volatile("" : : "r"(junk.get()) : "memory");
     const auto fence = std::make_unique<uint64_t>(round);
     junk.reset();
-    const CompressedClosure closure =
-        CompressedClosure::FromParts(parts.labels, parts.cover);
+    const CompressedClosure closure = CompressedClosure::FromParts(labels);
     const LabelArena& arena = closure.arena();
     for (NodeId v = 0; v < arena.num_nodes(); ++v) {
       unsigned char bytes[sizeof(LabelArena::NodeSlot)];
@@ -520,25 +510,17 @@ void ExpectMatchesDfs(const CompressedClosure& closure, const Digraph& graph,
   }
 }
 
-// Folds `layered` with the writer's cover and checks the result against
-// the writer's from-labels export (arena, interval total, cover, stats)
-// and against DFS.
+// Folds `layered` and checks the result against the writer's from-labels
+// export (arena, interval total) and against DFS.
 void FoldAndCheck(const CompressedClosure& layered,
                   const DynamicClosure& dynamic, uint64_t seed,
                   const std::string& what, CompressedClosure* folded) {
-  *folded = CompressedClosure::Fold(layered, dynamic.ExportTreeCover());
+  *folded = CompressedClosure::Fold(layered);
   const CompressedClosure want = dynamic.ExportClosure();
   ASSERT_FALSE(folded->IsOverlay()) << what;
   ASSERT_NO_FATAL_FAILURE(
       ExpectSameArena(folded->arena(), want.arena(), layered, what));
   EXPECT_EQ(folded->TotalIntervals(), want.TotalIntervals()) << what;
-  EXPECT_EQ(folded->tree_cover().parent, want.tree_cover().parent) << what;
-  EXPECT_EQ(folded->tree_cover().children, want.tree_cover().children)
-      << what;
-  EXPECT_EQ(folded->tree_cover().roots, want.tree_cover().roots) << what;
-  EXPECT_EQ(ComputeClosureStats(dynamic.graph(), *folded).ToString(),
-            ComputeClosureStats(dynamic.graph(), want).ToString())
-      << what;
   ASSERT_NO_FATAL_FAILURE(
       ExpectMatchesDfs(*folded, dynamic.graph(), seed, what));
 }
@@ -900,11 +882,8 @@ TEST(ArenaDenseNodeTest, TenThousandExtraIntervals) {
                                 2 * static_cast<Label>(v)});
   }
   labels.intervals[0].Insert({self, self});
-  TreeCover cover;
-  cover.parent.assign(n, kNoNode);
-  cover.children.resize(n);
 
-  const CompressedClosure closure = CompressedClosure::FromParts(labels, cover);
+  const CompressedClosure closure = CompressedClosure::FromParts(labels);
   ASSERT_GT(closure.arena().slots[0].extra_count, 10000u);
 
   // The in-order walk must visit all extras, ascending, without blowing
@@ -1004,10 +983,7 @@ CompressedClosure BuildStraddlingClosure(NodeLabels& labels) {
       labels.intervals[source].Insert({leaf_number(i), hi});
     }
   }
-  TreeCover cover;
-  cover.parent.assign(n, kNoNode);
-  cover.children.resize(n);
-  return CompressedClosure::FromParts(labels, cover);
+  return CompressedClosure::FromParts(labels);
 }
 
 // Probes every extras run of `closure` at p - 1, p and p + 1 for every
@@ -1430,20 +1406,6 @@ TEST(ChainDifferentialTest, ChainLabelingBitIdenticalToGenericPropagator) {
       }
       EXPECT_EQ(chain->labels.gap, gap);
       EXPECT_EQ(chain->labels.reserve, reserve);
-
-      // The pre-sorted directory must be exactly (postorder, node)
-      // ascending — the exporter trusts it without re-sorting.
-      ASSERT_EQ(chain->sorted_directory.size(),
-                static_cast<size_t>(graph.NumNodes()))
-          << name;
-      for (size_t i = 0; i < chain->sorted_directory.size(); ++i) {
-        const auto [p, v] = chain->sorted_directory[i];
-        ASSERT_EQ(p, chain->labels.postorder[v]) << name << " dir " << i;
-        if (i > 0) {
-          ASSERT_LT(chain->sorted_directory[i - 1].first, p)
-              << name << " dir order " << i;
-        }
-      }
     }
   }
 }

@@ -1,7 +1,10 @@
 #include "core/closure_stats.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "core/path_finder.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -11,11 +14,26 @@ namespace {
 
 using testing_util::GraphFromArcs;
 
+// The optimal cover and the closure over its labels, as
+// CompressedClosure::Build computes them; the closure keeps no cover, and
+// the stats need it.
+struct CoveredClosure {
+  TreeCover cover;
+  CompressedClosure closure;
+};
+
+CoveredClosure BuildCovered(const Digraph& graph) {
+  auto cover = ComputeTreeCover(graph, TreeCoverStrategy::kOptimal);
+  TREL_CHECK(cover.ok());
+  auto labels = BuildLabels(graph, *cover);
+  TREL_CHECK(labels.ok());
+  return {std::move(*cover), CompressedClosure::FromParts(*labels)};
+}
+
 TEST(ClosureStatsTest, ChainStats) {
   Digraph graph = GraphFromArcs(4, {{0, 1}, {1, 2}, {2, 3}});
-  auto closure = CompressedClosure::Build(graph);
-  ASSERT_TRUE(closure.ok());
-  ClosureStats stats = ComputeClosureStats(graph, closure.value());
+  const CoveredClosure built = BuildCovered(graph);
+  ClosureStats stats = ComputeClosureStats(graph, built.cover, built.closure);
   EXPECT_EQ(stats.num_nodes, 4);
   EXPECT_EQ(stats.num_arcs, 3);
   EXPECT_EQ(stats.num_tree_arcs, 3);
@@ -34,9 +52,9 @@ TEST(ClosureStatsTest, ChainStats) {
 TEST(ClosureStatsTest, HistogramTailAggregates) {
   // Bipartite worst case: top nodes carry many intervals.
   Digraph graph = CompleteBipartite(6, 6);
-  auto closure = CompressedClosure::Build(graph);
-  ASSERT_TRUE(closure.ok());
-  ClosureStats stats = ComputeClosureStats(graph, closure.value(), 4);
+  const CoveredClosure built = BuildCovered(graph);
+  ClosureStats stats =
+      ComputeClosureStats(graph, built.cover, built.closure, 4);
   EXPECT_EQ(static_cast<int>(stats.interval_histogram.size()), 4);
   int64_t total_nodes = 0;
   for (int64_t count : stats.interval_histogram) total_nodes += count;
@@ -48,11 +66,10 @@ TEST(ClosureStatsTest, HistogramTailAggregates) {
 
 TEST(ClosureStatsTest, SumsMatchClosureAccessors) {
   Digraph graph = RandomDag(120, 2.5, 240);
-  auto closure = CompressedClosure::Build(graph);
-  ASSERT_TRUE(closure.ok());
-  ClosureStats stats = ComputeClosureStats(graph, closure.value());
-  EXPECT_EQ(stats.total_intervals, closure->TotalIntervals());
-  EXPECT_EQ(stats.storage_units, closure->StorageUnits());
+  const CoveredClosure built = BuildCovered(graph);
+  ClosureStats stats = ComputeClosureStats(graph, built.cover, built.closure);
+  EXPECT_EQ(stats.total_intervals, built.closure.TotalIntervals());
+  EXPECT_EQ(stats.storage_units, built.closure.StorageUnits());
   EXPECT_GT(stats.single_interval_fraction, 0.2);
   EXPECT_FALSE(stats.ToString().empty());
 }

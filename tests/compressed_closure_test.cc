@@ -103,13 +103,7 @@ TEST(CompressedClosureTest, SuccessorsWithOverlappingIntervalsAndGaps) {
     ASSERT_TRUE(labels.intervals[v].Insert({labels.postorder[v],
                                             labels.postorder[v]}));
   }
-  TreeCover cover;
-  cover.parent.assign(4, kNoNode);
-  cover.children.resize(4);
-  cover.roots = {0, 1, 2, 3};
-
-  CompressedClosure closure =
-      CompressedClosure::FromParts(std::move(labels), std::move(cover));
+  CompressedClosure closure = CompressedClosure::FromParts(labels);
   // Despite the overlap, each successor is listed exactly once and the
   // node itself is excluded even though 64 sits inside [30, 64].
   EXPECT_EQ(closure.Successors(3), (std::vector<NodeId>{0, 1, 2}));

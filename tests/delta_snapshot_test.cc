@@ -1,7 +1,7 @@
 // Delta snapshot publication: CompressedClosure::WithDelta overlays must
 // be indistinguishable from from-scratch ExportClosure() snapshots on
 // every query surface, across randomized interleaved update batches, and
-// QueryService's full-vs-delta publish policy must follow its knobs.
+// QueryService's full-vs-delta publish policy must follow its constants.
 
 #include <cstring>
 #include <string>
@@ -139,7 +139,6 @@ TEST(DeltaSnapshotTest, OverlaySharesBaseStorageAndLeavesBaseUntouched) {
             static_cast<int64_t>(delta.entries.size()));
   // The base layer is shared by reference, not copied.
   EXPECT_EQ(&overlay.arena(), &base.arena());
-  EXPECT_EQ(&overlay.tree_cover(), &base.tree_cover());
   EXPECT_EQ(overlay.ArenaByteSize(), base.ArenaByteSize());
   EXPECT_EQ(overlay.NumNodes(), 201);
 
@@ -219,9 +218,8 @@ ServiceOptions SerialOptions() {
 }
 
 TEST(DeltaSnapshotTest, ServiceForcesFullExportEveryK) {
-  ServiceOptions options = SerialOptions();
-  options.max_delta_publishes = 4;
-  QueryService service(options);
+  constexpr int kK = QueryService::kMaxDeltaPublishes;
+  QueryService service(SerialOptions());
   ASSERT_TRUE(service.Load(RandomDag(300, 2.0, 45)).ok());
 
   // Construction and Load are new-lineage publishes: always full, and
@@ -231,30 +229,33 @@ TEST(DeltaSnapshotTest, ServiceForcesFullExportEveryK) {
   EXPECT_EQ(view.publishes_delta, 0);
   EXPECT_EQ(view.publishes_folded, 0);
 
+  // Of the explicit publishes, every (K+1)-th (the one after K
+  // consecutive deltas) is forced full: publishes K+1 and 2K+2.  Both
+  // fold.  The last two are deltas again.
+  const int publishes = 2 * (kK + 1) + 2;
   Random rng(11);
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < publishes; ++i) {
     ASSERT_TRUE(
         service.AddLeafUnder(static_cast<NodeId>(rng.Uniform(300))).ok());
     service.Publish();
-    if (i == 9) {
-      // Publish 10 folded its deltas into the previous base arena.
-      ASSERT_FALSE(service.Snapshot()->delta_publish);
+    ASSERT_EQ(service.Snapshot()->delta_publish, (i + 1) % (kK + 1) != 0)
+        << "publish " << i + 1;
+    if (i == 2 * kK + 1) {
+      // Publish 2K+2 folded its deltas into the previous base arena.
       ASSERT_NO_FATAL_FAILURE(ExpectLiveArenaMatchesExport(service));
     }
   }
   view = service.Metrics();
-  // Of the 12 explicit publishes, every 5th (the one after 4 consecutive
-  // deltas) is forced full: publishes 5 and 10.  Both fold.
   EXPECT_EQ(view.publishes_full, 4);
-  EXPECT_EQ(view.publishes_delta, 10);
-  EXPECT_EQ(view.publishes, 14);
+  EXPECT_EQ(view.publishes_delta, publishes - 2);
+  EXPECT_EQ(view.publishes, publishes + 2);
   EXPECT_EQ(view.publishes_folded, 2);
   EXPECT_GT(view.delta_nodes_total, 0);
   int64_t histogram_total = 0;
   for (int64_t bucket : view.delta_nodes_histogram) histogram_total += bucket;
   EXPECT_EQ(histogram_total, view.publishes_delta);
 
-  // The live snapshot (publish 12) rode the delta path and says so.
+  // The live snapshot (the last publish) rode the delta path and says so.
   auto snapshot = service.Snapshot();
   EXPECT_TRUE(snapshot->delta_publish);
   EXPECT_GT(snapshot->delta_entries, 0);
@@ -278,40 +279,8 @@ TEST(DeltaSnapshotTest, ServiceForcesFullExportEveryK) {
   }
 }
 
-TEST(DeltaSnapshotTest, ServiceDeltaDisabledAlwaysExportsFull) {
-  ServiceOptions options = SerialOptions();
-  options.delta_publish = false;
-  QueryService service(options);
-  ASSERT_TRUE(service.Load(RandomDag(100, 2.0, 46)).ok());
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(service.AddLeafUnder(0).ok());
-    service.Publish();
-  }
-  ServiceMetrics::View view = service.Metrics();
-  EXPECT_EQ(view.publishes_delta, 0);
-  EXPECT_EQ(view.publishes_full, 7);
-  // Every publish after Load folds the dirty nodes into its base, except
-  // the third: its leaf exhausts the hole under node 0, and the renumber
-  // that follows dirties every node, so that publish rebuilds.  The
-  // snapshots stay overlay-free all the same.
-  int64_t renumbers = -1;
-  ASSERT_TRUE(service
-                  .Apply([&renumbers](DynamicClosure& dynamic) {
-                    renumbers = dynamic.stats().renumbers;
-                    return Status::Ok();
-                  })
-                  .ok());
-  EXPECT_EQ(renumbers, 1);
-  EXPECT_EQ(view.publishes_folded, 4);
-  EXPECT_FALSE(service.Snapshot()->delta_publish);
-  EXPECT_EQ(view.snapshot_overlay_nodes, 0);
-  ASSERT_NO_FATAL_FAILURE(ExpectLiveArenaMatchesExport(service));
-}
-
 TEST(DeltaSnapshotTest, ServiceFallsBackToFullWhenMostNodesDirty) {
-  ServiceOptions options = SerialOptions();
-  options.max_delta_dirty_fraction = 0.5;
-  QueryService service(options);
+  QueryService service(SerialOptions());
   ASSERT_TRUE(service.Load(RandomDag(40, 2.0, 47)).ok());
   // Renumbering relabels (and dirties) every node, pushing the dirty
   // fraction past the threshold: the publish must go full, and rebuild
@@ -382,23 +351,6 @@ TEST(DeltaSnapshotTest, ServiceLoadForcesFullPublish) {
   EXPECT_EQ(service.Snapshot()->NumNodes(), 120);
   ServiceMetrics::View view = service.Metrics();
   EXPECT_EQ(view.snapshot_overlay_nodes, 0);
-}
-
-TEST(DeltaSnapshotTest, DeltaPublishCarriesBaseStatsForward) {
-  ServiceOptions options = SerialOptions();
-  QueryService service(options);
-  ASSERT_TRUE(service.Load(RandomDag(150, 2.0, 50)).ok());
-  const ClosureStats full_stats = service.Snapshot()->stats;
-  EXPECT_EQ(full_stats.num_nodes, 150);
-
-  ASSERT_TRUE(service.AddLeafUnder(0).ok());
-  service.Publish();
-  auto snapshot = service.Snapshot();
-  ASSERT_TRUE(snapshot->delta_publish);
-  EXPECT_EQ(snapshot->NumNodes(), 151);
-  // Stats describe the last *full* export, by design (see snapshot.h).
-  EXPECT_EQ(snapshot->stats.num_nodes, full_stats.num_nodes);
-  EXPECT_EQ(snapshot->stats.total_intervals, full_stats.total_intervals);
 }
 
 // The service publishes arena-only closures, full and delta alike; each

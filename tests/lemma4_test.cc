@@ -61,9 +61,14 @@ std::vector<std::vector<bool>> TreeReachability(const TreeCover& cover) {
 }
 
 void CheckLemma4(const Digraph& graph) {
-  auto closure = CompressedClosure::Build(graph);
-  ASSERT_TRUE(closure.ok());
-  const TreeCover& cover = closure->tree_cover();
+  // The optimal cover CompressedClosure::Build picks, and the closure
+  // over its labels; the closure keeps no cover, so it is built here.
+  auto covered = ComputeTreeCover(graph, TreeCoverStrategy::kOptimal);
+  ASSERT_TRUE(covered.ok());
+  const TreeCover& cover = *covered;
+  auto labels = BuildLabels(graph, cover);
+  ASSERT_TRUE(labels.ok());
+  const CompressedClosure closure = CompressedClosure::FromParts(*labels);
   const auto tree_reach = TreeReachability(cover);
 
   for (NodeId i = 0; i < graph.NumNodes(); ++i) {
@@ -83,7 +88,7 @@ void CheckLemma4(const Digraph& graph) {
       }
       if (!dominated) ++n_i;
     }
-    const int64_t non_tree_intervals = closure->IntervalsOf(i).size() - 1;
+    const int64_t non_tree_intervals = closure.IntervalsOf(i).size() - 1;
     ASSERT_EQ(non_tree_intervals, n_i) << "node " << i;
   }
 }

@@ -15,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/chain_propagator.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
 #include "service/published_ptr.h"
 #include "service/query_service.h"
+#include "service/sharded_service.h"
 
 namespace trel {
 namespace {
@@ -54,10 +56,6 @@ TEST(QueryServiceTest, LoadedSnapshotMatchesGroundTruth) {
     std::sort(successors.begin(), successors.end());
     ASSERT_EQ(successors, matrix.Successors(u)) << "node " << u;
   }
-  // Publication stats came along.
-  EXPECT_EQ(snapshot->stats.num_nodes, graph.NumNodes());
-  EXPECT_EQ(snapshot->stats.total_intervals,
-            snapshot->closure.TotalIntervals());
 }
 
 TEST(QueryServiceTest, LoadRejectsCyclicGraph) {
@@ -336,58 +334,21 @@ TEST(QueryServiceFamilyTest, SelectionIsRecordedInMetrics) {
             3);
 }
 
-// --- Publish strategies -----------------------------------------------------
+// --- Publish tiers ----------------------------------------------------------
 
-// Clears TREL_PUBLISH for the enclosing scope so tests that exercise
-// ServiceOptions::publish_strategy directly aren't overridden when the
-// whole binary reruns under tools/ci.sh --publish-matrix.
-class ScopedClearPublishEnv {
- public:
-  ScopedClearPublishEnv() {
-    const char* value = std::getenv("TREL_PUBLISH");
-    if (value != nullptr) saved_ = value;
-    unsetenv("TREL_PUBLISH");
-  }
-  ~ScopedClearPublishEnv() {
-    if (saved_.has_value()) setenv("TREL_PUBLISH", saved_->c_str(), 1);
-  }
-
- private:
-  std::optional<std::string> saved_;
-};
-
-TEST(QueryServicePublishStrategyTest, EnvParsingNeverFails) {
-  EXPECT_EQ(ParsePublishStrategySetting(nullptr),
-            PublishStrategySetting::kAuto);
-  EXPECT_EQ(ParsePublishStrategySetting(""), PublishStrategySetting::kAuto);
-  EXPECT_EQ(ParsePublishStrategySetting("auto"),
-            PublishStrategySetting::kAuto);
-  EXPECT_EQ(ParsePublishStrategySetting("bogus"),
-            PublishStrategySetting::kAuto);
-  EXPECT_EQ(ParsePublishStrategySetting("delta"),
-            PublishStrategySetting::kForceDelta);
-  EXPECT_EQ(ParsePublishStrategySetting("chain"),
-            PublishStrategySetting::kForceChain);
-  EXPECT_EQ(ParsePublishStrategySetting("optimal"),
-            PublishStrategySetting::kForceOptimal);
-}
-
-// Every forced publish tier (and auto) must serve the exact same answers
-// through the full service stack — singles, batches, and after a delta
-// publish on top of whichever base the tier built.  tools/ci.sh
-// --publish-matrix additionally reruns this whole binary under each
-// TREL_PUBLISH value, which exercises the env override path.
+// Each tier, as the input selects it, serves exact answers through the
+// full service stack: singles, batches, and after a delta publish on top
+// of whichever base the tier built.  A chain-eligible graph loads through
+// the chain-fast tier, any other through Alg1.
 TEST(QueryServicePublishStrategyTest, EveryStrategyServesExactAnswers) {
-  ScopedClearPublishEnv clear_env;
-  const Digraph graph = ChainedDag(6, 20, 2.5, 31);
-  for (const PublishStrategySetting setting :
-       {PublishStrategySetting::kAuto, PublishStrategySetting::kForceDelta,
-        PublishStrategySetting::kForceChain,
-        PublishStrategySetting::kForceOptimal}) {
-    ServiceOptions options = SmallBatchOptions();
-    options.publish_strategy = setting;
-    QueryService service(options);
+  const std::pair<PublishStrategy, Digraph> inputs[] = {
+      {PublishStrategy::kChainFull, ChainedDag(6, 20, 2.5, 31)},
+      {PublishStrategy::kOptimalFull, RandomDag(120, 2.5, 31)}};
+  for (const auto& [tier, graph] : inputs) {
+    const char* name = PublishStrategyName(tier);
+    QueryService service(SmallBatchOptions());
     ASSERT_TRUE(service.Load(graph).ok());
+    ASSERT_EQ(service.Snapshot()->publish_strategy, tier) << name;
 
     ReachabilityMatrix truth(graph);
     std::vector<std::pair<NodeId, NodeId>> pairs;
@@ -398,15 +359,14 @@ TEST(QueryServicePublishStrategyTest, EveryStrategyServesExactAnswers) {
     for (size_t i = 0; i < pairs.size(); ++i) {
       const auto [u, v] = pairs[i];
       ASSERT_EQ(service.Reaches(u, v), truth.Reaches(u, v))
-          << PublishStrategySettingName(setting) << " " << u << "->" << v;
+          << name << " " << u << "->" << v;
       ASSERT_EQ(batch[i] != 0, truth.Reaches(u, v))
-          << PublishStrategySettingName(setting) << " batch " << u << "->"
-          << v;
+          << name << " batch " << u << "->" << v;
     }
 
-    // Mutate + publish (a delta under every setting — forcing never
-    // changes the delta gate): answers must track fresh ground truth.
-    // The shadow graph replays the same mutations for the oracle.
+    // Mutate + publish (a delta over either tier's base): answers must
+    // track fresh ground truth.  The shadow graph replays the same
+    // mutations for the oracle.
     Digraph mutated = graph;
     auto leaf = service.AddLeafUnder(2);
     ASSERT_TRUE(leaf.ok());
@@ -416,107 +376,448 @@ TEST(QueryServicePublishStrategyTest, EveryStrategyServesExactAnswers) {
     ASSERT_TRUE(mutated.AddArc(0, *leaf).ok());
     service.Publish();
     const auto snapshot = service.Snapshot();
-    EXPECT_EQ(snapshot->publish_strategy, PublishStrategy::kDelta)
-        << PublishStrategySettingName(setting);
+    EXPECT_EQ(snapshot->publish_strategy, PublishStrategy::kDelta) << name;
     const ReachabilityMatrix post(mutated);
     for (NodeId u = 0; u < snapshot->NumNodes(); ++u) {
       for (NodeId v = 0; v < snapshot->NumNodes(); ++v) {
         ASSERT_EQ(snapshot->Reaches(u, v), post.Reaches(u, v))
-            << PublishStrategySettingName(setting) << " post-delta " << u
-            << "->" << v;
+            << name << " post-delta " << u << "->" << v;
       }
     }
   }
 }
 
+// Every tier tags its snapshots and metrics with the labeling's
+// provenance.  The input forces the tier: a chain-eligible graph loads
+// chain-fast, a chain-hostile one loads with Alg1, and an eligible graph
+// whose chain build trips the entry cap falls back to Alg1.
 TEST(QueryServicePublishStrategyTest, ForcedTiersTagMetricsAndSnapshots) {
-  ScopedClearPublishEnv clear_env;
-  const Digraph chained = ChainedDag(6, 20, 2.5, 31);
   {
+    const Digraph chained = ChainedDag(6, 20, 2.5, 31);
+    ASSERT_TRUE(AnalyzeChains(chained)->eligible);
     ServiceOptions options;
     options.num_workers = 0;
-    options.publish_strategy = PublishStrategySetting::kForceChain;
     QueryService service(options);
     ASSERT_TRUE(service.Load(chained).ok());
     EXPECT_EQ(service.Snapshot()->publish_strategy,
               PublishStrategy::kChainFull);
     const ServiceMetrics::View view = service.Metrics();
-    EXPECT_GE(view.publishes_chain_full, 1);
+    EXPECT_EQ(view.publishes_chain_full, 1);
     EXPECT_EQ(view.last_publish_strategy, "chain_full");
-    EXPECT_GT(view.chain_full_intervals_last, 0);
+    EXPECT_EQ(view.chain_full_intervals_last,
+              service.Snapshot()->closure.TotalIntervals());
     EXPECT_EQ(view.publishes_full,
               view.publishes_chain_full + view.publishes_optimal_full);
   }
   {
+    const Digraph random = RandomDag(500, 3.0, 11);
+    ASSERT_FALSE(AnalyzeChains(random)->eligible);
     ServiceOptions options;
     options.num_workers = 0;
-    options.publish_strategy = PublishStrategySetting::kForceOptimal;
     QueryService service(options);
-    ASSERT_TRUE(service.Load(chained).ok());
+    ASSERT_TRUE(service.Load(random).ok());
     EXPECT_EQ(service.Snapshot()->publish_strategy,
               PublishStrategy::kOptimalFull);
     const ServiceMetrics::View view = service.Metrics();
     EXPECT_EQ(view.publishes_chain_full, 0);
-    EXPECT_GE(view.publishes_optimal_full, 2);  // Bootstrap + Load.
+    EXPECT_EQ(view.publishes_optimal_full, 2);  // Bootstrap + Load.
     EXPECT_EQ(view.last_publish_strategy, "optimal_full");
   }
   {
-    // Forcing chain on a shape whose chain build trips the entry cap must
-    // fall back to the Alg1 build — and the provenance tag must say so.
+    // Eligible by width (about 100 greedy chains over 1920 nodes), but
+    // dense enough that most nodes reach more than
+    // kMaxChainEntriesPerNode chains: the chain build fails and Load
+    // falls back to Alg1, and the provenance tag must say so.
+    const Digraph capped = ChainedDag(60, 32, 10.0, 1);
+    ASSERT_TRUE(AnalyzeChains(capped)->eligible);
+    ASSERT_FALSE(
+        BuildChainLabeling(capped, DynamicClosure::DefaultOptions().labeling)
+            .ok());
     ServiceOptions options;
     options.num_workers = 0;
-    options.publish_strategy = PublishStrategySetting::kForceChain;
     QueryService service(options);
-    ASSERT_TRUE(service.Load(CompleteBipartite(120, 120)).ok());
+    ASSERT_TRUE(service.Load(capped).ok());
     EXPECT_EQ(service.Snapshot()->publish_strategy,
               PublishStrategy::kOptimalFull);
-    EXPECT_TRUE(service.Reaches(0, 121));
-    EXPECT_FALSE(service.Reaches(121, 0));
+    EXPECT_EQ(service.Metrics().publishes_chain_full, 0);
+    Random rng(3);
+    for (int i = 0; i < 512; ++i) {
+      const NodeId u = static_cast<NodeId>(rng.Uniform(capped.NumNodes()));
+      const NodeId v = static_cast<NodeId>(rng.Uniform(capped.NumNodes()));
+      ASSERT_EQ(service.Reaches(u, v), DfsReaches(capped, u, v))
+          << u << "->" << v;
+    }
   }
 }
 
+// Load picks the tier by eligibility, and the kChainReoptimizeCadence-th
+// consecutive full publish over a chain cover relabels with Alg1.  Every
+// publish here adds one new root, which dirties only itself, so only the
+// delta cap forces full publishes: every (kMaxDeltaPublishes + 1)-th one.
 TEST(QueryServicePublishStrategyTest, AutoSelectsByEligibilityAndCadence) {
-  ScopedClearPublishEnv clear_env;
+  constexpr int kFullEvery = QueryService::kMaxDeltaPublishes + 1;
   ServiceOptions options;
   options.num_workers = 0;
-  // Every publish is full: a rebuild at Load, then a fold of the dirty
-  // nodes unless a tier rebuild dirtied every node first.
-  options.delta_publish = false;
-  options.chain_reoptimize_cadence = 2;
   QueryService service(options);
 
-  // Chain-structured graph: auto picks the chain-fast tier at Load.
-  ASSERT_TRUE(service.Load(ChainedDag(6, 20, 2.5, 31)).ok());
+  // Chain-structured graph: the chain-fast tier at Load.
+  const Digraph chained = ChainedDag(6, 20, 2.5, 31);
+  ASSERT_TRUE(service.Load(chained).ok());
   EXPECT_EQ(service.Snapshot()->publish_strategy, PublishStrategy::kChainFull);
   ServiceMetrics::View view = service.Metrics();
   EXPECT_EQ(view.publishes_chain_full, 1);
   EXPECT_EQ(view.last_publish_strategy, "chain_full");
 
-  // The next full publish is the 2nd consecutive chain-cover one, so the
-  // cadence upgrades it to an Alg1-optimal rebuild mid-publish.
-  auto leaf = service.AddLeafUnder(0);
-  ASSERT_TRUE(leaf.ok());
-  service.Publish();
-  EXPECT_EQ(service.Snapshot()->publish_strategy,
-            PublishStrategy::kOptimalFull);
+  // Load was chain full 1; the full publishes after it are chain fulls
+  // 2, 3, ... until the cadence's, which re-optimizes.
+  for (int full = 2; full <= QueryService::kChainReoptimizeCadence; ++full) {
+    for (int i = 0; i < kFullEvery; ++i) {
+      ASSERT_TRUE(service.AddLeafUnder(kNoNode).ok());
+      service.Publish();
+      ASSERT_EQ(service.Snapshot()->delta_publish, i + 1 < kFullEvery)
+          << "full " << full << " publish " << i;
+    }
+    const PublishStrategy want = full < QueryService::kChainReoptimizeCadence
+                                     ? PublishStrategy::kChainFull
+                                     : PublishStrategy::kOptimalFull;
+    ASSERT_EQ(service.Snapshot()->publish_strategy, want) << "full " << full;
+  }
   view = service.Metrics();
-  EXPECT_EQ(view.publishes_chain_full, 1);
+  EXPECT_EQ(view.publishes_chain_full,
+            QueryService::kChainReoptimizeCadence - 1);
   EXPECT_EQ(view.publishes_optimal_full, 2);  // Bootstrap + this one.
   EXPECT_EQ(view.last_publish_strategy, "optimal_full");
-  // The Reoptimize relabeled every node, so this publish rebuilt its
-  // arena instead of folding.
-  EXPECT_EQ(view.publishes_folded, 0);
-  // Both tiers have now published, so the blowup ratio is live (the chain
-  // labeling can only be as good as or worse than Alg1's).
+  // The chain folds folded; the Reoptimize relabeled every node, so its
+  // publish rebuilt the arena instead.
+  EXPECT_EQ(view.publishes_folded, QueryService::kChainReoptimizeCadence - 2);
+  // Both tiers have now published, so the blowup ratio is live.
   EXPECT_GT(view.chain_full_intervals_last, 0);
   EXPECT_GT(view.optimal_full_intervals_last, 0);
-  EXPECT_GE(view.chain_interval_blowup, 1.0);
+  EXPECT_GT(view.chain_interval_blowup, 0.0);
 
-  // Chain-hostile graph: auto stays on the Alg1-optimal tier at Load.
+  // Chain-hostile graph: the Alg1-optimal tier at Load.
   ASSERT_TRUE(service.Load(RandomDag(500, 3.0, 11)).ok());
   EXPECT_EQ(service.Snapshot()->publish_strategy,
             PublishStrategy::kOptimalFull);
-  EXPECT_EQ(service.Metrics().publishes_chain_full, 1);  // Unchanged.
+  EXPECT_EQ(service.Metrics().publishes_chain_full,
+            QueryService::kChainReoptimizeCadence - 1);  // Unchanged.
+}
+
+// --- Chain tier battery -----------------------------------------------------
+
+// All pairs of the live snapshot against `graph`'s DFS closure, through
+// Reaches and the batch twins (BatchReaches over every pair, so the
+// parallel path runs, and BatchSuccessors over every node).
+void ExpectServesEveryPair(const QueryService& service, const Digraph& graph,
+                           const std::string& what) {
+  const ReachabilityMatrix truth(graph);
+  const NodeId n = graph.NumNodes();
+  ASSERT_EQ(service.Snapshot()->NumNodes(), n) << what;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  pairs.reserve(static_cast<size_t>(n) * n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) pairs.emplace_back(u, v);
+  }
+  const std::vector<uint8_t> batch = service.BatchReaches(pairs);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    ASSERT_EQ(service.Reaches(u, v), truth.Reaches(u, v))
+        << what << " " << u << "->" << v;
+    ASSERT_EQ(batch[i] != 0, truth.Reaches(u, v))
+        << what << " batch " << u << "->" << v;
+  }
+  std::vector<NodeId> nodes(static_cast<size_t>(n));
+  for (NodeId u = 0; u < n; ++u) nodes[u] = u;
+  const std::vector<std::vector<NodeId>> successors =
+      service.BatchSuccessors(nodes);
+  for (NodeId u = 0; u < n; ++u) {
+    std::vector<NodeId> got = successors[u];
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, truth.Successors(u)) << what << " successors of " << u;
+  }
+}
+
+// A sample of pairs against `graph`'s DFS closure, singles and batch.
+void ExpectServesSample(const QueryService& service, const Digraph& graph,
+                        Random& rng, const std::string& what) {
+  const ReachabilityMatrix truth(graph);
+  const NodeId n = graph.NumNodes();
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 256; ++i) {
+    pairs.emplace_back(static_cast<NodeId>(rng.Uniform(n)),
+                       static_cast<NodeId>(rng.Uniform(n)));
+  }
+  const std::vector<uint8_t> batch = service.BatchReaches(pairs);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    ASSERT_EQ(service.Reaches(u, v), truth.Reaches(u, v))
+        << what << " " << u << "->" << v;
+    ASSERT_EQ(batch[i] != 0, truth.Reaches(u, v))
+        << what << " batch " << u << "->" << v;
+  }
+}
+
+// The writer's counters, read under the writer mutex.
+DynamicClosure::Stats WriterStats(QueryService& service) {
+  DynamicClosure::Stats stats;
+  EXPECT_TRUE(service
+                  .Apply([&stats](DynamicClosure& dynamic) {
+                    stats = dynamic.stats();
+                    return Status::Ok();
+                  })
+                  .ok());
+  return stats;
+}
+
+// The fixed publish policy (DESIGN.md §4c, §4f) as a model of one service
+// that loaded a chain-eligible graph.  Expect() says what the next
+// publish must be, given the writer's dirty count just before it, and
+// tallies it.
+struct PublishPolicyModel {
+  struct Publish {
+    PublishStrategy strategy;
+    bool reoptimize;
+  };
+
+  Publish Expect(QueryService& service) {
+    int64_t dirty = 0;
+    NodeId num_nodes = 0;
+    EXPECT_TRUE(service
+                    .Apply([&](DynamicClosure& dynamic) {
+                      dirty = dynamic.DirtyCount();
+                      num_nodes = dynamic.NumNodes();
+                      return Status::Ok();
+                    })
+                    .ok());
+    last_dirty = dirty;
+    const bool few_dirty =
+        static_cast<double>(dirty) <=
+        QueryService::kMaxDeltaDirtyFraction * static_cast<double>(num_nodes);
+    if (deltas < QueryService::kMaxDeltaPublishes && few_dirty) {
+      ++deltas;
+      return {PublishStrategy::kDelta, false};
+    }
+    deltas = 0;
+    // The cadence's full publish re-optimizes, which dirties every node,
+    // so it rebuilds; any other full publish folds when few nodes are
+    // dirty.
+    const bool reoptimize =
+        !reoptimized &&
+        chain_fulls == QueryService::kChainReoptimizeCadence - 1;
+    const bool on_chain = !reoptimized && !reoptimize;
+    reoptimized = reoptimized || reoptimize;
+    if (on_chain) {
+      ++chain_fulls;
+      if (few_dirty) ++chain_folds;
+      return {PublishStrategy::kChainFull, false};
+    }
+    ++optimal_fulls;
+    if (few_dirty && !reoptimize) ++alg1_folds;
+    return {PublishStrategy::kOptimalFull, reoptimize};
+  }
+
+  int Folds() const { return chain_folds + alg1_folds; }
+  // Two chain folds, the re-optimization and two Alg1 folds happened.
+  bool Done() const { return chain_folds >= 2 && alg1_folds >= 2; }
+
+  int deltas = 0;  // Since the last full publish.
+  int chain_fulls = 1;  // Load was the first.
+  int optimal_fulls = 1;  // The bootstrap publish of the empty service.
+  int chain_folds = 0;
+  int alg1_folds = 0;
+  bool reoptimized = false;
+  int64_t last_dirty = 0;
+};
+
+// The provenance counters of `service` after a full publish the model
+// expected, and `snapshot`'s share of them.
+void ExpectProvenance(QueryService& service, const ClosureSnapshot& snapshot,
+                      const PublishPolicyModel& model,
+                      const PublishPolicyModel::Publish& want,
+                      const std::string& what) {
+  const ServiceMetrics::View view = service.Metrics();
+  EXPECT_EQ(view.publishes_chain_full, model.chain_fulls) << what;
+  EXPECT_EQ(view.publishes_optimal_full, model.optimal_fulls) << what;
+  EXPECT_EQ(view.publishes_folded, model.Folds()) << what;
+  EXPECT_EQ(WriterStats(service).reoptimizes, model.reoptimized ? 1 : 0)
+      << what;
+  const int64_t intervals = snapshot.closure.TotalIntervals();
+  if (want.strategy == PublishStrategy::kChainFull) {
+    EXPECT_EQ(view.chain_full_intervals_last, intervals) << what;
+    // Only the empty bootstrap has published with Alg1: no ratio yet.
+    EXPECT_EQ(view.chain_interval_blowup, 0.0) << what;
+    return;
+  }
+  EXPECT_EQ(view.optimal_full_intervals_last, intervals) << what;
+  ASSERT_GT(intervals, 0) << what;
+  EXPECT_DOUBLE_EQ(view.chain_interval_blowup,
+                   static_cast<double>(view.chain_full_intervals_last) /
+                       static_cast<double>(intervals))
+      << what;
+}
+
+// One writer step of the batteries below, on `service` (a QueryService
+// or ShardedQueryService) and the shadow graph that replays it for the
+// DFS oracle: a leaf under an original node, every other step an arc
+// (cycles and duplicates are refused by both sides alike), and every
+// 40th step the removal of a random arc, tree or non-tree.  Removals and
+// arcs often dirty most nodes, and leaves exhaust insertion holes, so
+// full publishes come from both the delta cap and the dirty fraction.
+template <typename Service>
+void MutateStep(Service& service, Digraph& shadow, NodeId original, int step,
+                Random& rng) {
+  const NodeId parent = static_cast<NodeId>(rng.Uniform(original));
+  const StatusOr<NodeId> leaf = service.AddLeafUnder(parent);
+  ASSERT_TRUE(leaf.ok());
+  ASSERT_EQ(shadow.AddNode(), *leaf);
+  ASSERT_TRUE(shadow.AddArc(parent, *leaf).ok());
+  if (step % 2 == 0) {
+    const NodeId u = static_cast<NodeId>(rng.Uniform(shadow.NumNodes()));
+    const NodeId v = static_cast<NodeId>(rng.Uniform(shadow.NumNodes()));
+    if (service.AddArc(u, v).ok()) {
+      ASSERT_TRUE(shadow.AddArc(u, v).ok());
+    }
+  }
+  if (step % 40 == 0) {
+    const std::vector<std::pair<NodeId, NodeId>> arcs = shadow.Arcs();
+    const auto [a, b] = arcs[rng.Uniform(arcs.size())];
+    ASSERT_TRUE(service.RemoveArc(a, b).ok());
+    ASSERT_TRUE(shadow.RemoveArc(a, b).ok());
+  }
+}
+
+// Publishes past which a battery gives up: the cadence fires within
+// kChainReoptimizeCadence delta-capped cycles, and two Alg1 folds follow
+// within a few more.
+constexpr int kMaxBatteryPublishes =
+    (QueryService::kChainReoptimizeCadence + 8) *
+    (QueryService::kMaxDeltaPublishes + 1);
+
+// A service's whole publish life on a chain-eligible graph: Load builds
+// the chain-fast labeling, deltas and folds run over the chain cover, the
+// kChainReoptimizeCadence-th chain full publish relabels with Alg1, and
+// deltas and folds go on over the Alg1 cover.  The writer adds leaves and
+// arcs and removes arcs, and renumbers when an insertion hole runs out.
+// Every full publish is checked on all pairs and every delta on a
+// sample, both through Reaches and the batch twins, and the provenance
+// counters after every full publish.
+TEST(QueryServiceChainTierTest, ChainLoadFoldsReoptimizesAndStaysExact) {
+  const Digraph graph = ChainedDag(6, 50, 2.5, 61);
+  ASSERT_TRUE(AnalyzeChains(graph)->eligible);
+  QueryService service(SmallBatchOptions());
+  ASSERT_TRUE(service.Load(graph).ok());
+  ASSERT_EQ(service.Snapshot()->publish_strategy, PublishStrategy::kChainFull);
+  ASSERT_NO_FATAL_FAILURE(ExpectServesEveryPair(service, graph, "load"));
+  EXPECT_EQ(service.Metrics().publishes_chain_full, 1);
+  EXPECT_EQ(service.Metrics().chain_interval_blowup, 0.0);
+
+  Digraph shadow = graph;
+  Random rng(62);
+  PublishPolicyModel model;
+  for (int publish = 1; !model.Done(); ++publish) {
+    ASSERT_LE(publish, kMaxBatteryPublishes)
+        << "chain folds " << model.chain_folds << ", re-optimized "
+        << model.reoptimized << ", Alg1 folds " << model.alg1_folds;
+    ASSERT_NO_FATAL_FAILURE(
+        MutateStep(service, shadow, graph.NumNodes(), publish, rng));
+    const PublishPolicyModel::Publish want = model.Expect(service);
+    service.Publish();
+    const std::string what = "publish " + std::to_string(publish) + " (" +
+                             std::to_string(model.last_dirty) + " dirty)";
+    const std::shared_ptr<const ClosureSnapshot> snapshot = service.Snapshot();
+    ASSERT_EQ(snapshot->publish_strategy, want.strategy) << what;
+    if (want.strategy == PublishStrategy::kDelta) {
+      ASSERT_NO_FATAL_FAILURE(ExpectServesSample(service, shadow, rng, what));
+      continue;
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectServesEveryPair(service, shadow, what));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectProvenance(service, *snapshot, model, want, what));
+    if (want.reoptimize) {
+      // Alg1's cover is optimal, so the relabel never carries more
+      // intervals than a chain-fast labeling of the same graph.
+      const StatusOr<ChainBuild> chain = BuildChainLabeling(
+          shadow, DynamicClosure::DefaultOptions().labeling);
+      ASSERT_TRUE(chain.ok()) << what;
+      EXPECT_LE(snapshot->closure.TotalIntervals(),
+                chain->labels.TotalIntervals())
+          << what;
+    }
+  }
+  EXPECT_EQ(model.chain_fulls, QueryService::kChainReoptimizeCadence - 1);
+  EXPECT_TRUE(model.reoptimized);
+}
+
+// The same life at K=2: every shard of the chained graph is itself
+// chain-eligible, so each shard loads chain-fast and runs its own policy
+// (a sharded Publish() publishes every shard), while the front end must
+// stay exact across the shard boundary.
+TEST(QueryServiceChainTierTest, ShardedK2ShardsRunTheChainTier) {
+  const Digraph graph = ChainedDag(8, 60, 2.5, 63);
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  ShardedQueryService sharded(options);
+  ASSERT_TRUE(sharded.Load(graph).ok());
+  std::vector<PublishPolicyModel> models(2);
+  for (int s = 0; s < 2; ++s) {
+    ASSERT_EQ(sharded.shard(s).Snapshot()->publish_strategy,
+              PublishStrategy::kChainFull)
+        << "shard " << s;
+  }
+
+  Digraph shadow = graph;
+  Random rng(64);
+  const auto done = [&models] {
+    return models[0].Done() && models[1].Done();
+  };
+  for (int publish = 1; !done(); ++publish) {
+    ASSERT_LE(publish, kMaxBatteryPublishes);
+    ASSERT_NO_FATAL_FAILURE(
+        MutateStep(sharded, shadow, graph.NumNodes(), publish, rng));
+    std::vector<PublishPolicyModel::Publish> want;
+    for (int s = 0; s < 2; ++s) {
+      want.push_back(models[s].Expect(sharded.shard(s)));
+    }
+    sharded.Publish();
+    const std::string what = "publish " + std::to_string(publish);
+    bool any_full = false;
+    for (int s = 0; s < 2; ++s) {
+      QueryService& shard = sharded.shard(s);
+      const std::string shard_what = what + " shard " + std::to_string(s);
+      const std::shared_ptr<const ClosureSnapshot> snapshot = shard.Snapshot();
+      ASSERT_EQ(snapshot->publish_strategy, want[s].strategy) << shard_what;
+      if (want[s].strategy == PublishStrategy::kDelta) continue;
+      any_full = true;
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectProvenance(shard, *snapshot, models[s], want[s], shard_what));
+    }
+    // A sample through singles and batch, and after a full shard publish
+    // every pair through the batch (all-pairs singles would make this
+    // leg slow under TSan).
+    const ReachabilityMatrix truth(shadow);
+    const NodeId n = shadow.NumNodes();
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (int i = 0; i < 256; ++i) {
+      pairs.emplace_back(static_cast<NodeId>(rng.Uniform(n)),
+                         static_cast<NodeId>(rng.Uniform(n)));
+    }
+    for (const auto& [u, v] : pairs) {
+      ASSERT_EQ(sharded.Reaches(u, v), truth.Reaches(u, v))
+          << what << " " << u << "->" << v;
+    }
+    if (any_full) {
+      pairs.clear();
+      for (NodeId u = 0; u < n; ++u) {
+        for (NodeId v = 0; v < n; ++v) pairs.emplace_back(u, v);
+      }
+    }
+    const std::vector<uint8_t> batch = sharded.BatchReaches(pairs);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const auto [u, v] = pairs[i];
+      ASSERT_EQ(batch[i] != 0, truth.Reaches(u, v))
+          << what << " batch " << u << "->" << v;
+    }
+  }
 }
 
 TEST(QueryServiceAdmissionTest, RejectsAtLimitThenRecoversExactly) {
@@ -608,7 +909,6 @@ TEST(QueryServiceConcurrencyTest, ReadersNeverSeeTornState) {
   ServiceOptions options;
   options.num_workers = 2;
   options.min_parallel_batch = 64;
-  options.stats_on_publish = false;  // Keep the publish loop tight.
   QueryService service(options);
   ASSERT_TRUE(service.Load(RandomDag(300, 2.0, 91)).ok());
 
@@ -691,8 +991,6 @@ TEST(QueryServiceConcurrencyTest, ReadersNeverSeeTornState) {
 TEST(QueryServiceConcurrencyTest, ReadersHoldSnapshotsAcrossDeltaPublishes) {
   ServiceOptions options;
   options.num_workers = 0;
-  options.stats_on_publish = false;  // Keep the publish loop tight.
-  options.max_delta_publishes = 8;   // Retire bases mid-run.
   QueryService service(options);
   ASSERT_TRUE(service.Load(RandomDag(400, 2.0, 93)).ok());
 
@@ -733,10 +1031,12 @@ TEST(QueryServiceConcurrencyTest, ReadersHoldSnapshotsAcrossDeltaPublishes) {
   }
 
   // Writer: one-leaf batches keep the dirty set tiny, so nearly every
-  // publish rides the delta path (every 9th is a forced full export).
+  // publish rides the delta path; every (kMaxDeltaPublishes + 1)-th is a
+  // forced full export, which retires a base mid-run six times.
+  constexpr int kRounds = 6 * (QueryService::kMaxDeltaPublishes + 1) + 2;
   Random rng(29);
   NodeId num_nodes = 400;
-  for (int round = 0; round < 200; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     ASSERT_TRUE(
         service
             .AddLeafUnder(static_cast<NodeId>(rng.Uniform(num_nodes)))
@@ -753,7 +1053,8 @@ TEST(QueryServiceConcurrencyTest, ReadersHoldSnapshotsAcrossDeltaPublishes) {
 
   ServiceMetrics::View view = service.Metrics();
   EXPECT_GT(view.publishes_delta, 0);
-  EXPECT_GT(view.publishes_full, 1);  // Forced full exports happened.
+  // Construction, Load, and at least six forced full exports.
+  EXPECT_GE(view.publishes_full, 2 + 6);
 }
 
 // Readers call Reaches itself, not a held snapshot, while the writer
@@ -764,8 +1065,6 @@ TEST(QueryServiceConcurrencyTest, ReadersHoldSnapshotsAcrossDeltaPublishes) {
 TEST(QueryServiceConcurrencyTest, ApiReadersStayMonotoneAndCounted) {
   ServiceOptions options;
   options.num_workers = 0;
-  options.stats_on_publish = false;  // Keep the publish loop tight.
-  options.max_delta_publishes = 4;   // Every fifth publish is full.
   QueryService service(options);
   constexpr NodeId kBase = 300;
   ASSERT_TRUE(service.Load(RandomDag(kBase, 1.5, 94)).ok());
@@ -810,9 +1109,12 @@ TEST(QueryServiceConcurrencyTest, ApiReadersStayMonotoneAndCounted) {
     }
   });
 
+  // Every (kMaxDeltaPublishes + 1)-th publish is a forced full one, so
+  // the run crosses two of them.
+  constexpr int kRounds = 2 * (QueryService::kMaxDeltaPublishes + 1);
   Random rng(31);
   NodeId num_nodes = kBase;
-  for (int round = 0; round < 60; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     for (int j = 0; j < 3; ++j) {
       ASSERT_TRUE(service
                       .AddLeafUnder(static_cast<NodeId>(
@@ -842,7 +1144,7 @@ TEST(QueryServiceConcurrencyTest, ApiReadersStayMonotoneAndCounted) {
   const ServiceMetrics::View view = service.Metrics();
   EXPECT_EQ(view.reach_queries, calls.load());
   EXPECT_GT(view.publishes_delta, 0);
-  EXPECT_GE(view.publishes_full - fulls_before, 60 / 5);  // Forced fulls.
+  EXPECT_GE(view.publishes_full - fulls_before, 2);  // Forced fulls.
 }
 
 // More live reader threads than reader slots: the threads past the slots
@@ -854,7 +1156,6 @@ TEST(QueryServiceConcurrencyTest, ReadersBeyondTheSlotsStayExact) {
   constexpr int kPasses = 4;
   ServiceOptions options;
   options.num_workers = 0;
-  options.stats_on_publish = false;
   QueryService service(options);
   const Digraph graph = RandomDag(200, 2.0, 95);
   ASSERT_TRUE(service.Load(graph).ok());

@@ -408,10 +408,7 @@ TEST(ShardedServiceTest, EmptyServiceBehavesLikeEmptyMonolith) {
 // answer turns from true to false, and cross_shard_queries matches the
 // count this test keeps, including calls from exited reader threads.
 TEST(ShardedServiceTest, ApiReadersStayMonotoneAndCounted) {
-  ShardedServiceOptions options = OptionsFor(3);
-  options.shard.stats_on_publish = false;
-  options.shard.max_delta_publishes = 4;  // Every fifth shard publish is full.
-  ShardedQueryService sharded(options);
+  ShardedQueryService sharded(OptionsFor(3));
   const Digraph graph = ClusteredDag(6, 50, 2.5, 2, 0.1, 19);
   const NodeId base = graph.NumNodes();
   ASSERT_TRUE(sharded.Load(graph).ok());
@@ -464,9 +461,13 @@ TEST(ShardedServiceTest, ApiReadersStayMonotoneAndCounted) {
     }
   });
 
+  // Publish() publishes every shard, and every other round calls it, so
+  // each shard runs past the (kMaxDeltaPublishes + 1)-th publish that the
+  // delta cap forces full.
+  constexpr int kRounds = 2 * (QueryService::kMaxDeltaPublishes + 1);
   Random rng(37);
   NodeId num_nodes = base;
-  for (int round = 0; round < 60; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     for (int j = 0; j < 3; ++j) {
       ASSERT_TRUE(sharded
                       .AddLeafUnder(static_cast<NodeId>(
@@ -493,7 +494,8 @@ TEST(ShardedServiceTest, ApiReadersStayMonotoneAndCounted) {
   EXPECT_EQ(sharded.MetricsView().cross_shard_queries - cross_before,
             cross_calls.load());
   EXPECT_GT(cross_calls.load(), 0);
-  // Every shard publishes at least 30 times, so each forced some fulls.
+  // Every shard published at least kMaxDeltaPublishes + 1 times, so each
+  // forced a full publish.
   EXPECT_GE(full_publishes() - fulls_before, sharded.num_shards());
 }
 

@@ -1,6 +1,6 @@
 // End-to-end test of the trel_tool binary: generate -> stats -> compress
-// -> query -> dot -> alpha, via std::system.  The binary path is injected
-// by CMake as TREL_TOOL_PATH.
+// -> query -> dot -> alpha -> chains, via std::system.  The binary path
+// is injected by CMake as TREL_TOOL_PATH.
 
 #include <unistd.h>
 
@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -99,6 +100,27 @@ TEST(ToolTest, AlphaOverCsv) {
             0);
   EXPECT_NE(output.find("wing"), std::string::npos);
   EXPECT_NE(output.find("spar"), std::string::npos);
+}
+
+// `trel_tool chains` predicts the tier QueryService::Load builds with: the
+// chain-fast tier on a chain-structured graph, Alg1 on a random one.
+TEST(ToolTest, ChainsPredictsTheLoadTier) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"generate chained 16 125 4.0 7", "load would build:  chain_full"},
+      {"generate random 500 3 11", "load would build:  optimal_full"}};
+  for (const auto& [generate, want] : cases) {
+    const std::string graph_path = TempPath("tool_chains.el");
+    std::string output;
+    ASSERT_EQ(RunTool(ToolPath() + " " + generate, output), 0) << generate;
+    {
+      std::ofstream out(graph_path);
+      out << output;
+    }
+    ASSERT_EQ(RunTool(ToolPath() + " chains " + graph_path, output), 0)
+        << generate;
+    EXPECT_NE(output.find(want), std::string::npos) << generate << "\n"
+                                                    << output;
+  }
 }
 
 TEST(ToolTest, UsageAndErrorPaths) {

@@ -16,10 +16,6 @@
 #                              # each TREL_INDEX value (intervals, hop,
 #                              # auto) — every family must be
 #                              # bit-for-bit exact
-#   tools/ci.sh --publish-matrix # differential + service + sharded test
-#                              # battery under each TREL_PUBLISH tier
-#                              # (delta, chain, optimal, auto) — every
-#                              # tier must be bit-for-bit exact
 #   tools/ci.sh --shard-matrix # partitioner invariants + the sharded-vs-
 #                              # monolithic differential battery once per
 #                              # TREL_SHARDS in {1, 2, 4, 8} — every shard
@@ -197,41 +193,6 @@ family_matrix() {
     run env TREL_INDEX="${family}" ./build/tests/query_service_test
     run env TREL_INDEX="${family}" ./build/tests/delta_snapshot_test
     run env TREL_INDEX="${family}" ./build/tests/snapshot_test
-  done
-}
-
-publish_matrix() {
-  # Re-runs the correctness battery once per publish tier.  TREL_PUBLISH
-  # forces the full-publish strategy (auto lets the selector pick per
-  # graph; delta only suppresses rebuilds — the delta gate itself never
-  # moves), so a tier whose labels or provenance plumbing drift from the
-  # DFS/interval ground truth fails the same differential assertions the
-  # default build passes.  Under every tier most full publishes fold the
-  # delta into the previous base arena rather than rebuild it, and the
-  # sharded service's shards publish through the same path, so its
-  # battery runs here too.  `trel_tool chains` runs first per tier as a
-  # cheap offline probe of the same eligibility signals the service uses,
-  # on both a chain-friendly and a chain-hostile graph.
-  run cmake -B build -S . "${EXTRA_CMAKE_FLAGS[@]}"
-  run cmake --build build -j "${JOBS}" --target \
-    trel_tool arena_differential_test query_service_test \
-    delta_snapshot_test snapshot_test sharded_service_test
-  local chained="build/publish-chained.el"
-  local random="build/publish-random.el"
-  echo "==> ./build/tools/trel_tool generate chained 16 125 4.0 7 > ${chained}"
-  ./build/tools/trel_tool generate chained 16 125 4.0 7 > "${chained}"
-  echo "==> ./build/tools/trel_tool generate random 500 3 11 > ${random}"
-  ./build/tools/trel_tool generate random 500 3 11 > "${random}"
-  local tier
-  for tier in delta chain optimal auto; do
-    echo "==> publish matrix: TREL_PUBLISH=${tier}"
-    run env TREL_PUBLISH="${tier}" ./build/tools/trel_tool chains "${chained}"
-    run env TREL_PUBLISH="${tier}" ./build/tools/trel_tool chains "${random}"
-    run env TREL_PUBLISH="${tier}" ./build/tests/arena_differential_test
-    run env TREL_PUBLISH="${tier}" ./build/tests/query_service_test
-    run env TREL_PUBLISH="${tier}" ./build/tests/delta_snapshot_test
-    run env TREL_PUBLISH="${tier}" ./build/tests/snapshot_test
-    run env TREL_PUBLISH="${tier}" ./build/tests/sharded_service_test
   done
 }
 
@@ -420,7 +381,6 @@ else
       --arena-fuzz) stages+=(arena_fuzz) ;;
       --simd-matrix) stages+=(simd_matrix) ;;
       --family-matrix) stages+=(family_matrix) ;;
-      --publish-matrix) stages+=(publish_matrix) ;;
       --shard-matrix) stages+=(shard_matrix) ;;
       --obs) stages+=(obs_stage) ;;
       --soak) stages+=(soak) ;;
@@ -429,8 +389,7 @@ else
         echo "unknown stage: ${arg}" >&2
         echo "usage: tools/ci.sh [--tier1] [--asan] [--tsan] [--bench-smoke]" \
           "[--arena-fuzz] [--simd-matrix] [--family-matrix]" \
-          "[--publish-matrix] [--shard-matrix] [--obs] [--soak]" \
-          "[--perfbench]" >&2
+          "[--shard-matrix] [--obs] [--soak] [--perfbench]" >&2
         exit 2
         ;;
     esac

@@ -77,8 +77,6 @@ int Usage() {
       "  TREL_SIMD   force a query-kernel level (scalar|avx2|auto)\n"
       "  TREL_INDEX  force the snapshot index family\n"
       "              (intervals|hop|auto); unknown values mean auto\n"
-      "  TREL_PUBLISH  force the service publish tier\n"
-      "              (delta|chain|optimal|auto); unknown values mean auto\n"
       "  TREL_TRACE_SAMPLE  sample 1-in-N queries into the tracer\n"
       "  TREL_FLIGHT_TEST_TRIGGER  force one flight-recorder capture after\n"
       "              serve/serve-sharded warmup (CI /flightz validation)\n");
@@ -154,9 +152,9 @@ int IndexInfo(const Digraph& graph) {
 }
 
 // Prints the chain analyzer's signals and the publish tier a service
-// Load of this graph would build with — the offline twin of the
-// PublishLocked tiering, mirroring what `trel_tool index` does for the
-// family selector.  Honors TREL_PUBLISH the same way the service does.
+// Load of this graph would build with — the offline twin of
+// QueryService::Load's choice, mirroring what `trel_tool index` does for
+// the family selector.
 int ChainsInfo(const Digraph& graph) {
   auto signals = AnalyzeChains(graph);
   if (!signals.ok()) {
@@ -178,12 +176,7 @@ int ChainsInfo(const Digraph& graph) {
     auto minimum = ChainCover::Build(graph, ChainCover::Method::kMinimum);
     if (minimum.ok()) width = minimum->NumChains();
   }
-  const char* env = std::getenv("TREL_PUBLISH");
-  const PublishStrategySetting setting = PublishStrategySettingFromEnv();
-  const bool loads_chain =
-      chain.ok() &&
-      (setting == PublishStrategySetting::kForceChain ||
-       (setting == PublishStrategySetting::kAuto && signals->eligible));
+  const bool loads_chain = signals->eligible && chain.ok();
 
   std::printf("nodes:             %d\n", signals->num_nodes);
   std::printf("arcs:              %lld\n",
@@ -214,7 +207,6 @@ int ChainsInfo(const Digraph& graph) {
     std::printf("chain intervals:   (build failed: %s)\n",
                 chain.status().ToString().c_str());
   }
-  std::printf("TREL_PUBLISH:      %s\n", env != nullptr ? env : "(unset)");
   std::printf("load would build:  %s\n",
               loads_chain ? "chain_full" : "optimal_full");
   return 0;
@@ -260,11 +252,20 @@ int Stats(const std::string& path) {
     std::cerr << graph.status() << "\n";
     return 1;
   }
-  auto closure = CompressedClosure::Build(graph.value());
-  if (!closure.ok()) {
-    std::cerr << closure.status() << "\n";
+  // The closure keeps no tree cover, so the one its labels come from is
+  // built here and handed to ComputeClosureStats as well.
+  auto cover = ComputeTreeCover(graph.value(), TreeCoverStrategy::kOptimal);
+  if (!cover.ok()) {
+    std::cerr << cover.status() << "\n";
     return 1;
   }
+  auto labels = BuildLabels(graph.value(), cover.value());
+  if (!labels.ok()) {
+    std::cerr << labels.status() << "\n";
+    return 1;
+  }
+  const CompressedClosure closure =
+      CompressedClosure::FromParts(labels.value());
   ReachabilityMatrix matrix(graph.value());
   auto inverse = InverseClosure::Build(graph.value());
   auto chains = ChainCover::Build(graph.value());
@@ -275,8 +276,8 @@ int Stats(const std::string& path) {
   std::printf("closure pairs:        %lld\n",
               static_cast<long long>(matrix.NumClosurePairs()));
   std::printf("compressed intervals: %lld  (storage units %lld)\n",
-              static_cast<long long>(closure->TotalIntervals()),
-              static_cast<long long>(closure->StorageUnits()));
+              static_cast<long long>(closure.TotalIntervals()),
+              static_cast<long long>(closure.StorageUnits()));
   if (inverse.ok()) {
     std::printf("inverse pairs:        %lld\n",
                 static_cast<long long>(inverse->NumInversePairs()));
@@ -287,7 +288,7 @@ int Stats(const std::string& path) {
                 chains->NumChains());
   }
   std::printf("\n%s",
-              ComputeClosureStats(graph.value(), closure.value())
+              ComputeClosureStats(graph.value(), cover.value(), closure)
                   .ToString()
                   .c_str());
   return 0;
