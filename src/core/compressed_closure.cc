@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 
 namespace trel {
 
@@ -48,15 +47,9 @@ void VisitIntervals(const LabelArena& arena, NodeId slot, Fn&& visit) {
 CompressedClosure::CompressedClosure()
     : arena_(std::make_shared<const LabelArena>()) {}
 
-CompressedClosure::CompressedClosure(const NodeLabels& labels,
-                                     ExportHints hints) {
+CompressedClosure::CompressedClosure(const NodeLabels& labels) {
   num_nodes_ = static_cast<NodeId>(labels.postorder.size());
-  Stopwatch arena_timer;
-  auto arena = std::make_shared<LabelArena>(BuildLabelArena(
-      labels, std::move(hints.sorted_directory), hints.runner));
-  if (hints.arena_micros != nullptr) {
-    *hints.arena_micros = arena_timer.ElapsedMicros();
-  }
+  auto arena = std::make_shared<LabelArena>(BuildLabelArena(labels));
   // The interval total falls out of the arena shape: every non-empty
   // first plus each slot's extras (extras.size() would overcount — runs
   // carry a summary slot).
@@ -75,13 +68,12 @@ StatusOr<CompressedClosure> CompressedClosure::Build(
   ReorderChildren(cover, options.child_order);
   TREL_ASSIGN_OR_RETURN(NodeLabels labels,
                         BuildLabels(graph, cover, options.labeling));
-  return CompressedClosure(labels, {});
+  return CompressedClosure(labels);
 }
 
-CompressedClosure CompressedClosure::FromParts(const NodeLabels& labels,
-                                               ExportHints hints) {
+CompressedClosure CompressedClosure::FromParts(const NodeLabels& labels) {
   TREL_CHECK_EQ(labels.postorder.size(), labels.intervals.size());
-  return CompressedClosure(labels, std::move(hints));
+  return CompressedClosure(labels);
 }
 
 CompressedClosure CompressedClosure::WithDelta(const CompressedClosure& base,

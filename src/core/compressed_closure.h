@@ -27,19 +27,6 @@ struct ClosureOptions {
   LabelingOptions labeling;
 };
 
-// Optional accelerators for CompressedClosure::FromParts, used by the
-// snapshot-export path: a pre-sorted (postorder, node) directory skips the
-// export's O(n log n) sort (DynamicClosure maintains one as a by-postorder
-// map), and a ParallelRunner shards the arena build across a worker pool.
-struct ClosureExportHints {
-  std::vector<std::pair<Label, NodeId>> sorted_directory;
-  const ParallelRunner* runner = nullptr;
-  // When non-null, receives the arena-build portion of the export in
-  // microseconds (the obs publish spans split "export" from "arena
-  // build" with it).
-  int64_t* arena_micros = nullptr;
-};
-
 // Immutable compressed transitive closure of a DAG — the paper's primary
 // contribution.  Reachability queries are O(log k) where k is the number
 // of intervals at the source node (k is 1 for most nodes); enumeration
@@ -63,8 +50,6 @@ struct ClosureExportHints {
 // (O(|overlay| log |overlay| + n) instead of O(n log n)).
 class CompressedClosure {
  public:
-  using ExportHints = ClosureExportHints;
-
   // Empty closure over zero nodes; placeholder state (e.g. a query
   // service before its first Load).
   CompressedClosure();
@@ -78,13 +63,12 @@ class CompressedClosure {
   // selection or interval propagation.  This is the cheap snapshot-export
   // path: the arena is built by READING `labels`, which the closure does
   // not retain, so a query service can publish an immutable snapshot in
-  // O(n log n) (the postorder sort — O(n) when hints carry a pre-sorted
-  // directory) without copying the per-node interval sets.  `labels` must
-  // come from a sound labeling.  The tree cover that chose the numbering
-  // is not needed to answer queries (§3: u reaches v iff v's postorder
-  // number lies in one of u's intervals), so the closure keeps none.
-  static CompressedClosure FromParts(const NodeLabels& labels,
-                                     ExportHints hints = {});
+  // O(n log n) (the directory's postorder sort) without copying the
+  // per-node interval sets.  `labels` must come from a sound labeling.
+  // The tree cover that chose the numbering is not needed to answer
+  // queries (§3: u reaches v iff v's postorder number lies in one of u's
+  // intervals), so the closure keeps none.
+  static CompressedClosure FromParts(const NodeLabels& labels);
 
   // Copy-on-write overlay constructor: a closure that answers exactly
   // like a full export of the labeling `delta` was taken from, built in
@@ -237,7 +221,7 @@ class CompressedClosure {
     NodeId slot;
   };
 
-  CompressedClosure(const NodeLabels& labels, ExportHints hints);
+  explicit CompressedClosure(const NodeLabels& labels);
 
   LabelRef LabelOf(NodeId v) const {
     if (overlay_ != nullptr) {

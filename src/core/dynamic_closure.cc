@@ -108,9 +108,10 @@ void DynamicClosure::GrowNodeState() {
   labels_.intervals.emplace_back();
   tree_parent_.push_back(kNoNode);
   tree_children_.emplace_back();
-  // Dynamically inserted nodes get no refinement pool: their slack region
-  // overlaps the hole used for future siblings.  Renumber()/Reoptimize()
-  // re-grant full pools.
+  // The new node starts with no refinement pool.  AddLeafUnder grants a
+  // new root a full one and a new leaf as much as fits in its parent's
+  // hole; a refinement node keeps none.  Renumber()/Reoptimize() re-grant
+  // full pools.
   reserve_remaining_.push_back(0);
   is_refined_.push_back(false);
   dirty_flag_.push_back(false);
@@ -533,19 +534,8 @@ std::vector<NodeId> DynamicClosure::Successors(NodeId u) const {
   return result;
 }
 
-CompressedClosure DynamicClosure::ExportClosure(const ParallelRunner* runner,
-                                                int64_t* arena_micros) const {
-  // by_postorder_ already orders (number, node) ascending, so the export
-  // can hand the arena builder a ready-made directory and skip its
-  // O(n log n) sort.
-  CompressedClosure::ExportHints hints;
-  hints.runner = runner;
-  hints.arena_micros = arena_micros;
-  hints.sorted_directory.reserve(by_postorder_.size());
-  for (const auto& [number, node] : by_postorder_) {
-    hints.sorted_directory.emplace_back(number, node);
-  }
-  return CompressedClosure::FromParts(labels_, std::move(hints));
+CompressedClosure DynamicClosure::ExportClosure() const {
+  return CompressedClosure::FromParts(labels_);
 }
 
 

@@ -45,8 +45,11 @@ class DynamicClosure {
     int64_t propagation_node_visits = 0;  // nodes touched by AddArc floods
   };
 
-  // Sensible defaults for dynamic use: room for 63 in-place leaf splits
-  // per hole and 15 refinements per node between renumberings.
+  // Sensible defaults for dynamic use: gap 64, reserve 16.  Between
+  // renumberings a parent's hole takes two in-place leaves (each new leaf
+  // claims up to a full 16-number refinement pool, and later siblings
+  // stay above it), so the third renumbers; a node takes 16 refinements
+  // (RefineAbove) before its pool runs out.
   static ClosureOptions DefaultOptions();
 
   // Empty closure; nodes are introduced via AddLeafUnder.
@@ -146,20 +149,16 @@ class DynamicClosure {
   std::vector<NodeId> Predecessors(NodeId v) const;
 
   // Builds an immutable CompressedClosure that answers exactly like this
-  // index does right now.  Costs one O(n + intervals) arena build that
-  // reads the labels in place — no per-node copy, no postorder sort (the
-  // index's by-postorder map is handed over pre-sorted), no tree-cover or
-  // propagation work, and no copy of the cover (the closure answers from
-  // labels alone).  A non-null `runner` shards the arena build across
-  // the caller's worker pool.  Does not touch the dirty set; a publisher
-  // that treats this export as its new delta base must call MarkClean()
-  // alongside it.  A non-null `arena_micros` receives the arena-build
-  // portion of the export time (obs publish spans).  A publisher holding
-  // the previous export skips this build on most full publishes: it
-  // folds ExportDelta() into that base instead (CompressedClosure::Fold,
+  // index does right now.  Costs one BuildLabelArena over the labels in
+  // place, O(intervals + n log n) with its directory sort — no per-node
+  // copy, no tree-cover or propagation work, and no copy of the cover
+  // (the closure answers from labels alone).  Does not touch the dirty
+  // set; a publisher that treats this export as its new delta base must
+  // call MarkClean() alongside it.  A publisher holding the previous
+  // export skips this build on most full publishes: it folds
+  // ExportDelta() into that base instead (CompressedClosure::Fold,
   // DESIGN.md §4c), which yields the same arena byte for byte.
-  CompressedClosure ExportClosure(const ParallelRunner* runner = nullptr,
-                                  int64_t* arena_micros = nullptr) const;
+  CompressedClosure ExportClosure() const;
 
   // --- Delta export (dirty tracking) --------------------------------------
   //

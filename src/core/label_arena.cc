@@ -2,21 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 
 namespace trel {
 
 namespace {
-
-// Below this node count the arena builds serially even when a runner is
-// available: fan-out costs (enqueue, wake, join) exceed the copy work.
-constexpr int64_t kParallelBuildFloor = 1 << 14;
-
-// Shard count for the parallel directory sort.  Fixed rather than derived
-// from the runner's width (the runner interface deliberately hides it);
-// the merge cascade below is log2(kSortShards) passes.
-constexpr int64_t kSortShards = 8;
 
 constexpr int64_t kFilterBuckets = LabelArena::kFilterWords * 64;
 
@@ -141,23 +133,11 @@ int64_t LabelArena::ByteSize() const {
                               dir_nodes.size() * sizeof(NodeId));
 }
 
-LabelArena BuildLabelArena(const NodeLabels& labels,
-                           std::vector<std::pair<Label, NodeId>> sorted_directory,
-                           const ParallelRunner* runner) {
+LabelArena BuildLabelArena(const NodeLabels& labels) {
   const int64_t n = static_cast<int64_t>(labels.postorder.size());
   TREL_CHECK_EQ(labels.postorder.size(), labels.intervals.size());
   LabelArena arena;
   if (n == 0) return arena;
-
-  const bool parallel = runner != nullptr && n >= kParallelBuildFloor;
-  const auto for_range =
-      [&](int64_t count, const std::function<void(int64_t, int64_t)>& body) {
-        if (parallel) {
-          (*runner)(count, body);
-        } else {
-          body(0, count);
-        }
-      };
 
   // Filter bucket scale: the largest assigned postorder number must land
   // in the last bucket or below.  The range check also keeps every
@@ -169,101 +149,50 @@ LabelArena BuildLabelArena(const NodeLabels& labels,
   }
   arena.filter_shift = FilterShiftFor(max_label);
 
-  // Pass 1: per-node extras run sizes, then a serial prefix sum into
-  // begin offsets.  A k-interval node (k > 1) gets a run of k slots:
-  // summary at index 0, the k-1 extras as the Eytzinger tree at 1..k-1.
-  // The counts pass touches every IntervalSet header once — the only
-  // pointer-chasing the arena ever does again.
+  // Pass 1: per-node extras run sizes, prefix-summed into begin offsets.
+  // A k-interval node (k > 1) gets a run of k slots: summary at index 0,
+  // the k-1 extras as the Eytzinger tree at 1..k-1.  The counts pass
+  // touches every IntervalSet header once — the only pointer-chasing the
+  // arena ever does again.
   std::vector<uint32_t> extra_begin(static_cast<size_t>(n) + 1, 0);
-  for_range(n, [&](int64_t begin, int64_t end) {
-    for (int64_t v = begin; v < end; ++v) {
-      const int64_t k = labels.intervals[v].size();
-      extra_begin[v + 1] = k > 1 ? static_cast<uint32_t>(k) : 0;
-    }
-  });
   for (int64_t v = 0; v < n; ++v) {
+    const int64_t k = labels.intervals[v].size();
     const uint64_t sum =
-        static_cast<uint64_t>(extra_begin[v]) + extra_begin[v + 1];
+        static_cast<uint64_t>(extra_begin[v]) + (k > 1 ? k : 0);
     TREL_CHECK_LE(sum, std::numeric_limits<uint32_t>::max())
         << "arena extras exceed the 32-bit slot offset";
     extra_begin[v + 1] = static_cast<uint32_t>(sum);
   }
 
   // Pass 2: fill slots, the per-node Eytzinger runs, and the coverage
-  // filters.  Disjoint writes per node, so the pass shards cleanly.
+  // filters.
   arena.slots.resize(n);
   arena.extras.resize(extra_begin[n], ArenaInterval{1, 0});
   arena.filters.assign(static_cast<size_t>(n) * LabelArena::kFilterWords, 0);
   const int shift = arena.filter_shift;
-  for_range(n, [&](int64_t begin, int64_t end) {
-    for (int64_t v = begin; v < end; ++v) {
-      LabelArena::NodeSlot& slot = arena.slots[v];
-      slot.postorder = static_cast<ArenaLabel>(labels.postorder[v]);
-      slot.extra_begin = extra_begin[v];
-      FillNode(labels.intervals[v].intervals(), shift, slot,
-               arena.extras.data() + extra_begin[v],
-               arena.filters.data() +
-                   static_cast<size_t>(v) * LabelArena::kFilterWords);
-    }
-  });
-
-  // Pass 3: the sorted postorder directory.  A caller-supplied directory
-  // (DynamicClosure's by-postorder map) skips the sort entirely; else
-  // sort here — sharded with a merge cascade when a runner is available.
-  if (sorted_directory.empty()) {
-    sorted_directory.resize(n);
-    for_range(n, [&](int64_t begin, int64_t end) {
-      for (int64_t v = begin; v < end; ++v) {
-        sorted_directory[v] = {labels.postorder[v], static_cast<NodeId>(v)};
-      }
-    });
-    if (parallel) {
-      const int64_t shard = (n + kSortShards - 1) / kSortShards;
-      (*runner)(kSortShards, [&](int64_t sb, int64_t se) {
-        for (int64_t s = sb; s < se; ++s) {
-          const int64_t lo = s * shard;
-          if (lo >= n) break;
-          std::sort(sorted_directory.begin() + lo,
-                    sorted_directory.begin() + std::min(n, lo + shard));
-        }
-      });
-      for (int64_t width = shard; width < n; width *= 2) {
-        const int64_t merges = (n + 2 * width - 1) / (2 * width);
-        (*runner)(merges, [&](int64_t mb, int64_t me) {
-          for (int64_t m = mb; m < me; ++m) {
-            const int64_t lo = m * 2 * width;
-            const int64_t mid = std::min(n, lo + width);
-            const int64_t hi = std::min(n, lo + 2 * width);
-            if (mid < hi) {
-              std::inplace_merge(sorted_directory.begin() + lo,
-                                 sorted_directory.begin() + mid,
-                                 sorted_directory.begin() + hi);
-            }
-          }
-        });
-      }
-    } else {
-      std::sort(sorted_directory.begin(), sorted_directory.end());
-    }
-  } else {
-    TREL_CHECK_EQ(static_cast<int64_t>(sorted_directory.size()), n)
-        << "sorted_directory must cover every node";
-    TREL_CHECK(std::is_sorted(sorted_directory.begin(),
-                              sorted_directory.end()))
-        << "sorted_directory must be sorted by postorder number";
+  for (int64_t v = 0; v < n; ++v) {
+    LabelArena::NodeSlot& slot = arena.slots[v];
+    slot.postorder = static_cast<ArenaLabel>(labels.postorder[v]);
+    slot.extra_begin = extra_begin[v];
+    FillNode(labels.intervals[v].intervals(), shift, slot,
+             arena.extras.data() + extra_begin[v],
+             arena.filters.data() +
+                 static_cast<size_t>(v) * LabelArena::kFilterWords);
   }
 
-  // Pass 4: split the directory into structure-of-arrays form.  A
-  // caller's directory holds the same numbers pass 2 checked, unless it
-  // is inconsistent with `labels`, so it is narrowed with a check too.
+  // Pass 3: the postorder directory, sorted by number, split into
+  // structure-of-arrays form.  The scale loop range-checked every number.
+  std::vector<std::pair<Label, NodeId>> directory(n);
+  for (int64_t v = 0; v < n; ++v) {
+    directory[v] = {labels.postorder[v], static_cast<NodeId>(v)};
+  }
+  std::sort(directory.begin(), directory.end());
   arena.dir_labels.resize(n);
   arena.dir_nodes.resize(n);
-  for_range(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      arena.dir_labels[i] = NarrowLabel(sorted_directory[i].first);
-      arena.dir_nodes[i] = sorted_directory[i].second;
-    }
-  });
+  for (int64_t i = 0; i < n; ++i) {
+    arena.dir_labels[i] = static_cast<ArenaLabel>(directory[i].first);
+    arena.dir_nodes[i] = directory[i].second;
+  }
   return arena;
 }
 

@@ -2,8 +2,6 @@
 #define TREL_CORE_LABEL_ARENA_H_
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "core/interval.h"
@@ -11,13 +9,6 @@
 #include "graph/digraph.h"
 
 namespace trel {
-
-// Caller-provided parallel executor: runs body(begin, end) over a
-// partition of [0, n) and returns once every chunk completed.  The
-// service's worker pool satisfies this shape; core code never spawns
-// threads of its own.
-using ParallelRunner =
-    std::function<void(int64_t, const std::function<void(int64_t, int64_t)>&)>;
 
 // A label as the arena stores it.  Labels are 64-bit (`Label`) everywhere
 // else; every postorder number and interval endpoint an arena holds lies
@@ -172,20 +163,11 @@ struct LabelArena {
 // Builds the arena for `labels`, narrowing every label to 32 bits; aborts
 // if a postorder number or interval endpoint lies outside
 // [0, kArenaLabelLimit) (no labeling the library builds or loads does).
-//
-// `sorted_directory` may carry all (postorder, node) pairs already sorted
-// by postorder number — DynamicClosure maintains exactly this map, and
-// handing it over turns the O(n log n) export sort into an O(n) copy.
-// Pass empty to have the builder sort.
-//
-// `runner`, when non-null, shards the slot/extras fill, the directory
-// sort (sorted shards + merge cascade), and the final split across its
-// workers; arenas below a size floor build serially regardless because
-// fan-out overhead would dominate.
-LabelArena BuildLabelArena(
-    const NodeLabels& labels,
-    std::vector<std::pair<Label, NodeId>> sorted_directory = {},
-    const ParallelRunner* runner = nullptr);
+// Serial passes: run offsets, then slots, extras runs and filter lines in
+// node order, then the directory, sorted by postorder number here.  The
+// build is memory-bound, so it takes no worker pool and no pre-sorted
+// directory (DESIGN.md §4d has the measurements).
+LabelArena BuildLabelArena(const NodeLabels& labels);
 
 // One node of a WithDelta overlay arena: its global id and postorder
 // number, and where its label comes from — `intervals` when non-null,

@@ -86,9 +86,6 @@ void QueryService::WorkerPool::ParallelFor(
 
 QueryService::QueryService(const ServiceOptions& options)
     : options_(options),
-      tracer_(options.trace_ring_capacity),
-      span_log_(options.span_log_capacity),
-      slow_log_(options.slow_log_capacity),
       rollup_({"single", "batch"}),
       flight_(options.flight),
       dynamic_(options.closure) {
@@ -252,28 +249,19 @@ uint64_t QueryService::PublishLocked() {
     }
     // Counted after the tier step: a rebuild above dirtied every node.
     folded = has_base && few_dirty();
-    int64_t arena_micros = 0;
+    // Fold the dirty nodes into a copy of the base arena when few changed
+    // (DESIGN.md §4c), else rebuild the arena from every label set: the
+    // same arena either way, byte for byte, timed as the arena phase.
+    Stopwatch arena_timer;
     if (folded) {
-      // Fold the dirty nodes into a copy of the base arena instead of
-      // rebuilding it from every label set (DESIGN.md §4c): the same
-      // arena, byte for byte, built serially without the pool.
       const CompressedClosure layered =
           CompressedClosure::WithDelta(base->closure, dynamic_.ExportDelta());
-      Stopwatch fold_timer;
+      arena_timer.Restart();
       snapshot->closure = CompressedClosure::Fold(layered);
-      arena_micros = fold_timer.ElapsedMicros();
-    } else if (pool_ != nullptr) {
-      // Shard the arena build of the full export across the worker pool
-      // (readers keep querying the old snapshot; the pool only blocks
-      // batch queries, which share it).
-      const ParallelRunner runner =
-          [this](int64_t n, const std::function<void(int64_t, int64_t)>& body) {
-            pool_->ParallelFor(n, body);
-          };
-      snapshot->closure = dynamic_.ExportClosure(&runner, &arena_micros);
     } else {
-      snapshot->closure = dynamic_.ExportClosure(nullptr, &arena_micros);
+      snapshot->closure = dynamic_.ExportClosure();
     }
+    const int64_t arena_micros = arena_timer.ElapsedMicros();
     // Family selection and build ride the export phase: scoring is one
     // degree pass, and a hop build is the same order of work as the
     // arena build it stands in for on the query path.
@@ -292,9 +280,8 @@ uint64_t QueryService::PublishLocked() {
         break;
     }
     metrics_.RecordFamilySelect(snapshot->family);
-    // The export span is the label walk (or, when folding, the delta
-    // drain and overlay) minus the arena construction or fold (§4d's
-    // build-time tradeoff, now measured).
+    // The export span is the family step (and, when folding, the delta
+    // drain and overlay); the arena rebuild or fold is its own phase.
     span.phase_micros[static_cast<int>(PublishPhase::kExport)] =
         std::max<int64_t>(0, phase.ElapsedMicros() - arena_micros);
     span.phase_micros[static_cast<int>(PublishPhase::kArenaBuild)] =

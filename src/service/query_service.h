@@ -54,14 +54,15 @@ struct ServiceOptions {
   IndexFamilySetting index_family = IndexFamilySetting::kAuto;
 
   // --- Observability (src/obs/, DESIGN.md §5) -----------------------------
+  // The tracer, span log and slow-query log keep their types' default
+  // capacities (QueryTracer::kDefaultRingCapacity per ring, SpanLog,
+  // SlowQueryLog).
+  //
   // Sample 1-in-N queries into the lock-free tracer; 0 = off (the
   // default — the hot path then pays one relaxed load + one branch).
   // Rounded up to a power of two.  A nonzero TREL_TRACE_SAMPLE env value
   // overrides this at construction.
   uint32_t trace_sample_period = 0;
-  // Trace ring capacity per ring (16 rings; rounded up to a power of
-  // two), i.e. how many recent samples Drain() can return.
-  uint32_t trace_ring_capacity = QueryTracer::kDefaultRingCapacity;
   // Batches slower than this land in the always-on slow-query log;
   // 0 disables.  Batches are already timed for metrics, so this is one
   // extra compare per batch.
@@ -71,9 +72,6 @@ struct ServiceOptions {
   // per-query clock reads would blow the <1% tracing-off budget), so
   // coverage follows the sampling period.
   int64_t slow_query_micros = 10000;
-  // Bounded retention of the publish-span and slow-query logs.
-  size_t span_log_capacity = 128;
-  size_t slow_log_capacity = 64;
   // Anomaly flight-recorder thresholds (obs/flight_recorder.h).  The
   // detectors run at scrape time and after publishes, never per query.
   FlightRecorder::Options flight;

@@ -4,6 +4,8 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "core/labeling.h"
+#include "graph/partition.h"
 #include "graph/topology.h"
 
 namespace trel {
@@ -188,8 +190,6 @@ int ShardedQueryService::BoundarySnapshot::HubBit(NodeId node) const {
 
 ShardedQueryService::ShardedQueryService(const ShardedServiceOptions& options)
     : options_(options),
-      tracer_(options.trace_ring_capacity),
-      slow_log_(options.slow_log_capacity),
       rollup_(RollupSeriesNames(options.num_shards)),
       flight_(options.flight) {
   TREL_CHECK_GE(options_.num_shards, 1);
@@ -220,7 +220,7 @@ ShardedQueryService::ShardedQueryService(const ShardedServiceOptions& options)
 ShardedQueryService::~ShardedQueryService() = default;
 
 Status ShardedQueryService::Load(const Digraph& graph) {
-  PartitionOptions popts = options_.partition;
+  PartitionOptions popts;
   popts.num_shards = num_shards();
   StatusOr<Partition> part = PartitionDag(graph, popts);
   TREL_RETURN_IF_ERROR(part.status());
@@ -240,6 +240,20 @@ Status ShardedQueryService::Load(const Digraph& graph) {
       if (part->shard_of[u] == part->shard_of[v]) {
         TREL_CHECK(subs[part->shard_of[u]].AddArc(local[u], local[v]).ok());
       }
+    }
+  }
+  // Shards load one at a time, so a shard that fails after an earlier one
+  // loaded would leave that shard serving the new graph behind the old
+  // boundary.  The one failure that depends on a shard's size is its
+  // numbering passing the 32-bit labels; rule it out for every shard
+  // first, so a failed Load leaves the previous graph's answers intact.
+  const LabelingOptions& labeling = options_.shard.closure.labeling;
+  for (int s = 0; s < k; ++s) {
+    if (!CompactNumberingFits(counts[s], labeling.gap, labeling.reserve)) {
+      return InvalidArgumentError(
+          "shard " + std::to_string(s) + ": numbering " +
+          std::to_string(counts[s]) + " nodes at gap " +
+          std::to_string(labeling.gap) + " passes the 32-bit label limit");
     }
   }
   for (int s = 0; s < k; ++s) {
@@ -287,8 +301,10 @@ StatusOr<NodeId> ShardedQueryService::AddLeafUnder(NodeId parent) {
   }
   NodeId global = kNoNode;
   const Status status = shards_[s]->Apply([&](DynamicClosure& dyn) {
+    // A full shard numbering (ResourceExhausted) fails here, before any
+    // boundary state is touched.
     StatusOr<NodeId> lp = dyn.AddLeafUnder(local_parent);
-    TREL_CHECK(lp.ok()) << lp.status().ToString();
+    TREL_RETURN_IF_ERROR(lp.status());
     std::lock_guard<std::mutex> lock(boundary_mutex_);
     global = mirror_.AddNode();
     if (parent != kNoNode) {

@@ -13,7 +13,6 @@
 #include "common/statusor.h"
 #include "core/hop_label_index.h"
 #include "graph/digraph.h"
-#include "graph/partition.h"
 #include "obs/flight_recorder.h"
 #include "obs/rollup.h"
 #include "obs/slow_log.h"
@@ -30,11 +29,9 @@ namespace trel {
 struct ShardedServiceOptions {
   ShardedServiceOptions() { shard.num_workers = 0; }
 
+  // Load partitions with PartitionDag's default cut window (see
+  // graph/partition.h).
   int num_shards = 4;
-
-  // Cut-window slack for the topological-range partitioner (see
-  // graph/partition.h); num_shards above overrides the partition one.
-  PartitionOptions partition;
 
   // Options applied to every per-shard QueryService.
   ServiceOptions shard;
@@ -48,13 +45,11 @@ struct ShardedServiceOptions {
   // Sample 1-in-N front-end queries; 0 = off.  A nonzero
   // TREL_TRACE_SAMPLE env value overrides this at construction.
   uint32_t trace_sample_period = 0;
-  uint32_t trace_ring_capacity = QueryTracer::kDefaultRingCapacity;
   // SAMPLED single queries slower than this land in the slow-query log;
   // 0 disables.  As on the monolithic service, only sampled singles read
   // the clock, so coverage follows trace_sample_period.
   int64_t slow_query_micros = 10000;
   int64_t slow_batch_micros = 100000;
-  size_t slow_log_capacity = 64;
   FlightRecorder::Options flight;
 };
 

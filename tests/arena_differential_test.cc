@@ -16,7 +16,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -346,62 +345,9 @@ TEST(ArenaOverlayDifferentialTest, OverlayChainAgreesWithReference) {
   }
 }
 
-// Sharding the arena build across threads must produce the identical
-// arena, byte for byte: same slots, extras (Eytzinger runs + summaries),
-// coverage filters, and directory.
-TEST(ArenaParallelBuildTest, ParallelBuildIsDeterministic) {
-  // Above kParallelBuildFloor (1 << 14) so the runner actually shards.
-  const Digraph graph = RandomDag(20000, 2.0, 31);
-  const NodeLabels labels = OptimalLabels(graph);
-
-  const ParallelRunner runner =
-      [](int64_t count, const std::function<void(int64_t, int64_t)>& body) {
-        constexpr int kThreads = 4;
-        const int64_t chunk = (count + kThreads - 1) / kThreads;
-        std::vector<std::thread> threads;
-        for (int t = 0; t < kThreads; ++t) {
-          const int64_t begin = t * chunk;
-          const int64_t end = std::min<int64_t>(count, begin + chunk);
-          if (begin >= end) break;
-          threads.emplace_back([&body, begin, end] { body(begin, end); });
-        }
-        for (std::thread& t : threads) t.join();
-      };
-
-  CompressedClosure::ExportHints hints;
-  hints.runner = &runner;
-  const CompressedClosure sharded =
-      CompressedClosure::FromParts(labels, std::move(hints));
-  const CompressedClosure serial = CompressedClosure::FromParts(labels);
-
-  const LabelArena& a = sharded.arena();
-  const LabelArena& b = serial.arena();
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.extras.size(), b.extras.size());
-  EXPECT_EQ(std::memcmp(a.slots.data(), b.slots.data(),
-                        a.slots.size() * sizeof(LabelArena::NodeSlot)),
-            0);
-  EXPECT_EQ(std::memcmp(a.extras.data(), b.extras.data(),
-                        a.extras.size() * sizeof(ArenaInterval)),
-            0);
-  EXPECT_EQ(a.filters, b.filters);
-  EXPECT_EQ(a.dir_labels, b.dir_labels);
-  EXPECT_EQ(a.dir_nodes, b.dir_nodes);
-
-  // Spot-check queries on the sharded build against the reference.
-  const ReferenceClosure ref(labels);
-  Random rng(77);
-  for (int i = 0; i < 20000; ++i) {
-    const NodeId u = static_cast<NodeId>(rng.Uniform(sharded.NumNodes()));
-    const NodeId v = static_cast<NodeId>(rng.Uniform(sharded.NumNodes()));
-    ASSERT_EQ(sharded.Reaches(u, v), ref.Reaches(u, v))
-        << "sharded " << u << "->" << v;
-  }
-}
-
 // Every slot's 12 bytes past its fields must be zero, even over heap
-// memory that held other bytes: a memcmp of two arenas (above, and in the
-// fold tests below) compares those bytes too, and the fold copies them.
+// memory that held other bytes: a memcmp of two arenas (the fold tests
+// below) compares those bytes too, and the fold copies them.
 // Each round fills and frees a block a little larger than the 64 000-byte
 // slot array, so the build is likely to reuse it.  A small allocation
 // kept past the build stops the freed block from merging into the top of

@@ -54,6 +54,15 @@ TEST(DynamicClosureTest, GrowFromEmpty) {
   // Leaf insertion under an existing parent must not renumber with the
   // default gap.
   EXPECT_EQ(closure.stats().renumbers, 0);
+  // DefaultOptions' capacity: the root's hole took `a` and `b`, each new
+  // leaf claiming up to a full reserve pool, so a third leaf renumbers.
+  auto d = closure.AddLeafUnder(root.value());
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(closure.stats().renumbers, 1);
+  EXPECT_TRUE(closure.Reaches(root.value(), d.value()));
+  EXPECT_FALSE(closure.Reaches(a.value(), d.value()));
+  EXPECT_FALSE(closure.Reaches(d.value(), c.value()));
+  ExpectConsistent(closure);
 }
 
 TEST(DynamicClosureTest, PaperFigure41GapExample) {
@@ -197,6 +206,21 @@ TEST(DynamicClosureTest, RefineAboveExhaustsReservePool) {
   auto z3 = closure->RefineAbove(1, {0, z1.value(), z2.value()});
   EXPECT_EQ(z3.status().code(), StatusCode::kFailedPrecondition);
   ExpectConsistent(closure.value());
+
+  // DefaultOptions' capacity: reserve 16 is 16 refinements per node.
+  auto defaults = DynamicClosure::Build(graph);
+  ASSERT_TRUE(defaults.ok());
+  for (int i = 0; i < 16; ++i) {
+    auto z = defaults->RefineAbove(1, defaults->graph().InNeighbors(1));
+    ASSERT_TRUE(z.ok()) << "refinement " << i << ": "
+                        << z.status().ToString();
+  }
+  EXPECT_EQ(defaults->RefineAbove(1, defaults->graph().InNeighbors(1))
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(defaults->stats().renumbers, 0);
+  ExpectConsistent(defaults.value());
 }
 
 TEST(DynamicClosureTest, RefineAbovePropagatesToNewAncestors) {

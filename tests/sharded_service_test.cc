@@ -201,6 +201,98 @@ TEST(ShardedServiceTest, ErrorCodeParityWithMonolithic) {
   }
 }
 
+// K = 2 with labels 2^28 apart and no reserve: a shard numbering fits at
+// most 15 nodes (CompactNumberingFits), so small graphs fill it.
+ShardedServiceOptions TightNumberingOptions() {
+  ShardedServiceOptions options = OptionsFor(2);
+  options.shard.closure.labeling.gap = Label{1} << 28;
+  options.shard.closure.labeling.reserve = 0;
+  return options;
+}
+
+// 0 -> 1 -> ... -> n-1, or the reverse.
+Digraph Chain(NodeId n, bool reversed = false) {
+  Digraph graph(n);
+  for (NodeId v = 0; v + 1 < n; ++v) {
+    TREL_CHECK((reversed ? graph.AddArc(v + 1, v) : graph.AddArc(v, v + 1))
+                   .ok());
+  }
+  return graph;
+}
+
+// Every pair over `graph`'s nodes answers its DFS truth.
+void ExpectMatchesTruth(const ShardedQueryService& sharded,
+                        const Digraph& graph, const std::string& context) {
+  const ReachabilityMatrix truth(graph);
+  int64_t wrong = 0;
+  std::string first;
+  for (NodeId u = 0; u < graph.NumNodes(); ++u) {
+    for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+      if (sharded.Reaches(u, v) == truth.Reaches(u, v)) continue;
+      if (wrong++ == 0) {
+        first = "(" + std::to_string(u) + "," + std::to_string(v) + ")";
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0) << context << ": " << wrong << " of "
+                      << graph.NumNodes() * graph.NumNodes()
+                      << " pairs answer wrong, first " << first;
+}
+
+// A shard whose numbering is full fails AddLeafUnder with the status the
+// monolithic service returns, before any boundary state changes; the
+// other shard keeps taking leaves.
+TEST(ShardedServiceTest, FullShardNumberingFailsAddLeafWithStatus) {
+  ShardedQueryService sharded(TightNumberingOptions());
+  Digraph graph = Chain(10);
+  ASSERT_TRUE(sharded.Load(graph).ok());
+  StatusCode failed = StatusCode::kOk;
+  for (int i = 0; i < 20 && failed == StatusCode::kOk; ++i) {
+    const StatusOr<NodeId> leaf = sharded.AddLeafUnder(0);
+    failed = leaf.status().code();
+    if (leaf.ok()) {
+      ASSERT_EQ(*leaf, graph.AddNode());
+      ASSERT_TRUE(graph.AddArc(0, *leaf).ok());
+    }
+  }
+  EXPECT_EQ(failed, StatusCode::kResourceExhausted);
+  sharded.Publish();
+  EXPECT_EQ(sharded.MetricsView().num_nodes, graph.NumNodes());
+  ExpectMatchesTruth(sharded, graph, "after the full shard");
+
+  // The last node lives in the other shard, which still has room.
+  const NodeId last = 9;
+  const StatusOr<NodeId> leaf = sharded.AddLeafUnder(last);
+  ASSERT_TRUE(leaf.ok()) << leaf.status().ToString();
+  EXPECT_EQ(*leaf, graph.AddNode());
+  ASSERT_TRUE(graph.AddArc(last, *leaf).ok());
+  sharded.Publish();
+  ExpectMatchesTruth(sharded, graph, "after a leaf in the other shard");
+
+  QueryService mono(TightNumberingOptions().shard);
+  ASSERT_TRUE(mono.Load(Chain(15)).ok());
+  EXPECT_EQ(mono.AddLeafUnder(0).status().code(), failed);
+}
+
+// A Load that fails on a later shard leaves every shard and the boundary
+// serving the previous graph.  The reversed 31-node chain splits 15 / 16:
+// shard 0's 15 nodes fit and shard 1's 16 do not.  Had shard 0 loaded its
+// part, it would answer the previous graph's pairs backwards.
+TEST(ShardedServiceTest, FailedLoadKeepsPreviousGraph) {
+  ShardedQueryService sharded(TightNumberingOptions());
+  const Digraph previous = Chain(10);
+  ASSERT_TRUE(sharded.Load(previous).ok());
+  const Digraph too_big = Chain(31, /*reversed=*/true);
+  QueryService mono(TightNumberingOptions().shard);
+  const Status status = sharded.Load(too_big);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), mono.Load(too_big).code());
+  EXPECT_EQ(sharded.MetricsView().num_nodes, previous.NumNodes());
+  ExpectMatchesTruth(sharded, previous, "after the failed Load");
+  sharded.Publish();
+  ExpectMatchesTruth(sharded, previous, "republished after the failed Load");
+}
+
 TEST(ShardedServiceTest, UnpublishedUpdatesAreInvisible) {
   for (const int k : ShardCounts()) {
     const Digraph graph = RandomDag(60, 2.0, 9);
