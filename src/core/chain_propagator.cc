@@ -54,7 +54,7 @@ StatusOr<ChainBuild> BuildChainLabeling(const Digraph& graph,
         "chain-fast labeling does not support merge_adjacent");
   }
   if (!CompactNumberingFits(graph.NumNodes(), options.gap, options.reserve)) {
-    return InvalidArgumentError(
+    return ResourceExhaustedError(
         "numbering " + std::to_string(graph.NumNodes()) + " nodes at gap " +
         std::to_string(options.gap) + " passes the 32-bit label limit");
   }

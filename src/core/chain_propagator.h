@@ -80,13 +80,13 @@ StatusOr<ChainSignals> AnalyzeChains(const Digraph& graph);
 
 // Runs the full chain-fast build.  Fails with FailedPrecondition on
 // cycles, InvalidArgument on bad options (merge_adjacent is unsupported:
-// the closed form above holds for raw antichains only) or on a numbering
-// past the arena's 32-bit labels (as BuildLabels does), and
-// ResourceExhausted when the entry cap trips mid-build — callers then
-// fall back to the Alg1 path.  The width thresholds are deliberately NOT
-// enforced here: QueryService::Load consults AnalyzeChains first, while
-// benches and tests may build any graph and the entry cap alone
-// backstops it.
+// the closed form above holds for raw antichains only), and
+// ResourceExhausted on a numbering past the arena's 32-bit labels (as
+// BuildLabels does) or when the entry cap trips mid-build — callers then
+// fall back to the Alg1 path, which reports the limit again.  The width
+// thresholds are deliberately NOT enforced here: QueryService::Load
+// consults AnalyzeChains first, while benches and tests may build any
+// graph and the entry cap alone backstops it.
 StatusOr<ChainBuild> BuildChainLabeling(const Digraph& graph,
                                         const LabelingOptions& options);
 

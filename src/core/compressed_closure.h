@@ -55,7 +55,8 @@ class CompressedClosure {
   CompressedClosure();
 
   // Compresses the closure of `graph`.  Fails with FailedPrecondition if
-  // the graph is cyclic, InvalidArgument on bad options.
+  // the graph is cyclic, InvalidArgument on bad options, and
+  // ResourceExhausted when the numbering passes the 32-bit labels.
   static StatusOr<CompressedClosure> Build(const Digraph& graph,
                                            const ClosureOptions& options = {});
 

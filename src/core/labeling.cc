@@ -150,7 +150,7 @@ StatusOr<NodeLabels> BuildLabels(const Digraph& graph, const TreeCover& cover,
     return InvalidArgumentError("reserve must be in [0, gap)");
   }
   if (!CompactNumberingFits(graph.NumNodes(), options.gap, options.reserve)) {
-    return InvalidArgumentError(
+    return ResourceExhaustedError(
         "numbering " + std::to_string(graph.NumNodes()) + " nodes at gap " +
         std::to_string(options.gap) + " passes the 32-bit label limit");
   }

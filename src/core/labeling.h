@@ -67,8 +67,9 @@ bool CompactNumberingFits(int64_t num_nodes, Label gap, Label reserve);
 // Assigns postorder numbers and tree intervals, then propagates interval
 // sets in reverse topological order over all arcs, discarding subsumed
 // intervals (Section 3.2).  Fails if `graph` is cyclic or options are
-// inconsistent, and with InvalidArgument when the numbering would not
-// fit the arena's 32-bit labels (see CompactNumberingFits).
+// inconsistent, and with ResourceExhausted when the numbering would not
+// fit the arena's 32-bit labels (see CompactNumberingFits), the code
+// DynamicClosure's writers return at the same limit.
 StatusOr<NodeLabels> BuildLabels(const Digraph& graph, const TreeCover& cover,
                                  const LabelingOptions& options = {});
 

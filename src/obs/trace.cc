@@ -39,8 +39,6 @@ const char* QueryStageName(QueryStage stage) {
       return "route";
     case QueryStage::kBoundaryBitset:
       return "boundary_bitset";
-    case QueryStage::kHopCore:
-      return "hop_core";
     case QueryStage::kShardQuery:
       return "shard_query";
     case QueryStage::kMerge:
@@ -100,11 +98,8 @@ void QueryTracer::Record(NodeId source, NodeId target, bool answer,
     slot.word5.store(static_cast<uint64_t>(stages->stage_nanos[2]) |
                          (static_cast<uint64_t>(stages->stage_nanos[3]) << 32),
                      std::memory_order_release);
-    slot.word6.store(
-        static_cast<uint64_t>(stages->stage_nanos[4]) |
-            (static_cast<uint64_t>(static_cast<uint32_t>(stages->shard + 2))
-             << 32),
-        std::memory_order_release);
+    slot.word6.store(static_cast<uint32_t>(stages->shard + 2),
+                     std::memory_order_release);
   } else {
     slot.word4.store(0, std::memory_order_release);
     slot.word5.store(0, std::memory_order_release);
@@ -138,15 +133,13 @@ std::vector<TraceRecord> QueryTracer::Drain() const {
       record.from_batch = (w3 & kFromBatchBit) != 0;
       record.tag = static_cast<ProbeTag>((w3 >> kTagShift) & kTagMask);
       record.extras_probes = static_cast<uint32_t>(w3 >> kProbesShift);
-      const uint32_t shard_marker = static_cast<uint32_t>(w6 >> 32);
-      if (shard_marker != 0) {
+      if (w6 != 0) {
         record.has_stages = true;
-        record.shard = static_cast<int32_t>(shard_marker) - 2;
+        record.shard = static_cast<int32_t>(w6) - 2;
         record.stage_nanos[0] = static_cast<uint32_t>(w4);
         record.stage_nanos[1] = static_cast<uint32_t>(w4 >> 32);
         record.stage_nanos[2] = static_cast<uint32_t>(w5);
         record.stage_nanos[3] = static_cast<uint32_t>(w5 >> 32);
-        record.stage_nanos[4] = static_cast<uint32_t>(w6);
       }
       records.push_back(record);
     }

@@ -17,13 +17,12 @@ namespace trel {
 enum class QueryStage : uint8_t {
   kRoute = 0,           // bounds check + per-endpoint shard routing
   kBoundaryBitset = 1,  // hub out-row x in-row intersection
-  kHopCore = 2,         // hub-bit probe + hop-label core query
-  kShardQuery = 3,      // same-shard defer into the owning shard's index
-  kMerge = 4,           // batch-only: folding shard results back
+  kShardQuery = 2,      // same-shard defer into the owning shard's index
+  kMerge = 3,           // batch-only: folding shard results back
 };
-constexpr int kNumQueryStages = 5;
+constexpr int kNumQueryStages = 4;
 
-// "route" / "boundary_bitset" / "hop_core" / "shard_query" / "merge".
+// "route" / "boundary_bitset" / "shard_query" / "merge".
 const char* QueryStageName(QueryStage stage);
 
 // Stage attribution carried alongside a sampled record.  stage_nanos are
@@ -33,7 +32,7 @@ const char* QueryStageName(QueryStage stage);
 struct StageTrace {
   uint32_t stage_nanos[kNumQueryStages] = {};
   // Shard whose local index decided the query; -1 when the boundary
-  // layer (bitset or hop core) decided it without consulting a shard.
+  // bitsets decided it without consulting a shard.
   int32_t shard = -1;
 };
 
@@ -145,8 +144,7 @@ class QueryTracer {
     std::atomic<uint64_t> word3{0};  // flags | tag | extras_probes
     std::atomic<uint64_t> word4{0};  // stage_nanos[1] (high 32) | [0] (low 32)
     std::atomic<uint64_t> word5{0};  // stage_nanos[3] (high 32) | [2] (low 32)
-    // High 32: 0 = no stage info, else shard + 2 (so shard -1 encodes
-    // as 1).  Low 32: stage_nanos[4].
+    // 0 = no stage info, else shard + 2 (so shard -1 encodes as 1).
     std::atomic<uint64_t> word6{0};
   };
   struct Ring {

@@ -437,18 +437,13 @@ std::string RenderMetricsz(const ShardedQueryService& service) {
              "Hub nodes covering the cross-shard cut.", "gauge");
   out.Sample("trel_boundary_hubs", "", view.num_hubs);
   out.Family("trel_boundary_label_bytes",
-             "Bytes of published boundary labels (hub bitsets + hub-core "
-             "2-hop labels).",
+             "Bytes of published boundary labels (hub out- and in-bitsets).",
              "gauge");
   out.Sample("trel_boundary_label_bytes", "", view.boundary_label_bytes);
   out.Family("trel_cross_shard_queries_total",
              "Reaches lookups whose endpoints lived in different shards.",
              "counter");
   out.Sample("trel_cross_shard_queries_total", "", view.cross_shard_queries);
-  out.Family("trel_hub_hop_queries_total",
-             "Hub-pair lookups answered by the hub-core 2-hop index.",
-             "counter");
-  out.Sample("trel_hub_hop_queries_total", "", view.hub_hop_queries);
   out.Family("trel_boundary_republishes_total",
              "Boundary snapshot publishes that rebuilt state.", "counter");
   out.Sample("trel_boundary_republishes_total", "", view.boundary_republishes);
@@ -526,8 +521,7 @@ std::string RenderStatusz(const ShardedQueryService& service) {
   out << "epoch: " << view.epoch << "\n";
   out << "nodes: " << view.num_nodes << "  hubs: " << view.num_hubs
       << "  boundary_label_bytes: " << view.boundary_label_bytes << "\n";
-  out << "cross_shard: queries=" << view.cross_shard_queries
-      << " hub_hop=" << view.hub_hop_queries << "\n";
+  out << "cross_shard: queries=" << view.cross_shard_queries << "\n";
   out << "boundary_publishes: republished=" << view.boundary_republishes
       << " skipped=" << view.boundary_skips
       << " hub_promotions=" << view.hub_promotions << "\n";

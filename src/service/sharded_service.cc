@@ -25,7 +25,7 @@ inline bool RowsIntersect(const uint64_t* a, const uint64_t* b, int words) {
 // monolithic service).
 constexpr int64_t kMaxBatchTraceRecords = 32;
 
-// Rollup series layout for the sharded front end: the five pipeline
+// Rollup series layout for the sharded front end: the four pipeline
 // stages first (indexed by QueryStage), then the end-to-end series,
 // then one series per shard (see ShardedQueryService::rollup()).
 constexpr int kRollupSingleSeries = kNumQueryStages;
@@ -55,7 +55,6 @@ std::string ShardedMetricsView::ToString() const {
          " hubs=" + std::to_string(num_hubs) +
          " boundary_label_bytes=" + std::to_string(boundary_label_bytes) +
          " cross_shard_queries=" + std::to_string(cross_shard_queries) +
-         " hub_hop_queries=" + std::to_string(hub_hop_queries) +
          " boundary_republishes=" + std::to_string(boundary_republishes) +
          " boundary_skips=" + std::to_string(boundary_skips) +
          " hub_promotions=" + std::to_string(hub_promotions);
@@ -178,14 +177,6 @@ int32_t ShardedQueryService::BoundarySnapshot::LocalIdAt(int64_t r) const {
   return local_chunks[r / kRowsPerChunk]->data[r % kRowsPerChunk];
 }
 
-int ShardedQueryService::BoundarySnapshot::HubBit(NodeId node) const {
-  const auto it = std::lower_bound(
-      hub_bits_sorted.begin(), hub_bits_sorted.end(),
-      std::make_pair(node, static_cast<int32_t>(-1)));
-  if (it == hub_bits_sorted.end() || it->first != node) return -1;
-  return it->second;
-}
-
 // --- ShardedQueryService ---------------------------------------------------
 
 ShardedQueryService::ShardedQueryService(const ShardedServiceOptions& options)
@@ -250,7 +241,7 @@ Status ShardedQueryService::Load(const Digraph& graph) {
   const LabelingOptions& labeling = options_.shard.closure.labeling;
   for (int s = 0; s < k; ++s) {
     if (!CompactNumberingFits(counts[s], labeling.gap, labeling.reserve)) {
-      return InvalidArgumentError(
+      return ResourceExhaustedError(
           "shard " + std::to_string(s) + ": numbering " +
           std::to_string(counts[s]) + " nodes at gap " +
           std::to_string(labeling.gap) + " passes the 32-bit label limit");
@@ -470,6 +461,30 @@ bool ShardedQueryService::CheckFlightRecorder() const {
   return flight_.Check(inputs);
 }
 
+template <typename Routed>
+inline int ShardedQueryService::SettlePair(const BoundarySnapshot& b,
+                                           NodeId u, NodeId v,
+                                           RouteInfo* route,
+                                           const Routed& routed) {
+  // Snapshot semantics: ids the published boundary has never heard of
+  // reach nothing (matches ClosureSnapshot).
+  if (u < 0 || v < 0 || u >= b.num_nodes || v >= b.num_nodes) return 0;
+  if (u == v) return 1;
+  route->su = b.ShardOfAt(u);
+  route->sv = b.ShardOfAt(v);
+  routed();
+  // A hub on some u -> v path sits in both rows; a path without one stays
+  // inside one shard, whose own index sees it.
+  route->tag = ProbeTag::kBoundaryBitset;
+  if (b.words > 0 && RowsIntersect(b.OutRow(u), b.InRow(v), b.words)) {
+    return 1;
+  }
+  if (route->su != route->sv) return 0;
+  route->shard = route->su;
+  route->tag = ProbeTag::kFallback;
+  return -1;
+}
+
 template <bool kTimed>
 bool ShardedQueryService::ReachesCore(const BoundaryPtr::Pin& pin, NodeId u,
                                       NodeId v, RouteInfo* route,
@@ -488,60 +503,23 @@ bool ShardedQueryService::ReachesCore(const BoundaryPtr::Pin& pin, NodeId u,
     }
   };
 
-  // kRoute: bounds check + per-endpoint shard routing.  Snapshot
-  // semantics: ids the published boundary has never heard of reach
-  // nothing (matches ClosureSnapshot).
-  if (u < 0 || v < 0 || u >= b.num_nodes || v >= b.num_nodes) {
+  // kRoute: bounds, self and per-endpoint shards; kBoundaryBitset: the
+  // hub out-row x in-row intersection.
+  const int settled = SettlePair(b, u, v, route, [&] {
+    if (route->su != route->sv) pin.Add(kCrossShardQueries);
     close_stage(QueryStage::kRoute);
-    return false;
-  }
-  if (u == v) {
-    close_stage(QueryStage::kRoute);
-    return true;
-  }
-  const int su = b.ShardOfAt(u);
-  const int sv = b.ShardOfAt(v);
-  route->su = su;
-  route->sv = sv;
-  if (su != sv) pin.Add(kCrossShardQueries);
-  close_stage(QueryStage::kRoute);
-
-  // kHopCore: hub-to-hub routes through the 2-hop core over the hub
-  // graph (the hub-bit probes are part of this stage).
-  if (b.hop != nullptr) {
-    const int hu = b.HubBit(u);
-    if (hu >= 0) {
-      const int hv = b.HubBit(v);
-      if (hv >= 0) {
-        pin.Add(kHubHopQueries);
-        const bool answer = b.hop->Reaches(hu, hv);
-        route->tag = ProbeTag::kHopIntersect;
-        close_stage(QueryStage::kHopCore);
-        return answer;
-      }
-    }
-  }
-  close_stage(QueryStage::kHopCore);
-
-  // kBoundaryBitset: hub out-row x in-row intersection.
-  if (b.words > 0 && RowsIntersect(b.OutRow(u), b.InRow(v), b.words)) {
-    route->tag = ProbeTag::kBoundaryBitset;
-    close_stage(QueryStage::kBoundaryBitset);
-    return true;
+  });
+  if (settled >= 0) {
+    close_stage(route->su < 0 ? QueryStage::kRoute
+                              : QueryStage::kBoundaryBitset);
+    return settled != 0;
   }
   close_stage(QueryStage::kBoundaryBitset);
-
-  if (su == sv) {
-    // kShardQuery: defer into the owning shard's local index.
-    route->shard = su;
-    route->tag = ProbeTag::kFallback;
-    const bool answer = shards_[su]->Reaches(b.LocalIdAt(u), b.LocalIdAt(v));
-    close_stage(QueryStage::kShardQuery);
-    return answer;
-  }
-  // Cross-shard with no hub witness: unreachable, decided by the bitset.
-  route->tag = ProbeTag::kBoundaryBitset;
-  return false;
+  // kShardQuery: defer into the owning shard's local index.
+  const bool answer =
+      shards_[route->shard]->Reaches(b.LocalIdAt(u), b.LocalIdAt(v));
+  close_stage(QueryStage::kShardQuery);
+  return answer;
 }
 
 bool ShardedQueryService::Reaches(NodeId u, NodeId v) const {
@@ -615,31 +593,20 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
   for (int64_t i = 0; i < n; ++i) {
     const NodeId u = pairs[i].first;
     const NodeId v = pairs[i].second;
-    if (u < 0 || v < 0 || u >= b->num_nodes || v >= b->num_nodes) continue;
-    if (u == v) {
-      results[i] = 1;
-      continue;
-    }
-    const int su = b->ShardOfAt(u);
-    const int sv = b->ShardOfAt(v);
+    RouteInfo route;
+    const int settled = SettlePair(*b, u, v, &route, [] {});
+    if (route.su != route.sv) ++cross;
     if (i == 0) {
-      first_su = su;
-      first_sv = sv;
+      first_su = route.su;
+      first_sv = route.sv;
     }
-    if (su != sv) ++cross;
-    if (b->words > 0 && RowsIntersect(b->OutRow(u), b->InRow(v), b->words)) {
-      results[i] = 1;
-      if (sampled) tags[i] = static_cast<uint8_t>(ProbeTag::kBoundaryBitset);
+    if (sampled) tags[i] = static_cast<uint8_t>(route.tag);
+    if (settled >= 0) {
+      results[i] = static_cast<uint8_t>(settled);
       continue;
     }
-    if (su == sv) {
-      deferred[su].emplace_back(b->LocalIdAt(u), b->LocalIdAt(v));
-      deferred_idx[su].push_back(i);
-      if (sampled) tags[i] = static_cast<uint8_t>(ProbeTag::kFallback);
-    } else if (sampled) {
-      // Cross-shard with no hub witness: decided false by the bitset.
-      tags[i] = static_cast<uint8_t>(ProbeTag::kBoundaryBitset);
-    }
+    deferred[route.shard].emplace_back(b->LocalIdAt(u), b->LocalIdAt(v));
+    deferred_idx[route.shard].push_back(i);
   }
   if (cross > 0) b.Add(kCrossShardQueries, cross);
   // The settle loop is the boundary-bitset stage.
@@ -718,15 +685,15 @@ std::vector<NodeId> ShardedQueryService::Successors(NodeId u) const {
   const int su = b->ShardOfAt(u);
   std::vector<std::pair<NodeId, NodeId>> local_pairs;
   std::vector<NodeId> local_global;
-  const uint64_t* ru = b->words > 0 ? b->OutRow(u) : nullptr;
   for (int64_t i = 0; i < b->num_nodes; ++i) {
     const NodeId v = static_cast<NodeId>(i);
     if (v == u) continue;
-    if (ru != nullptr && RowsIntersect(ru, b->InRow(v), b->words)) {
+    RouteInfo route;
+    const int settled = SettlePair(*b, u, v, &route, [] {});
+    if (settled > 0) {
       out.push_back(v);
-      continue;
-    }
-    if (b->ShardOfAt(v) == su) {
+    } else if (settled < 0) {
+      // Deferred pairs share u, so they are all shard su's.
       local_pairs.emplace_back(b->LocalIdAt(u), b->LocalIdAt(v));
       local_global.push_back(v);
     }
@@ -753,10 +720,9 @@ ShardedMetricsView ShardedQueryService::MetricsView() const {
   view.num_shards = num_shards();
   view.epoch = epoch_.load(std::memory_order_relaxed);
   view.num_nodes = b->num_nodes;
-  view.num_hubs = static_cast<int64_t>(b->hub_at_bit.size());
+  view.num_hubs = b->num_hubs;
   view.boundary_label_bytes = b->label_bytes;
   view.cross_shard_queries = boundary_.Sum(kCrossShardQueries);
-  view.hub_hop_queries = boundary_.Sum(kHubHopQueries);
   view.boundary_republishes =
       boundary_republishes_.load(std::memory_order_relaxed);
   view.boundary_skips = boundary_skips_.load(std::memory_order_relaxed);
@@ -796,7 +762,6 @@ bool ShardedQueryService::OrRowChangedLocked(
   if (!changed) return false;
   uint64_t* dst = bits.MutableRow(row);
   for (int i = 0; i < words; ++i) dst[i] |= src[i];
-  if (is_hub_[row]) hub_graph_dirty_ = true;
   return true;
 }
 
@@ -853,7 +818,6 @@ void ShardedQueryService::PromoteHubLocked(NodeId node) {
   src[bit / 64] = uint64_t{1} << (bit % 64);
   PropagateRowsLocked(out_bits_, node, /*backward=*/true, src);
   PropagateRowsLocked(in_bits_, node, /*backward=*/false, src);
-  hub_graph_dirty_ = true;
   hub_promotions_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -866,7 +830,6 @@ void ShardedQueryService::RebuildBitsLocked() {
     out_bits_.AppendRow(nullptr);
     in_bits_.AppendRow(nullptr);
   }
-  hub_graph_dirty_ = true;
   if (words == 0) return;
   StatusOr<std::vector<NodeId>> topo = TopologicalOrder(mirror_);
   TREL_CHECK(topo.ok()) << "mirror must stay acyclic";
@@ -894,40 +857,18 @@ void ShardedQueryService::RebuildBitsLocked() {
   }
 }
 
-std::shared_ptr<const HopLabelIndex> ShardedQueryService::BuildHubHopLocked()
-    const {
-  const int h = static_cast<int>(hub_at_bit_.size());
-  if (h == 0) return nullptr;
-  // The hub graph is the hub-to-hub reachability relation read straight
-  // off the (exact) working out-bitsets; HopLabelIndex over it answers
-  // hub-pair queries through the shared 2-hop machinery.
-  Digraph hub_graph(h);
-  for (int i = 0; i < h; ++i) {
-    const uint64_t* row = out_bits_.Row(hub_at_bit_[i]);
-    for (int j = 0; j < h; ++j) {
-      if (j == i) continue;
-      if ((row[j / 64] >> (j % 64)) & 1) {
-        TREL_CHECK(hub_graph.AddArc(i, j).ok());
-      }
-    }
-  }
-  return std::make_shared<const HopLabelIndex>(
-      HopLabelIndex::Build(hub_graph, std::max(96, h)));
-}
-
 void ShardedQueryService::PublishBoundaryLocked() {
   // Free boundaries that readers still pinned at earlier swaps.
   boundary_.Reclaim();
   const int64_t n = mirror_.NumNodes();
   const bool changed =
-      out_bits_.dirty() || in_bits_.dirty() || hub_graph_dirty_ ||
-      published_nodes_ != n || published_words_ != out_bits_.words() ||
+      out_bits_.dirty() || in_bits_.dirty() || published_nodes_ != n ||
+      published_words_ != out_bits_.words() ||
       published_hubs_ != static_cast<int64_t>(hub_at_bit_.size());
   if (!changed) {
     boundary_skips_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const std::shared_ptr<const BoundarySnapshot> prev = boundary_.Load();
   auto snap = std::make_shared<BoundarySnapshot>();
   snap->epoch = epoch_.load(std::memory_order_relaxed);
   snap->num_nodes = n;
@@ -936,26 +877,14 @@ void ShardedQueryService::PublishBoundaryLocked() {
   snap->in_chunks = in_bits_.chunks();
   snap->shard_chunks = shard_of_.chunks();
   snap->local_chunks = local_id_.chunks();
-  snap->hub_at_bit = hub_at_bit_;
-  snap->hub_bits_sorted.reserve(hub_at_bit_.size());
-  for (int32_t b = 0; b < static_cast<int32_t>(hub_at_bit_.size()); ++b) {
-    snap->hub_bits_sorted.emplace_back(hub_at_bit_[b], b);
-  }
-  std::sort(snap->hub_bits_sorted.begin(), snap->hub_bits_sorted.end());
-  // The 2-hop hub core is the expensive piece; rebuild it only when hub
-  // reachability actually changed.
-  snap->hop = (hub_graph_dirty_ || prev == nullptr || prev->hop == nullptr)
-                  ? BuildHubHopLocked()
-                  : prev->hop;
+  snap->num_hubs = static_cast<int64_t>(hub_at_bit_.size());
   snap->label_bytes =
-      2 * n * snap->words * static_cast<int64_t>(sizeof(uint64_t)) +
-      (snap->hop != nullptr ? snap->hop->LabelBytes() : 0);
+      2 * n * snap->words * static_cast<int64_t>(sizeof(uint64_t));
   boundary_.Publish(std::move(snap));
   out_bits_.MarkAllShared();
   out_bits_.ClearDirty();
   in_bits_.MarkAllShared();
   in_bits_.ClearDirty();
-  hub_graph_dirty_ = false;
   published_nodes_ = n;
   published_words_ = out_bits_.words();
   published_hubs_ = static_cast<int64_t>(hub_at_bit_.size());

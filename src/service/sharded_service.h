@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "common/statusor.h"
-#include "core/hop_label_index.h"
 #include "graph/digraph.h"
 #include "obs/flight_recorder.h"
 #include "obs/rollup.h"
@@ -62,6 +61,8 @@ struct ShardedMetricsView {
   int64_t num_hubs = 0;
   int64_t boundary_label_bytes = 0;
   int64_t cross_shard_queries = 0;
+  // Always 0: hub pairs settle on the bitsets like every other pair.
+  // Kept only because the benchmark's sharded.hub_hop_share row reads it.
   int64_t hub_hop_queries = 0;
   int64_t boundary_republishes = 0;
   int64_t boundary_skips = 0;
@@ -83,7 +84,7 @@ struct ShardedMetricsView {
 // node, and per node the service maintains two hub bitsets —
 // out_bits[u] = hubs reachable from u, in_bits[v] = hubs reaching v
 // (both reflexive for hubs).  Those bitsets ARE a 2-hop labeling with
-// the hubs as centers:
+// the hubs as centers, the reachability oracle of Jin & Wang (PAPERS.md):
 //
 //   Reaches(u, v) = u == v
 //                 | out_bits[u] & in_bits[v] != 0
@@ -92,8 +93,8 @@ struct ShardedMetricsView {
 // which is exact: a path either stays inside one shard hub-free (the
 // shard's interval labels see every intra-shard arc) or touches a hub,
 // and the first hub on the path witnesses the bitset intersection.
-// Hub-to-hub queries route through a HopLabelIndex built over the hub
-// graph, reusing the PR 7 2-hop machinery for the boundary core.
+// Singles, batches and Successors all settle a pair by this one rule
+// (SettlePair), hub pairs included.
 //
 // Writers: ops whose endpoints share a shard run inside that shard's
 // writer mutex (QueryService::Apply) and then update the global mirror +
@@ -128,7 +129,9 @@ class ShardedQueryService {
 
   // Replaces all state: partitions `graph`, loads every shard, rebuilds
   // the boundary index, and publishes.  Node ids are preserved (global
-  // ids are the caller's ids; shards remap internally).
+  // ids are the caller's ids; shards remap internally).  Fails with
+  // ResourceExhausted, as the monolithic Load does, when a shard's
+  // numbering would pass the 32-bit labels; the previous graph stays.
   Status Load(const Digraph& graph);
 
   // Mutators mirror DynamicClosure semantics and error codes.  New
@@ -178,9 +181,9 @@ class ShardedQueryService {
   QueryTracer& tracer() const { return tracer_; }
   // Slow front-end queries/batches, always shard-attributed.
   const SlowQueryLog& slow_log() const { return slow_log_; }
-  // Windowed latency percentiles.  Series layout: the five pipeline
-  // stages ("route", "boundary_bitset", "hop_core", "shard_query",
-  // "merge") indexed by QueryStage, then "single" and "batch"
+  // Windowed latency percentiles.  Series layout: the four pipeline
+  // stages ("route", "boundary_bitset", "shard_query", "merge")
+  // indexed by QueryStage, then "single" and "batch"
   // end-to-end, then "shard<s>" (singles attributed to the source
   // endpoint's shard).  Every batch feeds the stage and "batch" series;
   // only sampled singles feed the stage, "single" and "shard<s>" series
@@ -195,6 +198,10 @@ class ShardedQueryService {
   bool CheckFlightRecorder() const;
 
  private:
+  // Reads the hub registry and the published boundary rows, for tests
+  // and their failure messages (tests/sharded_service_test.cc).
+  friend class ShardedQueryServicePeer;
+
   static constexpr int64_t kRowsPerChunk = 4096;
 
   struct BitsChunk {
@@ -258,22 +265,19 @@ class ShardedQueryService {
     std::vector<std::shared_ptr<BitsChunk>> in_chunks;
     std::vector<std::shared_ptr<RoutingChunk>> shard_chunks;
     std::vector<std::shared_ptr<RoutingChunk>> local_chunks;
-    std::vector<NodeId> hub_at_bit;
-    // (node, bit) ascending by node, for hub membership lookups.
-    std::vector<std::pair<NodeId, int32_t>> hub_bits_sorted;
-    std::shared_ptr<const HopLabelIndex> hop;  // over hub-bit ids
-    int64_t label_bytes = 0;
+    int64_t num_hubs = 0;
+    int64_t label_bytes = 0;  // Both bitset matrices.
 
     const uint64_t* OutRow(int64_t r) const;
     const uint64_t* InRow(int64_t r) const;
     int32_t ShardOfAt(int64_t r) const;
     int32_t LocalIdAt(int64_t r) const;
-    int HubBit(NodeId node) const;  // -1 when not a hub
   };
 
-  // How one single query routed: the endpoint shards, the shard whose
-  // local index decided it (-1 = the boundary layer decided without
-  // consulting a shard), and the probe tag for the trace record.
+  // How one pair routed: the endpoint shards (-1 when an id is unknown
+  // or u == v), the shard whose local index decides it (-1 = the
+  // boundary layer decided without consulting a shard), and the probe
+  // tag for the trace record.
   struct RouteInfo {
     int32_t su = -1;
     int32_t sv = -1;
@@ -281,11 +285,23 @@ class ShardedQueryService {
     ProbeTag tag = ProbeTag::kSlot;
   };
 
-  // The published boundary; its reader slots count routed queries.
-  enum BoundaryCounter { kCrossShardQueries = 0, kHubHopQueries = 1 };
-  using BoundaryPtr = PublishedPtr<BoundarySnapshot, 2>;
+  // The published boundary; its reader slots count cross-shard queries.
+  enum BoundaryCounter { kCrossShardQueries = 0 };
+  using BoundaryPtr = PublishedPtr<BoundarySnapshot, 1>;
 
-  // The single-query routing pipeline over the pinned boundary `b`.
+  // Settles (u, v) on boundary `b` by the rule in the class comment.
+  // Every read path calls it, so a single, a batch element and a
+  // Successors candidate settle alike.  Returns 1 or 0 when the boundary
+  // decides (an unknown id, u == v, a shared hub, or no shared hub across
+  // shards), or -1 when the pair is route->shard's to answer.  `routed()`
+  // runs once route->su and route->sv are set, before the bitset probe;
+  // the sampled single closes its route stage there.
+  template <typename Routed>
+  static int SettlePair(const BoundarySnapshot& b, NodeId u, NodeId v,
+                        RouteInfo* route, const Routed& routed);
+
+  // The single-query pipeline over the pinned boundary `b`: SettlePair,
+  // then the owning shard's Reaches for the pairs it defers.
   // kTimed=false is the hot path: no clock reads at all.  kTimed=true
   // (sampled queries) attributes elapsed nanos to `stages` stage by
   // stage on the same monotonic clock as ReachesSampled's end-to-end
@@ -314,7 +330,6 @@ class ShardedQueryService {
   bool OrRowChangedLocked(HubBits& bits, NodeId row,
                           const std::vector<uint64_t>& src);
   void PublishBoundaryLocked();
-  std::shared_ptr<const HopLabelIndex> BuildHubHopLocked() const;
 
   ShardedServiceOptions options_;
   std::vector<std::unique_ptr<QueryService>> shards_;
@@ -332,7 +347,6 @@ class ShardedQueryService {
   std::vector<NodeId> hub_at_bit_;
   HubBits out_bits_;
   HubBits in_bits_;
-  bool hub_graph_dirty_ = false;
   int64_t published_nodes_ = -1;
   int published_words_ = -1;
   int64_t published_hubs_ = -1;

@@ -121,9 +121,9 @@ TEST(LabelingTest, RejectsNumberingPastTheArenaLabelLimit) {
   LabelingOptions too_wide;
   too_wide.gap = Label{1} << 26;  // 100 nodes would reach 6.7e9.
   EXPECT_EQ(BuildLabels(graph, cover.value(), too_wide).status().code(),
-            StatusCode::kInvalidArgument);
+            StatusCode::kResourceExhausted);
   EXPECT_EQ(BuildChainLabeling(graph, too_wide).status().code(),
-            StatusCode::kInvalidArgument);
+            StatusCode::kResourceExhausted);
 
   // The widest gap that fits: 100 × gap + reserve <= 2^32 - 1.
   LabelingOptions widest;
@@ -140,17 +140,21 @@ TEST(LabelingTest, RejectsNumberingPastTheArenaLabelLimit) {
                               labels.postorder.end()),
             100 * widest.gap);
   EXPECT_LT(max_label, kArenaLabelLimit);
+  // The chain entry cap fails with ResourceExhausted too; its message
+  // names no label limit.
   const auto chain = BuildChainLabeling(graph, widest);
-  EXPECT_NE(chain.status().code(), StatusCode::kInvalidArgument)
+  EXPECT_EQ(chain.status().message().find("label limit"), std::string::npos)
       << chain.status().ToString();
 
   LabelingOptions one_more = widest;
   one_more.gap += 1;
   EXPECT_FALSE(CompactNumberingFits(100, one_more.gap, one_more.reserve));
   EXPECT_EQ(BuildLabels(graph, cover.value(), one_more).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(BuildChainLabeling(graph, one_more).status().code(),
-            StatusCode::kInvalidArgument);
+            StatusCode::kResourceExhausted);
+  const auto past = BuildChainLabeling(graph, one_more);
+  EXPECT_EQ(past.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(past.status().message().find("label limit"), std::string::npos)
+      << past.status().ToString();
   // Gaps near 2^63 must not overflow the check.
   EXPECT_FALSE(CompactNumberingFits(3, Label{1} << 62, 0));
 }

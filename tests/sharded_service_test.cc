@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -28,6 +29,53 @@
 #include "tests/test_util.h"
 
 namespace trel {
+
+// Reads a ShardedQueryService's hub registry and published boundary rows,
+// for checks that need the hubs and failure messages that print the rows.
+class ShardedQueryServicePeer {
+ public:
+  explicit ShardedQueryServicePeer(const ShardedQueryService& service)
+      : service_(service) {}
+
+  // Hub node ids in bit order.
+  std::vector<NodeId> Hubs() const {
+    std::lock_guard<std::mutex> lock(service_.boundary_mutex_);
+    return service_.hub_at_bit_;
+  }
+
+  // Both endpoints' shards, the hubs in u's published out-row and v's
+  // in-row, and the shard-local answer when u and v share a shard.
+  std::string DescribePair(NodeId u, NodeId v) const {
+    const auto b = service_.boundary_.Load();
+    const std::vector<NodeId> hubs = Hubs();
+    const size_t bits =
+        std::min(hubs.size(), static_cast<size_t>(b->words) * 64);
+    const auto row_hubs = [&](const uint64_t* row) {
+      std::string out = "{";
+      for (size_t bit = 0; bit < bits; ++bit) {
+        if ((row[bit / 64] >> (bit % 64)) & 1) {
+          out += (out.size() > 1 ? " " : "") + std::to_string(hubs[bit]);
+        }
+      }
+      return out + "}";
+    };
+    const int su = b->ShardOfAt(u);
+    const int sv = b->ShardOfAt(v);
+    std::string out = "shards (" + std::to_string(su) + "," +
+                      std::to_string(sv) + ") out_row(u) " +
+                      row_hubs(b->OutRow(u)) + " in_row(v) " +
+                      row_hubs(b->InRow(v));
+    if (su == sv) {
+      out += " shard_local " + std::to_string(service_.shard(su).Reaches(
+                                   b->LocalIdAt(u), b->LocalIdAt(v)));
+    }
+    return out;
+  }
+
+ private:
+  const ShardedQueryService& service_;
+};
+
 namespace {
 
 std::vector<int> ShardCounts() {
@@ -277,7 +325,9 @@ TEST(ShardedServiceTest, FullShardNumberingFailsAddLeafWithStatus) {
 // A Load that fails on a later shard leaves every shard and the boundary
 // serving the previous graph.  The reversed 31-node chain splits 15 / 16:
 // shard 0's 15 nodes fit and shard 1's 16 do not.  Had shard 0 loaded its
-// part, it would answer the previous graph's pairs backwards.
+// part, it would answer the previous graph's pairs backwards.  Both
+// services' Load fail at the limit with AddLeafUnder's code, so a caller
+// retries on one code.
 TEST(ShardedServiceTest, FailedLoadKeepsPreviousGraph) {
   ShardedQueryService sharded(TightNumberingOptions());
   const Digraph previous = Chain(10);
@@ -285,8 +335,12 @@ TEST(ShardedServiceTest, FailedLoadKeepsPreviousGraph) {
   const Digraph too_big = Chain(31, /*reversed=*/true);
   QueryService mono(TightNumberingOptions().shard);
   const Status status = sharded.Load(too_big);
-  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+      << status.ToString();
   EXPECT_EQ(status.code(), mono.Load(too_big).code());
+  QueryService full(TightNumberingOptions().shard);
+  ASSERT_TRUE(full.Load(Chain(15)).ok());
+  EXPECT_EQ(status.code(), full.AddLeafUnder(0).status().code());
   EXPECT_EQ(sharded.MetricsView().num_nodes, previous.NumNodes());
   ExpectMatchesTruth(sharded, previous, "after the failed Load");
   sharded.Publish();
@@ -432,6 +486,110 @@ TEST(ShardedServiceTest, CrossShardArcsPromoteHubsAndStayExact) {
     EXPECT_GT(view.boundary_label_bytes, 0);
     EXPECT_GT(view.boundary_republishes, 0);
   }
+}
+
+// Checks the published boundary against the DFS truth of `graph`: every
+// hub x hub pair, and `samples` hub x non-hub pairs each way, through
+// unsampled and sampled Reaches (the sampled one runs the timed
+// pipeline), BatchReaches and every hub's Successors.  The boundary must
+// hold the two bitset matrices and nothing else.
+void ExpectHubPairsExact(ShardedQueryService& sharded, const Digraph& graph,
+                         int samples, Random& rng,
+                         const std::string& context) {
+  const ShardedQueryServicePeer peer(sharded);
+  const ReachabilityMatrix truth(graph);
+  const NodeId n = graph.NumNodes();
+  const std::vector<NodeId> hubs = peer.Hubs();
+  ASSERT_FALSE(hubs.empty()) << context;
+  std::vector<uint8_t> is_hub(n, 0);
+  for (const NodeId h : hubs) is_hub[h] = 1;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const NodeId a : hubs) {
+    for (const NodeId b : hubs) pairs.emplace_back(a, b);
+  }
+  for (int i = 0; i < samples; ++i) {
+    const NodeId h = hubs[rng.Uniform(hubs.size())];
+    NodeId x = static_cast<NodeId>(rng.Uniform(n));
+    while (is_hub[x]) x = static_cast<NodeId>(rng.Uniform(n));
+    pairs.emplace_back(h, x);
+    pairs.emplace_back(x, h);
+  }
+  const std::vector<uint8_t> batch = sharded.BatchReaches(pairs);
+  std::vector<uint8_t> sampled(pairs.size());
+  sharded.tracer().SetSamplePeriod(1);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    sampled[i] = sharded.Reaches(pairs[i].first, pairs[i].second);
+  }
+  sharded.tracer().SetSamplePeriod(0);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    const bool want = truth.Reaches(u, v);
+    const bool single = sharded.Reaches(u, v);
+    ASSERT_TRUE(single == want && (sampled[i] != 0) == want &&
+                (batch[i] != 0) == want)
+        << context << ": (" << u << "," << v << ") truth " << want
+        << " Reaches " << single << " sampled " << int{sampled[i]}
+        << " batch " << int{batch[i]} << "; " << peer.DescribePair(u, v);
+  }
+  for (const NodeId h : hubs) {
+    std::vector<NodeId> want;
+    for (NodeId v = 0; v < n; ++v) {
+      if (v != h && truth.Reaches(h, v)) want.push_back(v);
+    }
+    ASSERT_EQ(sharded.Successors(h), want) << context << ": hub " << h;
+  }
+  const ShardedMetricsView view = sharded.MetricsView();
+  const int64_t words = (static_cast<int64_t>(hubs.size()) + 63) / 64;
+  EXPECT_EQ(view.num_hubs, static_cast<int64_t>(hubs.size())) << context;
+  EXPECT_EQ(view.boundary_label_bytes,
+            2 * int64_t{n} * words * static_cast<int64_t>(sizeof(uint64_t)))
+      << context << ": " << hubs.size() << " hubs";
+}
+
+// Hub pairs settle on the hub bitsets.  At K = 4, cross-shard arcs
+// between non-hubs promote one endpoint each until the hubs pass 64 and
+// the rows grow a word; then one removal rebuilds the bits.  Every
+// publish on the way is checked by ExpectHubPairsExact.
+TEST(ShardedServiceTest, HubPairsSettleOnBitsetsPastAWordBoundary) {
+  Digraph graph = ClusteredDag(8, 60, 2.5, 2, 0.06, 43);
+  const NodeId n = graph.NumNodes();
+  ShardedQueryService sharded(OptionsFor(4));
+  ASSERT_TRUE(sharded.Load(graph).ok());
+  const ShardedQueryServicePeer peer(sharded);
+  Random rng(47);
+  ExpectHubPairsExact(sharded, graph, 2000, rng, "after Load");
+  ASSERT_LE(peer.Hubs().size(), 64u) << "the promotions must cross a word";
+
+  std::vector<std::pair<NodeId, NodeId>> added;
+  for (int attempt = 0; attempt < 20000 && peer.Hubs().size() <= 72;
+       ++attempt) {
+    const NodeId u = static_cast<NodeId>(rng.Uniform(n));
+    const NodeId v = static_cast<NodeId>(rng.Uniform(n));
+    if (sharded.ShardOf(u) == sharded.ShardOf(v)) continue;
+    const std::vector<NodeId> hubs = peer.Hubs();
+    if (std::find(hubs.begin(), hubs.end(), u) != hubs.end() ||
+        std::find(hubs.begin(), hubs.end(), v) != hubs.end()) {
+      continue;
+    }
+    if (!sharded.AddArc(u, v).ok()) continue;  // A cycle or a duplicate.
+    ASSERT_EQ(peer.Hubs().size(), hubs.size() + 1) << "AddArc did not promote";
+    ASSERT_TRUE(graph.AddArc(u, v).ok());
+    added.emplace_back(u, v);
+    if (added.size() % 8 == 0) {
+      sharded.Publish();
+      ExpectHubPairsExact(sharded, graph, 2000, rng,
+                          std::to_string(added.size()) + " promotions");
+    }
+  }
+  ASSERT_GT(peer.Hubs().size(), 64u);
+  sharded.Publish();
+  ExpectHubPairsExact(sharded, graph, 2000, rng, "past the word boundary");
+
+  const auto [u, v] = added[added.size() / 2];
+  ASSERT_TRUE(sharded.RemoveArc(u, v).ok());
+  ASSERT_TRUE(graph.RemoveArc(u, v).ok());
+  sharded.Publish();
+  ExpectHubPairsExact(sharded, graph, 2000, rng, "after RemoveArc");
 }
 
 TEST(ShardedServiceTest, PublishShardMakesThatShardVisible) {

@@ -575,7 +575,6 @@ int RunShardMix(const LoadgenConfig& config) {
       .Set("name", "sharded_counters")
       .Set("shard_publishes", shard_publishes.load())
       .Set("cross_shard_queries", view.cross_shard_queries)
-      .Set("hub_hop_queries", view.hub_hop_queries)
       .Set("boundary_republishes", view.boundary_republishes)
       .Set("boundary_skips", view.boundary_skips);
   AddServerWindowRows(&report, service.rollup());

@@ -38,7 +38,7 @@ shard must be present, counters must stay monotonic across scrapes, and
 the /statusz ``boundary_metrics:`` line
 (ShardedMetricsView::ToString()) must agree with /metricsz field for
 field.  The sharded surface keeps per-shard and per-stage window series
-(route/boundary_bitset/hop_core/shard_query/merge, single, batch,
+(route/boundary_bitset/shard_query/merge, single, batch,
 shard0..shardK-1); monolithic histogram checks are skipped.
 
 With ``--expect-flight`` (the serve ran under TREL_FLIGHT_TEST_TRIGGER)
@@ -409,7 +409,6 @@ BOUNDARY_TO_METRICSZ = {
     "hubs": "trel_boundary_hubs",
     "boundary_label_bytes": "trel_boundary_label_bytes",
     "cross_shard_queries": "trel_cross_shard_queries_total",
-    "hub_hop_queries": "trel_hub_hop_queries_total",
     "boundary_republishes": "trel_boundary_republishes_total",
     "boundary_skips": "trel_boundary_skips_total",
     "hub_promotions": "trel_hub_promotions_total",
@@ -522,8 +521,8 @@ def check_sharded(args, errors):
 
     # Windowed latency families: per-stage, front-end, and per-shard
     # series (src/service/sharded_service.cc rollup layout).
-    expect_series = ["route", "boundary_bitset", "hop_core", "shard_query",
-                     "merge", "single", "batch"]
+    expect_series = ["route", "boundary_bitset", "shard_query", "merge",
+                     "single", "batch"]
     expect_series += [f"shard{s}" for s in range(args.sharded)]
     check_latency_windows(samples, statusz, errors, expect_series)
     if args.expect_flight:

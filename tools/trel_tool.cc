@@ -544,9 +544,10 @@ int Serve(const std::string& path, int port, int duration_seconds) {
 }
 
 // Prints the shard layout a ShardedQueryService Load of this graph would
-// use: per-shard sizes, the edge cut, the hub cover, and what the
-// boundary index would cost — the offline twin of the sharded service's
-// partitioning step, mirroring `trel_tool index` / `trel_tool chains`.
+// use: per-shard sizes, the edge cut, the hub cover, and the bytes of the
+// boundary index it would publish — the offline twin of the sharded
+// service's partitioning step, mirroring `trel_tool index` / `trel_tool
+// chains`.
 int PartitionInfo(const std::string& path, int num_shards) {
   auto graph = LoadGraph(path);
   if (!graph.ok()) {
@@ -563,8 +564,8 @@ int PartitionInfo(const std::string& path, int num_shards) {
   const int64_t n = graph->NumNodes();
   const int64_t hubs = static_cast<int64_t>(part->hubs.size());
   const int64_t words = (hubs + 63) / 64;
-  // Two bitset rows (hubs-out, hubs-in) per node; the hub-core 2-hop
-  // labels come on top but are bounded by the same order of magnitude.
+  // Two bitset rows (hubs-out, hubs-in) per node are the whole boundary
+  // index, so this is Load's boundary_label_bytes exactly.
   const int64_t boundary_bytes = 2 * n * words * 8;
 
   std::printf("nodes:              %lld\n", static_cast<long long>(n));
