@@ -19,16 +19,13 @@
 namespace trel {
 namespace {
 
-// Worker pool off: batches run inline so the numbers measure the query
-// path plus the tracing gate, not fan-out scheduling.
+// One service per graph size, shared by every benchmark of that size.
 QueryService* SharedService(int64_t nodes, double degree) {
   static QueryService* service = nullptr;
   static int64_t built_nodes = -1;
   if (built_nodes != nodes) {
     delete service;
-    ServiceOptions options;
-    options.num_workers = 0;
-    service = new QueryService(options);
+    service = new QueryService();
     if (!service->Load(RandomDag(static_cast<NodeId>(nodes), degree, 8000))
              .ok()) {
       return nullptr;

@@ -59,9 +59,7 @@ struct PublishRun {
 // Monolithic baseline: end-to-end Load, then best-of-reps default
 // publishes, each preceded by one dirty leaf so Publish() cannot no-op.
 PublishRun MeasureMonoPublish(const Digraph& graph, int reps) {
-  ServiceOptions options;
-  options.num_workers = 0;
-  QueryService service(options);
+  QueryService service;
   PublishRun run;
   auto start = std::chrono::steady_clock::now();
   TREL_CHECK(service.Load(graph).ok());

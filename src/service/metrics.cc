@@ -68,7 +68,6 @@ void ServiceMetrics::RecordBatchKernel(const BatchKernelStats& stats) {
 
 ServiceMetrics::View ServiceMetrics::Read() const {
   View view;
-  view.successor_queries = successor_queries_.load(std::memory_order_relaxed);
   view.batches = batches_.load(std::memory_order_relaxed);
   view.batch_micros_total =
       batch_micros_total_.load(std::memory_order_relaxed);

@@ -15,8 +15,9 @@ namespace trel {
 
 // Thread-safe counters for the query service.  All writes are relaxed
 // atomic increments — metrics never order anything, they only have to be
-// race-free.  The one per-query counter, reach_queries, lives in the
-// service's reader slots instead, off the shared lines here.
+// race-free.  The per-query counters, reach_queries and
+// successor_queries, live in the service's reader slots instead, off the
+// shared lines here.
 class ServiceMetrics {
  public:
   // Batch latency, folded from a LogHistogram at Read(): bucket i counts
@@ -30,8 +31,9 @@ class ServiceMetrics {
 
   // Plain-value copy of the counters, safe to read field by field.
   struct View {
-    // Summed by QueryService::Metrics() from its per-thread reader slots
-    // (service/published_ptr.h), so the read path writes no shared line.
+    // Both summed by QueryService::Metrics() from its per-thread reader
+    // slots (service/published_ptr.h), so the read path writes no shared
+    // line.
     int64_t reach_queries = 0;
     int64_t successor_queries = 0;
     int64_t batches = 0;
@@ -103,10 +105,7 @@ class ServiceMetrics {
     std::string ToString() const;
   };
 
-  void RecordSuccessorQueries(int64_t n) {
-    successor_queries_.fetch_add(n, std::memory_order_relaxed);
-  }
-  // One batch that served `queries` lookups in `micros` wall microseconds.
+  // One batch that ran for `micros` wall microseconds.
   void RecordBatch(int64_t micros);
   // One batch refused by admission control (never executed).
   void RecordBatchRejected() {
@@ -137,7 +136,6 @@ class ServiceMetrics {
   View Read() const;
 
  private:
-  std::atomic<int64_t> successor_queries_{0};
   std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> batch_micros_total_{0};
   std::atomic<int64_t> batches_rejected_{0};

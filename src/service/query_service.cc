@@ -24,64 +24,6 @@ constexpr int kRollupBatch = 1;
 
 }  // namespace
 
-// --- WorkerPool ------------------------------------------------------------
-
-QueryService::WorkerPool::WorkerPool(int num_workers) {
-  threads_.reserve(num_workers);
-  for (int i = 0; i < num_workers; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-QueryService::WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void QueryService::WorkerPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void QueryService::WorkerPool::ParallelFor(
-    int64_t n, const std::function<void(int64_t, int64_t)>& body) {
-  if (n <= 0) return;
-  const int64_t chunks =
-      std::min<int64_t>(n, static_cast<int64_t>(threads_.size()) + 1);
-  const int64_t chunk_size = (n + chunks - 1) / chunks;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    outstanding_ += chunks - 1;
-    for (int64_t c = 1; c < chunks; ++c) {
-      const int64_t begin = c * chunk_size;
-      const int64_t end = std::min(n, begin + chunk_size);
-      queue_.emplace_back([this, &body, begin, end] {
-        body(begin, end);
-        std::lock_guard<std::mutex> done_lock(mutex_);
-        if (--outstanding_ == 0) work_done_.notify_all();
-      });
-    }
-  }
-  work_ready_.notify_all();
-  // The calling thread takes the first chunk instead of sleeping.
-  body(0, std::min(n, chunk_size));
-  std::unique_lock<std::mutex> lock(mutex_);
-  work_done_.wait(lock, [this] { return outstanding_ == 0; });
-}
-
 // --- QueryService ----------------------------------------------------------
 
 QueryService::QueryService(const ServiceOptions& options)
@@ -89,7 +31,6 @@ QueryService::QueryService(const ServiceOptions& options)
       rollup_({"single", "batch"}),
       flight_(options.flight),
       dynamic_(options.closure) {
-  TREL_CHECK_GE(options_.num_workers, 0);
   const uint32_t env_period = QueryTracer::PeriodFromEnv();
   tracer_.SetSamplePeriod(env_period != 0 ? env_period
                                           : options_.trace_sample_period);
@@ -101,9 +42,6 @@ QueryService::QueryService(const ServiceOptions& options)
   });
   if (std::getenv("TREL_INDEX") != nullptr) {
     options_.index_family = IndexFamilySettingFromEnv();
-  }
-  if (options_.num_workers > 0) {
-    pool_ = std::make_unique<WorkerPool>(options_.num_workers);
   }
   std::lock_guard<std::mutex> lock(writer_mutex_);
   epoch_ = static_cast<uint64_t>(-1);  // So the empty snapshot is epoch 0.
@@ -351,8 +289,8 @@ bool QueryService::ReachesSampled(NodeId u, NodeId v) const {
 }
 
 std::vector<NodeId> QueryService::Successors(NodeId u) const {
-  metrics_.RecordSuccessorQueries(1);
   const SnapshotPtr::Pin snapshot(snapshot_);
+  snapshot.Add(kSuccessorQueries);
   return snapshot->Successors(u);
 }
 
@@ -424,53 +362,26 @@ std::vector<uint8_t> QueryService::BatchReachesImpl(
     const std::vector<std::pair<NodeId, NodeId>>& pairs) const {
   Stopwatch timer;
   const int64_t n = static_cast<int64_t>(pairs.size());
-  std::shared_ptr<const ClosureSnapshot> snapshot = Snapshot();
+  const SnapshotPtr::Pin snapshot(snapshot_);
   std::vector<uint8_t> results(pairs.size());
-  // Sampling is per batch: a sampled batch runs the tagged kernel twin
-  // (identical answers and stats) and later emits a bounded, evenly
-  // spaced selection of its per-query outcomes as trace records.
+  // The dispatched pipelined batch kernel rather than per-element
+  // snapshot->Reaches; its id handling matches snapshot semantics
+  // (unknown ids answer false).  Sampling is per batch: a sampled batch
+  // runs the tagged kernel twin (identical answers and stats) and later
+  // emits a bounded, evenly spaced selection of its per-query outcomes as
+  // trace records.
   const bool sampled = n > 0 && tracer_.ShouldSample();
   std::vector<uint8_t> tags;
-  if (sampled) tags.resize(pairs.size());
-  // Batch-wide kernel tallies for the slow log and sampled traces: four
-  // extra relaxed adds per CHUNK, the same cost class as the existing
-  // metrics fold.
-  struct {
-    std::atomic<int64_t> fast_path{0};
-    std::atomic<int64_t> filter_rejects{0};
-    std::atomic<int64_t> group_rejects{0};
-    std::atomic<int64_t> extras_searches{0};
-  } tally;
-  // Each chunk runs the dispatched pipelined batch kernel rather than
-  // per-element snapshot->Reaches; the kernel's id handling matches
-  // snapshot semantics (unknown ids answer false).  Kernel tallies are
-  // accumulated per chunk in plain locals and folded into the shared
-  // counters once per chunk.
-  const auto body = [&](int64_t begin, int64_t end) {
-    BatchKernelStats stats;
-    if (sampled) {
-      snapshot->BatchReachesTraced(pairs.data() + begin, end - begin,
-                                   results.data() + begin, &stats,
-                                   tags.data() + begin);
-    } else {
-      snapshot->BatchReaches(pairs.data() + begin, end - begin,
-                             results.data() + begin, &stats);
-    }
-    metrics_.RecordBatchKernel(stats);
-    tally.fast_path.fetch_add(stats.fast_path, std::memory_order_relaxed);
-    tally.filter_rejects.fetch_add(stats.filter_rejects,
-                                   std::memory_order_relaxed);
-    tally.group_rejects.fetch_add(stats.group_rejects,
-                                  std::memory_order_relaxed);
-    tally.extras_searches.fetch_add(stats.extras_searches,
-                                    std::memory_order_relaxed);
-  };
-  if (pool_ == nullptr || n < options_.min_parallel_batch) {
-    body(0, n);
+  BatchKernelStats stats;
+  if (sampled) {
+    tags.resize(pairs.size());
+    snapshot->BatchReachesTraced(pairs.data(), n, results.data(), &stats,
+                                 tags.data());
   } else {
-    pool_->ParallelFor(n, body);
+    snapshot->BatchReaches(pairs.data(), n, results.data(), &stats);
   }
-  snapshot_.Add(kReachQueries, n);
+  metrics_.RecordBatchKernel(stats);
+  snapshot.Add(kReachQueries, n);
   const int64_t micros = timer.ElapsedMicros();
   metrics_.RecordBatch(micros);
   rollup_.Record(kRollupBatch, micros * 1000);
@@ -493,13 +404,7 @@ std::vector<uint8_t> QueryService::BatchReachesImpl(
     entry.num_queries = n;
     entry.epoch = snapshot->epoch;
     entry.micros = micros;
-    entry.stats.fast_path = tally.fast_path.load(std::memory_order_relaxed);
-    entry.stats.filter_rejects =
-        tally.filter_rejects.load(std::memory_order_relaxed);
-    entry.stats.group_rejects =
-        tally.group_rejects.load(std::memory_order_relaxed);
-    entry.stats.extras_searches =
-        tally.extras_searches.load(std::memory_order_relaxed);
+    entry.stats = stats;
     slow_log_.Record(entry);
   }
   return results;
@@ -508,23 +413,11 @@ std::vector<uint8_t> QueryService::BatchReachesImpl(
 std::vector<std::vector<NodeId>> QueryService::BatchSuccessorsImpl(
     const std::vector<NodeId>& nodes) const {
   Stopwatch timer;
-  const int64_t n = static_cast<int64_t>(nodes.size());
-  std::shared_ptr<const ClosureSnapshot> snapshot = Snapshot();
-  std::vector<std::vector<NodeId>> results(nodes.size());
-  const auto body = [&snapshot, &nodes, &results](int64_t begin,
-                                                  int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      results[i] = snapshot->Successors(nodes[i]);
-    }
-  };
-  // Successor enumeration is output-sized, so parallelism pays off at
-  // much smaller batch sizes than point lookups.
-  if (pool_ == nullptr || n < std::max<int64_t>(options_.min_parallel_batch / 16, 2)) {
-    body(0, n);
-  } else {
-    pool_->ParallelFor(n, body);
-  }
-  metrics_.RecordSuccessorQueries(n);
+  const SnapshotPtr::Pin snapshot(snapshot_);
+  std::vector<std::vector<NodeId>> results;
+  results.reserve(nodes.size());
+  for (const NodeId u : nodes) results.push_back(snapshot->Successors(u));
+  snapshot.Add(kSuccessorQueries, static_cast<int64_t>(nodes.size()));
   metrics_.RecordBatch(timer.ElapsedMicros());
   return results;
 }
@@ -532,6 +425,7 @@ std::vector<std::vector<NodeId>> QueryService::BatchSuccessorsImpl(
 ServiceMetrics::View QueryService::Metrics() const {
   ServiceMetrics::View view = metrics_.Read();
   view.reach_queries = snapshot_.Sum(kReachQueries);
+  view.successor_queries = snapshot_.Sum(kSuccessorQueries);
   std::shared_ptr<const ClosureSnapshot> snapshot = Snapshot();
   view.current_epoch = snapshot->epoch;
   view.inflight_batches = InflightBatches();

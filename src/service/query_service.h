@@ -2,13 +2,10 @@
 #define TREL_SERVICE_QUERY_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,20 +25,16 @@ namespace trel {
 
 // Knobs for QueryService.
 struct ServiceOptions {
-  // Worker threads for the batch APIs.  0 disables the pool entirely
-  // (batches run on the calling thread); the calling thread always works
-  // alongside the pool, so fan-out is `num_workers + 1` wide.
-  int num_workers = 4;
-  // Batches smaller than this run inline — fan-out overhead (enqueue,
-  // wake, join) dwarfs the per-query work below it.
-  int64_t min_parallel_batch = 2048;
+  // Ignored: batches run on the calling thread and the service starts no
+  // thread.  Kept only because the benchmark's services still assign it.
+  int num_workers = 0;
   // Admission control for the batch APIs: at most this many batches may
   // execute at once through TryBatchReaches / TryBatchSuccessors; calls
   // past the limit are rejected with kResourceExhausted (and counted in
-  // ServiceMetrics::batches_rejected) instead of piling onto the worker
-  // pool.  0 = unlimited (the default).  The non-Try entry points are
-  // never rejected — they are the embedded/trusted API — but they do
-  // occupy slots, so mixed traffic is gated coherently.
+  // ServiceMetrics::batches_rejected) instead of queueing.  0 = unlimited
+  // (the default).  The non-Try entry points are never rejected — they
+  // are the embedded/trusted API — but they do occupy slots, so mixed
+  // traffic is gated coherently.
   int64_t max_inflight_batches = 0;
   // Build options for the underlying index (gap numbering etc.).
   ClosureOptions closure = DynamicClosure::DefaultOptions();
@@ -147,8 +140,9 @@ class QueryService {
 
   // A counted handle on the current snapshot, for callers that keep one
   // across calls.  Never null; epoch 0 before the first Load/Publish.
-  // Copying it touches the shared reference count, which Reaches and
-  // Successors avoid by pinning the snapshot for the call instead.
+  // Copying it touches the shared reference count, which Reaches,
+  // Successors and the batch calls avoid by pinning the snapshot for the
+  // call instead.
   std::shared_ptr<const ClosureSnapshot> Snapshot() const {
     return snapshot_.Load();
   }
@@ -157,11 +151,14 @@ class QueryService {
   bool Reaches(NodeId u, NodeId v) const;
   std::vector<NodeId> Successors(NodeId u) const;
 
-  // Batched lookups, fanned across the worker pool (plus the calling
-  // thread) for large batches.  The whole batch is answered from ONE
-  // snapshot, so results are mutually consistent even while the writer
-  // publishes concurrently.  Out-of-range ids follow snapshot semantics
-  // (unreachable / empty), never abort.
+  // Batched lookups, run on the calling thread.  The whole batch is
+  // answered from ONE snapshot, pinned for the call, so results are
+  // mutually consistent even while the writer publishes concurrently.
+  // Out-of-range ids follow snapshot semantics (unreachable / empty),
+  // never abort.  A caller that wants to fan a very large batch out can
+  // split it over its own threads against one Snapshot():
+  // ClosureSnapshot::BatchReaches is const and safe to call from several
+  // threads at once.
   std::vector<uint8_t> BatchReaches(
       const std::vector<std::pair<NodeId, NodeId>>& pairs) const;
   std::vector<std::vector<NodeId>> BatchSuccessors(
@@ -232,34 +229,6 @@ class QueryService {
   bool CheckFlightRecorder() const;
 
  private:
-  // Minimal fixed-size worker pool for batch fan-out.  Deliberately
-  // simple: one mutex-guarded queue, blocking ParallelFor.  The service's
-  // scaling story is the lock-free snapshot read path; the pool only
-  // spreads embarrassingly parallel batch chunks.
-  class WorkerPool {
-   public:
-    explicit WorkerPool(int num_workers);
-    ~WorkerPool();
-
-    int num_workers() const { return static_cast<int>(threads_.size()); }
-
-    // Runs body(begin, end) over a partition of [0, n) across the pool
-    // and the calling thread; returns when every chunk is done.
-    void ParallelFor(int64_t n,
-                     const std::function<void(int64_t, int64_t)>& body);
-
-   private:
-    void WorkerLoop();
-
-    std::mutex mutex_;
-    std::condition_variable work_ready_;
-    std::condition_variable work_done_;
-    std::deque<std::function<void()>> queue_;
-    int64_t outstanding_ = 0;
-    bool stopping_ = false;
-    std::vector<std::thread> threads_;
-  };
-
   // Builds and swaps in a snapshot of `dynamic_`; writer mutex held.
   // Chooses between a WithDelta overlay publish and a full one, and for a
   // full one between folding into the previous base and rebuilding (see
@@ -299,11 +268,12 @@ class QueryService {
   // state, or Load() swapped in a new index lineage).
   bool force_full_publish_ = true;  // Guarded by writer_mutex_.
 
-  // The published snapshot; its reader slots count reach queries.
-  using SnapshotPtr = PublishedPtr<ClosureSnapshot, 1>;
+  // The published snapshot; its reader slots count reach and successor
+  // queries.
+  using SnapshotPtr = PublishedPtr<ClosureSnapshot, 2>;
   static constexpr int kReachQueries = 0;
+  static constexpr int kSuccessorQueries = 1;
   SnapshotPtr snapshot_;
-  std::unique_ptr<WorkerPool> pool_;  // Null when num_workers == 0.
   // Batches (and ScopedBatchSlots) currently occupying admission slots.
   mutable std::atomic<int64_t> inflight_batches_{0};
 };

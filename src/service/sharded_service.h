@@ -22,12 +22,8 @@
 namespace trel {
 
 // Options for ShardedQueryService.  Each shard runs a full QueryService
-// (same options for all shards); per-shard worker pools default to 0
-// because K shards on one box already oversubscribe a shared pool, and
-// the batch fan-out gives per-shard kernels their own caller thread.
+// (same options for all shards).
 struct ShardedServiceOptions {
-  ShardedServiceOptions() { shard.num_workers = 0; }
-
   // Load partitions with PartitionDag's default cut window (see
   // graph/partition.h).
   int num_shards = 4;
@@ -110,6 +106,13 @@ struct ShardedMetricsView {
 // chunk.  Readers are lock-free: a single query pins the boundary
 // snapshot, then the deciding shard's snapshot, each in the calling
 // thread's own reader slot of that service (service/published_ptr.h).
+//
+// Sharding pays off on clustered input (the sharded_mix benchmark's
+// ClusteredDag), where the hubs are a few percent of the nodes and a
+// bitset row is a word or two.  On unclustered input the hub cover grows
+// with the graph (PartitionDag), the bitsets cost hubs × nodes bits each
+// way, and a hub pair that is not reachable scans two long rows; such a
+// graph is better served by one QueryService (DESIGN.md §7).
 //
 // Snapshot semantics match the monolithic service: ids unknown to the
 // published boundary snapshot reach nothing and are reached by nothing.

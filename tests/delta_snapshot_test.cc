@@ -211,15 +211,9 @@ void ExpectLiveArenaMatchesExport(QueryService& service) {
   EXPECT_EQ(snapshot->closure.TotalIntervals(), want.TotalIntervals());
 }
 
-ServiceOptions SerialOptions() {
-  ServiceOptions options;
-  options.num_workers = 0;
-  return options;
-}
-
 TEST(DeltaSnapshotTest, ServiceForcesFullExportEveryK) {
   constexpr int kK = QueryService::kMaxDeltaPublishes;
-  QueryService service(SerialOptions());
+  QueryService service;
   ASSERT_TRUE(service.Load(RandomDag(300, 2.0, 45)).ok());
 
   // Construction and Load are new-lineage publishes: always full, and
@@ -280,7 +274,7 @@ TEST(DeltaSnapshotTest, ServiceForcesFullExportEveryK) {
 }
 
 TEST(DeltaSnapshotTest, ServiceFallsBackToFullWhenMostNodesDirty) {
-  QueryService service(SerialOptions());
+  QueryService service;
   ASSERT_TRUE(service.Load(RandomDag(40, 2.0, 47)).ok());
   // Renumbering relabels (and dirties) every node, pushing the dirty
   // fraction past the threshold: the publish must go full, and rebuild
@@ -302,7 +296,7 @@ TEST(DeltaSnapshotTest, ServiceFallsBackToFullWhenMostNodesDirty) {
 // changes, so it publishes as a small delta rather than a full export.
 TEST(DeltaSnapshotTest, NonTreeRemovalPublishesPreciseDelta) {
   const NodeId n = 2000;
-  QueryService service(SerialOptions());
+  QueryService service;
   ASSERT_TRUE(service.Load(RandomDag(n, 3.0, 51)).ok());
   Digraph graph;
   int64_t dirty = -1;
@@ -338,8 +332,7 @@ TEST(DeltaSnapshotTest, NonTreeRemovalPublishesPreciseDelta) {
 }
 
 TEST(DeltaSnapshotTest, ServiceLoadForcesFullPublish) {
-  ServiceOptions options = SerialOptions();
-  QueryService service(options);
+  QueryService service;
   ASSERT_TRUE(service.Load(RandomDag(100, 2.0, 48)).ok());
   ASSERT_TRUE(service.AddLeafUnder(0).ok());
   service.Publish();
@@ -356,7 +349,7 @@ TEST(DeltaSnapshotTest, ServiceLoadForcesFullPublish) {
 // The service publishes arena-only closures, full and delta alike; each
 // must persist through the on-disk interval store and answer like DFS.
 TEST(DeltaSnapshotTest, PublishedSnapshotsPersistThroughIntervalStore) {
-  QueryService service(SerialOptions());
+  QueryService service;
   ASSERT_TRUE(service.Load(RandomDag(120, 2.0, 51)).ok());
 
   const auto expect_persists = [&service](const std::string& file) {

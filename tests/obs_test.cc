@@ -501,9 +501,7 @@ std::map<std::string, double> ParseSamples(const std::string& text) {
 }
 
 TEST(ExpositionTest, MetricszAgreesWithRead) {
-  ServiceOptions options;
-  options.num_workers = 2;
-  QueryService service(options);
+  QueryService service;
   ASSERT_TRUE(service.Load(RandomDag(300, 3.0, 11)).ok());
   for (NodeId u = 0; u < 50; ++u) (void)service.Reaches(u, (u * 7) % 300);
   std::vector<std::pair<NodeId, NodeId>> pairs;

@@ -1,11 +1,13 @@
-// QueryService: snapshot semantics, batch fan-out, and the concurrent
+// QueryService: snapshot semantics, batches, and the concurrent
 // reader/writer contract, plus the PublishedPtr reader slots under it.
 // The concurrency tests here are TSan targets run by tools/ci.sh.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -25,11 +27,42 @@
 namespace trel {
 namespace {
 
-ServiceOptions SmallBatchOptions() {
-  ServiceOptions options;
-  options.num_workers = 3;
-  options.min_parallel_batch = 8;  // Force the parallel path in tests.
-  return options;
+// This process's threads: one /proc/self/task entry each.
+int64_t ProcessThreads() {
+  int64_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+// Batches run on the calling thread, so neither service starts a thread
+// of its own: not at construction, not in Load, not for a batch.  First
+// in the file, so no earlier test's exiting thread can move the count.
+TEST(QueryServiceTest, ServicesStartNoThreads) {
+  const int64_t threads = ProcessThreads();
+  QueryService service;
+  ShardedQueryService sharded;
+  EXPECT_EQ(ProcessThreads(), threads) << "after construction";
+
+  const Digraph graph = RandomDag(2000, 2.0, 97);
+  ASSERT_TRUE(service.Load(graph).ok());
+  ASSERT_TRUE(sharded.Load(graph).ok());
+  EXPECT_EQ(ProcessThreads(), threads) << "after Load";
+
+  Random rng(98);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 4096; ++i) {
+    pairs.emplace_back(static_cast<NodeId>(rng.Uniform(2000)),
+                       static_cast<NodeId>(rng.Uniform(2000)));
+  }
+  std::vector<NodeId> nodes(256);
+  std::iota(nodes.begin(), nodes.end(), 0);
+  const std::vector<uint8_t> answers = service.BatchReaches(pairs);
+  EXPECT_EQ(sharded.BatchReaches(pairs), answers);
+  EXPECT_EQ(service.BatchSuccessors(nodes).size(), nodes.size());
+  EXPECT_EQ(ProcessThreads(), threads) << "after batches";
 }
 
 TEST(QueryServiceTest, EmptyServiceAnswersNothing) {
@@ -69,7 +102,7 @@ TEST(QueryServiceTest, LoadRejectsCyclicGraph) {
 
 TEST(QueryServiceTest, BatchReachesMatchesSingles) {
   Digraph graph = RandomDag(200, 2.0, 78);
-  QueryService service(SmallBatchOptions());
+  QueryService service;
   ASSERT_TRUE(service.Load(graph).ok());
   auto snapshot = service.Snapshot();
 
@@ -86,11 +119,27 @@ TEST(QueryServiceTest, BatchReachesMatchesSingles) {
     ASSERT_EQ(got[i] != 0, snapshot->Reaches(pairs[i].first, pairs[i].second))
         << pairs[i].first << "->" << pairs[i].second;
   }
+
+  // A caller that wants fan-out splits the batch over its own threads
+  // against one snapshot, and gets the same answers.
+  const int64_t n = static_cast<int64_t>(pairs.size());
+  const int64_t chunk = (n + 3) / 4;
+  std::vector<uint8_t> split(pairs.size());
+  std::vector<std::thread> threads;
+  for (int64_t begin = 0; begin < n; begin += chunk) {
+    const int64_t end = std::min(n, begin + chunk);
+    threads.emplace_back([&snapshot, &pairs, &split, begin, end] {
+      snapshot->BatchReaches(pairs.data() + begin, end - begin,
+                             split.data() + begin, nullptr);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(split, got);
 }
 
 TEST(QueryServiceTest, BatchSuccessorsMatchesSingles) {
   Digraph graph = RandomDag(150, 2.0, 79);
-  QueryService service(SmallBatchOptions());
+  QueryService service;
   ASSERT_TRUE(service.Load(graph).ok());
   auto snapshot = service.Snapshot();
 
@@ -146,9 +195,7 @@ TEST(QueryServiceTest, ApplyRunsCompoundUpdates) {
 // is in flight a publish frees the snapshot it replaced; a counted handle
 // from Snapshot() still keeps its snapshot alive.
 TEST(QueryServiceTest, PublishFreesTheReplacedSnapshot) {
-  ServiceOptions options;
-  options.num_workers = 0;
-  QueryService service(options);
+  QueryService service;
   ASSERT_TRUE(service.Load(RandomDag(50, 2.0, 96)).ok());
   std::thread([&service] {
     for (NodeId u = 0; u < 50; ++u) (void)service.Reaches(u, 49 - u);
@@ -208,7 +255,7 @@ TEST(PublishedPtrDeathTest, NestedPinOnOneObjectAborts) {
 
 TEST(QueryServiceTest, MetricsCountQueriesAndPublishes) {
   Digraph graph = RandomDag(50, 2.0, 81);
-  QueryService service(SmallBatchOptions());
+  QueryService service;
   ASSERT_TRUE(service.Load(graph).ok());
   (void)service.Reaches(0, 1);
   (void)service.BatchReaches({{0, 1}, {1, 2}, {2, 3}});
@@ -262,7 +309,7 @@ TEST(QueryServiceFamilyTest, EveryFamilyServesExactAnswers) {
   for (const IndexFamilySetting setting :
        {IndexFamilySetting::kAuto, IndexFamilySetting::kForceIntervals,
         IndexFamilySetting::kForceHop}) {
-    ServiceOptions options = SmallBatchOptions();
+    ServiceOptions options;
     options.index_family = setting;
     QueryService service(options);
     ASSERT_TRUE(service.Load(graph).ok());
@@ -306,9 +353,7 @@ TEST(QueryServiceFamilyTest, EveryFamilyServesExactAnswers) {
 TEST(QueryServiceFamilyTest, SelectionIsRecordedInMetrics) {
   ScopedClearIndexEnv clear_env;
   // Hub-dominated graph: auto must pick hop and say so in metrics.
-  ServiceOptions options;
-  options.num_workers = 0;
-  QueryService service(options);
+  QueryService service;
   ASSERT_TRUE(service.Load(HubDag(400, 6, 300, 6)).ok());
   ServiceMetrics::View view = service.Metrics();
   EXPECT_EQ(view.index_family_name, "hop");
@@ -346,7 +391,7 @@ TEST(QueryServicePublishStrategyTest, EveryStrategyServesExactAnswers) {
       {PublishStrategy::kOptimalFull, RandomDag(120, 2.5, 31)}};
   for (const auto& [tier, graph] : inputs) {
     const char* name = PublishStrategyName(tier);
-    QueryService service(SmallBatchOptions());
+    QueryService service;
     ASSERT_TRUE(service.Load(graph).ok());
     ASSERT_EQ(service.Snapshot()->publish_strategy, tier) << name;
 
@@ -395,9 +440,7 @@ TEST(QueryServicePublishStrategyTest, ForcedTiersTagMetricsAndSnapshots) {
   {
     const Digraph chained = ChainedDag(6, 20, 2.5, 31);
     ASSERT_TRUE(AnalyzeChains(chained)->eligible);
-    ServiceOptions options;
-    options.num_workers = 0;
-    QueryService service(options);
+    QueryService service;
     ASSERT_TRUE(service.Load(chained).ok());
     EXPECT_EQ(service.Snapshot()->publish_strategy,
               PublishStrategy::kChainFull);
@@ -412,9 +455,7 @@ TEST(QueryServicePublishStrategyTest, ForcedTiersTagMetricsAndSnapshots) {
   {
     const Digraph random = RandomDag(500, 3.0, 11);
     ASSERT_FALSE(AnalyzeChains(random)->eligible);
-    ServiceOptions options;
-    options.num_workers = 0;
-    QueryService service(options);
+    QueryService service;
     ASSERT_TRUE(service.Load(random).ok());
     EXPECT_EQ(service.Snapshot()->publish_strategy,
               PublishStrategy::kOptimalFull);
@@ -433,9 +474,7 @@ TEST(QueryServicePublishStrategyTest, ForcedTiersTagMetricsAndSnapshots) {
     ASSERT_FALSE(
         BuildChainLabeling(capped, DynamicClosure::DefaultOptions().labeling)
             .ok());
-    ServiceOptions options;
-    options.num_workers = 0;
-    QueryService service(options);
+    QueryService service;
     ASSERT_TRUE(service.Load(capped).ok());
     EXPECT_EQ(service.Snapshot()->publish_strategy,
               PublishStrategy::kOptimalFull);
@@ -456,9 +495,7 @@ TEST(QueryServicePublishStrategyTest, ForcedTiersTagMetricsAndSnapshots) {
 // delta cap forces full publishes: every (kMaxDeltaPublishes + 1)-th one.
 TEST(QueryServicePublishStrategyTest, AutoSelectsByEligibilityAndCadence) {
   constexpr int kFullEvery = QueryService::kMaxDeltaPublishes + 1;
-  ServiceOptions options;
-  options.num_workers = 0;
-  QueryService service(options);
+  QueryService service;
 
   // Chain-structured graph: the chain-fast tier at Load.
   const Digraph chained = ChainedDag(6, 20, 2.5, 31);
@@ -704,7 +741,7 @@ constexpr int kMaxBatteryPublishes =
 TEST(QueryServiceChainTierTest, ChainLoadFoldsReoptimizesAndStaysExact) {
   const Digraph graph = ChainedDag(6, 50, 2.5, 61);
   ASSERT_TRUE(AnalyzeChains(graph)->eligible);
-  QueryService service(SmallBatchOptions());
+  QueryService service;
   ASSERT_TRUE(service.Load(graph).ok());
   ASSERT_EQ(service.Snapshot()->publish_strategy, PublishStrategy::kChainFull);
   ASSERT_NO_FATAL_FAILURE(ExpectServesEveryPair(service, graph, "load"));
@@ -823,7 +860,7 @@ TEST(QueryServiceChainTierTest, ShardedK2ShardsRunTheChainTier) {
 TEST(QueryServiceAdmissionTest, RejectsAtLimitThenRecoversExactly) {
   Digraph graph = RandomDag(80, 2.5, 33);
   ReachabilityMatrix matrix(graph);
-  ServiceOptions options = SmallBatchOptions();
+  ServiceOptions options;
   options.max_inflight_batches = 2;
   QueryService service(options);
   ASSERT_TRUE(service.Load(graph).ok());
@@ -887,7 +924,7 @@ TEST(QueryServiceAdmissionTest, RejectsAtLimitThenRecoversExactly) {
 
 TEST(QueryServiceAdmissionTest, UnlimitedByDefaultNeverRejects) {
   Digraph graph = RandomDag(40, 2.0, 7);
-  QueryService service(SmallBatchOptions());  // max_inflight_batches = 0.
+  QueryService service;  // max_inflight_batches = 0.
   ASSERT_TRUE(service.Load(graph).ok());
 
   std::vector<QueryService::ScopedBatchSlot> pins;
@@ -906,10 +943,7 @@ TEST(QueryServiceAdmissionTest, UnlimitedByDefaultNeverRejects) {
 // monotonically non-decreasing epochs, reflexive reachability, batch
 // answers consistent with the snapshot they were served from.
 TEST(QueryServiceConcurrencyTest, ReadersNeverSeeTornState) {
-  ServiceOptions options;
-  options.num_workers = 2;
-  options.min_parallel_batch = 64;
-  QueryService service(options);
+  QueryService service;
   ASSERT_TRUE(service.Load(RandomDag(300, 2.0, 91)).ok());
 
   std::atomic<bool> stop{false};
@@ -989,9 +1023,7 @@ TEST(QueryServiceConcurrencyTest, ReadersNeverSeeTornState) {
 // current base — and a pinned snapshot's answers must never drift while
 // overlays accumulate on top of it.
 TEST(QueryServiceConcurrencyTest, ReadersHoldSnapshotsAcrossDeltaPublishes) {
-  ServiceOptions options;
-  options.num_workers = 0;
-  QueryService service(options);
+  QueryService service;
   ASSERT_TRUE(service.Load(RandomDag(400, 2.0, 93)).ok());
 
   std::atomic<bool> stop{false};
@@ -1063,9 +1095,7 @@ TEST(QueryServiceConcurrencyTest, ReadersHoldSnapshotsAcrossDeltaPublishes) {
 // reach_queries counts every call, including calls from reader threads
 // that exited long before the count is read.
 TEST(QueryServiceConcurrencyTest, ApiReadersStayMonotoneAndCounted) {
-  ServiceOptions options;
-  options.num_workers = 0;
-  QueryService service(options);
+  QueryService service;
   constexpr NodeId kBase = 300;
   ASSERT_TRUE(service.Load(RandomDag(kBase, 1.5, 94)).ok());
   const int64_t fulls_before = service.Metrics().publishes_full;
@@ -1149,14 +1179,13 @@ TEST(QueryServiceConcurrencyTest, ApiReadersStayMonotoneAndCounted) {
 
 // More live reader threads than reader slots: the threads past the slots
 // take the mutex-guarded fallback, whose answers and counts must be just
-// as exact, while the writer keeps swapping snapshots under them.
+// as exact, while the writer keeps swapping snapshots under them.  Both
+// query counters are read after every reader has exited.
 TEST(QueryServiceConcurrencyTest, ReadersBeyondTheSlotsStayExact) {
-  constexpr int kSlots = PublishedPtr<ClosureSnapshot, 1>::kSlots;
+  constexpr int kSlots = PublishedPtr<ClosureSnapshot, 2>::kSlots;
   constexpr int kThreads = kSlots + 8;
   constexpr int kPasses = 4;
-  ServiceOptions options;
-  options.num_workers = 0;
-  QueryService service(options);
+  QueryService service;
   const Digraph graph = RandomDag(200, 2.0, 95);
   ASSERT_TRUE(service.Load(graph).ok());
   const ReachabilityMatrix truth(graph);
@@ -1166,6 +1195,7 @@ TEST(QueryServiceConcurrencyTest, ReadersBeyondTheSlotsStayExact) {
     pairs.emplace_back(static_cast<NodeId>(rng.Uniform(200)),
                        static_cast<NodeId>(rng.Uniform(200)));
   }
+  const std::vector<NodeId> batch_nodes = {0, 99, 199};
 
   std::atomic<int> started{0};
   std::atomic<int> finished{0};
@@ -1185,6 +1215,8 @@ TEST(QueryServiceConcurrencyTest, ReadersBeyondTheSlotsStayExact) {
             wrong.fetch_add(1);
           }
         }
+        (void)service.Successors(pairs[pass].first);
+        (void)service.BatchSuccessors(batch_nodes);
         if (service.Snapshot()->NumNodes() < 200) wrong.fetch_add(1);
       }
       finished.fetch_add(1);
@@ -1201,22 +1233,12 @@ TEST(QueryServiceConcurrencyTest, ReadersBeyondTheSlotsStayExact) {
 
   EXPECT_GE(overflowed.load(), kThreads - kSlots);
   EXPECT_EQ(wrong.load(), 0);
-  EXPECT_EQ(service.Metrics().reach_queries,
+  const ServiceMetrics::View view = service.Metrics();
+  EXPECT_EQ(view.reach_queries,
             int64_t{kThreads} * kPasses * static_cast<int64_t>(pairs.size()));
-}
-
-// The destructor must cleanly drain the worker pool even with batches
-// in flight right up to the end.
-TEST(QueryServiceConcurrencyTest, DestructionWithBusyPoolIsClean) {
-  for (int round = 0; round < 3; ++round) {
-    QueryService service(SmallBatchOptions());
-    ASSERT_TRUE(service.Load(RandomDag(100, 2.0, 92)).ok());
-    std::vector<std::pair<NodeId, NodeId>> pairs(512, {0, 99});
-    std::thread reader([&service, &pairs] {
-      for (int i = 0; i < 20; ++i) (void)service.BatchReaches(pairs);
-    });
-    reader.join();
-  }
+  EXPECT_EQ(view.successor_queries,
+            int64_t{kThreads} * kPasses *
+                (1 + static_cast<int64_t>(batch_nodes.size())));
 }
 
 }  // namespace

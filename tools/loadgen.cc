@@ -599,7 +599,6 @@ int RunScenario(const LoadgenConfig& config) {
                config.duration_s, config.threads);
 
   ServiceOptions options;
-  options.num_workers = 2;
   options.max_inflight_batches = 4;  // Exercise the admission gate.
   // Sample 1-in-64 singles so the server-side `single` window series is
   // live (the monolithic rollup only times sampled singles; batches are
