@@ -1,19 +1,11 @@
 // Adversarial shapes: the Fig 3.6 complete-bipartite crossing and a
 // hub-and-spoke DAG, where the paper's interval labeling pays
-// Theta(n^2).  Measures three structures a point read could go to — the
-// interval arena every snapshot holds, the GRAIL-style TreeCoverIndex
-// comparator and the hop family's HopLabelIndex — for label bytes, build
-// time and point-probe latency, and marks the one the auto selector
-// picks.  Per graph, bytes_intervals_over_auto is how many times smaller
-// the picked structure's labels are than the arena's: the saving of the
-// structure point reads go to, not of the snapshot, which keeps the
-// arena as well.  The hot-metrics manifest gates it (direction "higher")
-// on the hub shape, where hop is picked; on the bipartite shape the
-// selector stays on the arena and the ratio is 1.
+// Theta(n^2).  Measures the interval arena every snapshot answers from
+// against the GRAIL-style TreeCoverIndex comparator, for label bytes,
+// build time and point-probe latency.
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -24,8 +16,6 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "core/compressed_closure.h"
-#include "core/hop_label_index.h"
-#include "core/index_family.h"
 #include "graph/generators.h"
 
 namespace {
@@ -48,11 +38,10 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 using Probe = std::function<bool(NodeId, NodeId)>;
 
-// One structure a point read can go to, by row name (for the arena and
-// hop, the IndexFamilyName the selector reports).  `build` builds it over
-// the graph, points `probe` at it (the probe owns the structure, so each
-// pays its own memory-access pattern, nothing else) and returns its label
-// bytes.
+// One structure a point read can go to, by row name.  `build` builds it
+// over the graph, points `probe` at it (the probe owns the structure, so
+// each pays its own memory-access pattern, nothing else) and returns its
+// label bytes.
 struct Structure {
   const char* name;
   int64_t (*build)(const Digraph& graph, Probe* probe);
@@ -76,13 +65,6 @@ constexpr Structure kStructures[] = {
            std::make_shared<const TreeCoverIndex>(TreeCoverIndex::Build(graph));
        *probe = [trees](NodeId u, NodeId v) { return trees->Reaches(u, v); };
        return trees->LabelBytes();
-     }},
-    {"hop",
-     [](const Digraph& graph, Probe* probe) {
-       auto hop =
-           std::make_shared<const HopLabelIndex>(HopLabelIndex::Build(graph));
-       *probe = [hop](NodeId u, NodeId v) { return hop->Reaches(u, v); };
-       return hop->LabelBytes();
      }},
 };
 
@@ -125,10 +107,10 @@ int main() {
   graphs.emplace_back("fig3_6_bipartite", CompleteBipartite(bip, bip));
   graphs.emplace_back("hub_spine", HubDag(hub_sources, 8, hub_sinks, 10));
 
-  std::printf("Adversarial shapes: point-read structures vs the interval "
-              "arena\n\n");
+  std::printf("Adversarial shapes: the interval arena vs the GRAIL "
+              "comparator\n\n");
   bench_util::Table table({"graph", "structure", "label_bytes", "build_ms",
-                           "us_per_probe", "selected"});
+                           "us_per_probe"});
   bench_util::BenchReport report("micro_adversarial");
   report.config()
       .Set("smoke", smoke)
@@ -138,45 +120,17 @@ int main() {
       .Set("hub_sinks", static_cast<int64_t>(hub_sinks));
 
   for (const auto& [graph_name, graph] : graphs) {
-    auto closure = CompressedClosure::Build(graph);
-    TREL_CHECK(closure.ok());
-    const IndexFamily picked =
-        SelectIndexFamily(graph, closure->TotalIntervals());
-
-    int64_t intervals_bytes = 0;
-    int64_t auto_bytes = 0;
-    double auto_us = 0.0;
     for (const Structure& structure : kStructures) {
       const StructureRun run = Measure(graph, probes, structure);
-      const bool selected =
-          std::strcmp(structure.name, IndexFamilyName(picked)) == 0;
-      if (std::strcmp(structure.name, "intervals") == 0) {
-        intervals_bytes = run.label_bytes;
-      }
-      if (selected) {
-        auto_bytes = run.label_bytes;
-        auto_us = run.us_per_probe;
-      }
       table.AddRow({graph_name, structure.name, Fmt(run.label_bytes),
-                    Fmt(run.build_ms), Fmt(run.us_per_probe, 4),
-                    selected ? "auto" : ""});
+                    Fmt(run.build_ms), Fmt(run.us_per_probe, 4)});
       report.AddRow()
           .Set("name", graph_name + "/" + structure.name)
           .Set("label_bytes", run.label_bytes)
           .Set("build_ms", run.build_ms)
           .Set("us_per_probe", run.us_per_probe)
-          .Set("hits", run.hits)
-          .Set("selected", selected);
+          .Set("hits", run.hits);
     }
-    // How many times smaller the auto-selected structure's labels are
-    // than the arena's (1 when the selector stays on the arena).
-    report.AddRow()
-        .Set("name", graph_name + "/auto_vs_intervals")
-        .Set("auto_family", IndexFamilyName(picked))
-        .Set("bytes_intervals_over_auto",
-             static_cast<double>(intervals_bytes) /
-                 static_cast<double>(auto_bytes))
-        .Set("auto_us_per_probe", auto_us);
   }
   table.Print();
   if (!report.WriteIfEnabled()) return 1;

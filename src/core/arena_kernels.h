@@ -19,13 +19,12 @@ enum class ProbeTag : uint8_t {
   kGroupReject = 2,   // killed by a whole-group 512-bit filter test (batch)
   kExtrasSearch = 3,  // searched an extras run (vector scan or descent)
   kOverlay = 4,       // resolved against a WithDelta overlay entry
-  kHopIntersect = 5,  // decided by a 2-hop Lin/Lout merge-intersection
-  kFallback = 6,      // hop residual-index probe, or TreeCoverIndex's DFS
-  kBoundaryBitset = 7,  // decided by a cross-shard hub-bitset row intersection
+  kFallback = 5,      // TreeCoverIndex's DFS, or a pair deferred to its shard
+  kBoundaryBitset = 6,  // decided by a cross-shard hub-bitset row intersection
 };
-constexpr int kNumProbeTags = 8;
+constexpr int kNumProbeTags = 7;
 
-// "slot" / "filter" / "group" / "extras" / "overlay" / "hop" / "fallback" /
+// "slot" / "filter" / "group" / "extras" / "overlay" / "fallback" /
 // "boundary".
 const char* ProbeTagName(ProbeTag tag);
 

@@ -20,8 +20,6 @@ const char* ProbeTagName(ProbeTag tag) {
       return "extras";
     case ProbeTag::kOverlay:
       return "overlay";
-    case ProbeTag::kHopIntersect:
-      return "hop";
     case ProbeTag::kFallback:
       return "fallback";
     case ProbeTag::kBoundaryBitset:

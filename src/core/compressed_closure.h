@@ -174,8 +174,8 @@ class CompressedClosure {
   bool IsOverlay() const { return overlay_ != nullptr; }
 
   // True iff `v`'s label lives in the overlay (always false on full
-  // exports).  One flat load; used by the snapshot layer to decide
-  // whether a family index built at the base epoch may answer for `v`.
+  // exports).  One flat load; WithDelta uses it to find the base labels
+  // a new overlay supersedes.
   bool IsOverlayMember(NodeId v) const {
     TREL_CHECK(IsValidNode(v));
     return overlay_ != nullptr && overlay_->slot_of[v] != kNotOverlaid;

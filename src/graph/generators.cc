@@ -288,7 +288,7 @@ Digraph HubDag(NodeId num_sources, NodeId num_hubs, NodeId num_sinks,
       }
     }
   }
-  // Hub-free shortcuts exercise a 2-hop index's residual path.
+  // Hub-free shortcuts: paths that no hub lies on.
   for (NodeId s = 0; s < num_sources; s += 16) {
     const NodeId t = sink_base + static_cast<NodeId>(rng.Uniform(num_sinks));
     if (used.insert(PairKey(s, t)).second) {

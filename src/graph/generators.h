@@ -50,11 +50,12 @@ Digraph BipartiteWithIntermediary(NodeId num_top, NodeId num_bottom);
 // (about one per 16 sources) that bypass the hubs entirely.  Node layout:
 // [0, num_sources) sources, then hubs, then sinks.
 //
-// This is the 2-hop index's home turf: almost every arc touches one of a
-// handful of hubs, yet each hub's sink set is a different random subset,
-// so the interval labeling fragments into Theta(num_sources * num_sinks)
-// intervals (each source's sink reachability is a union of scattered
-// postorder runs) while 2-hop labels stay at a few entries per node.
+// This is the worst case of the interval labeling: almost every arc
+// touches one of a handful of hubs, yet each hub's sink set is a
+// different random subset, so the labeling fragments into
+// Theta(num_sources * num_sinks) intervals (each source's sink
+// reachability is a union of scattered postorder runs) while 2-hop hub
+// labels would stay at a few entries per node.
 Digraph HubDag(NodeId num_sources, NodeId num_hubs, NodeId num_sinks,
                uint64_t seed);
 

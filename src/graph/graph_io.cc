@@ -47,6 +47,13 @@ StatusOr<Digraph> ReadEdgeList(std::istream& is) {
     if (!have_header) {
       return InvalidArgumentError("missing '# nodes' header");
     }
+    // Range-check while the ids are still 64-bit: the NodeId cast would
+    // wrap 2^32 + 1 to 1.
+    const long long n = graph.NumNodes();
+    if (from < 0 || from >= n || to < 0 || to >= n) {
+      return InvalidArgumentError("node id out of range at line " +
+                                  std::to_string(line_number));
+    }
     Status s = graph.AddArc(static_cast<NodeId>(from),
                             static_cast<NodeId>(to));
     if (!s.ok()) {

@@ -213,26 +213,6 @@ std::string RenderMetricsz(const ServiceMetrics::View& view,
   out.Sample("trel_simd_level",
              PrometheusText::Label("name", view.simd_level_name),
              static_cast<int64_t>(view.simd_level));
-  out.Family("trel_index_family",
-             "Index family serving the live snapshot (0=intervals,1=hop).",
-             "gauge");
-  out.Sample("trel_index_family",
-             PrometheusText::Label("name", view.index_family_name),
-             static_cast<int64_t>(view.index_family));
-  out.Family("trel_family_label_bytes",
-             "Bytes of the live snapshot family's own labels, held in "
-             "addition to trel_snapshot_arena_bytes (equal to it when the "
-             "family is intervals).",
-             "gauge");
-  out.Sample("trel_family_label_bytes", "", view.family_label_bytes);
-  out.Family("trel_family_selects_total",
-             "Full publishes that selected each index family.", "counter");
-  for (int f = 0; f < kNumIndexFamilies; ++f) {
-    out.Sample("trel_family_selects_total",
-               PrometheusText::Label(
-                   "family", IndexFamilyName(static_cast<IndexFamily>(f))),
-               view.family_selects[f]);
-  }
   out.Family("trel_publish_strategy",
              "Strategy of the most recent publish (by name label; value is "
              "the PublishStrategy enum, -1 before the first publish).",
@@ -316,8 +296,6 @@ std::string RenderStatusz(const ServiceMetrics::View& view,
   out << "arena_bytes: " << view.snapshot_arena_bytes << "\n";
   out << "simd: " << view.simd_level_name << " (level " << view.simd_level
       << ")\n";
-  out << "index_family: " << view.index_family_name
-      << " (label_bytes " << view.family_label_bytes << ")\n";
   out << "queries: reach=" << view.reach_queries
       << " successor=" << view.successor_queries
       << " batches=" << view.batches << "\n";

@@ -114,9 +114,6 @@ ServiceMetrics::View ServiceMetrics::Read() const {
       batch_extras_searches_.load(std::memory_order_relaxed);
   batch_latency_.Read().FoldPowerOfTwo(view.batch_latency_histogram);
   delta_nodes_.Read().FoldPowerOfTwo(view.delta_nodes_histogram);
-  for (int i = 0; i < kNumIndexFamilies; ++i) {
-    view.family_selects[i] = family_selects_[i].load(std::memory_order_relaxed);
-  }
   return view;
 }
 
@@ -146,19 +143,10 @@ std::string ServiceMetrics::View::ToString() const {
   out << "] delta_nodes_hist=[";
   AppendPowerOfTwoBuckets(out, delta_nodes_histogram);
   out << "]";
-  // Appended past every pre-family field: tools/obs_check.py matches its
-  // fixed fields leftmost, so new names must never precede old ones.
-  out << " index_family=" << index_family_name
-      << " family_label_bytes=" << family_label_bytes << " family_selects=[";
-  for (int i = 0; i < kNumIndexFamilies; ++i) {
-    if (i > 0) out << " ";
-    out << IndexFamilyName(static_cast<IndexFamily>(i)) << "="
-        << family_selects[i];
-  }
-  out << "]";
-  // Publish-strategy split, appended past the family block for the same
-  // leftmost-match reason.  The legacy full counters above stay as the
-  // chain_full + optimal_full sums.
+  // Publish-strategy split, appended past the older fields:
+  // tools/obs_check.py matches its fixed fields leftmost, so new names
+  // must never precede old ones.  The legacy full counters above stay as
+  // the chain_full + optimal_full sums.
   out << " publish_strategy=" << last_publish_strategy
       << " publishes_chain_full=" << publishes_chain_full
       << " publishes_optimal_full=" << publishes_optimal_full

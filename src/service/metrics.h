@@ -7,7 +7,6 @@
 #include <string>
 
 #include "core/arena_kernels.h"
-#include "core/index_family.h"
 #include "obs/histogram.h"
 #include "obs/span_log.h"
 
@@ -83,15 +82,6 @@ class ServiceMetrics {
     // startup — see core/simd_dispatch.h.
     int simd_level = 0;
     std::string simd_level_name = "scalar";
-    // Index family serving the live snapshot (gauge; filled by
-    // QueryService) plus the bytes of the family's own labels, held in
-    // addition to snapshot_arena_bytes (equal to it on kIntervals).
-    int index_family = 0;
-    std::string index_family_name = "intervals";
-    int64_t family_label_bytes = 0;
-    // How many full publishes selected each family since startup,
-    // indexed by IndexFamily.
-    std::array<int64_t, kNumIndexFamilies> family_selects{};
     // Strategy of the most recent publish ("none" before the first).
     std::string last_publish_strategy = "none";
     // Snapshot interval totals observed at the most recent full publish
@@ -127,11 +117,6 @@ class ServiceMetrics {
   // Folds one batch invocation's kernel tallies in (four relaxed adds —
   // the kernel itself counts in plain locals).
   void RecordBatchKernel(const BatchKernelStats& stats);
-  // One full publish that selected `family` for the new snapshot.
-  void RecordFamilySelect(IndexFamily family) {
-    family_selects_[static_cast<int>(family)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
 
   View Read() const;
 
@@ -157,7 +142,6 @@ class ServiceMetrics {
   std::atomic<int64_t> batch_filter_rejects_{0};
   std::atomic<int64_t> batch_group_rejects_{0};
   std::atomic<int64_t> batch_extras_searches_{0};
-  std::array<std::atomic<int64_t>, kNumIndexFamilies> family_selects_{};
 };
 
 }  // namespace trel

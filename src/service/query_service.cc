@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 
 #include "common/check.h"
@@ -40,9 +39,6 @@ QueryService::QueryService(const ServiceOptions& options)
     capture->slow = slow_log_.Recent();
     capture->metrics = Metrics().ToString();
   });
-  if (std::getenv("TREL_INDEX") != nullptr) {
-    options_.index_family = IndexFamilySettingFromEnv();
-  }
   std::lock_guard<std::mutex> lock(writer_mutex_);
   epoch_ = static_cast<uint64_t>(-1);  // So the empty snapshot is epoch 0.
   PublishLocked();
@@ -153,13 +149,6 @@ uint64_t QueryService::PublishLocked() {
     snapshot->closure = CompressedClosure::WithDelta(base->closure, delta);
     span.phase_micros[static_cast<int>(PublishPhase::kExport)] =
         phase.ElapsedMicros();
-    // The family index is rebuilt on full publishes only.  The overlay
-    // routing in ClosureSnapshot::FamilyCovers keeps the carried index
-    // exact for untouched node pairs.
-    snapshot->family = base->family;
-    snapshot->hop_index = base->hop_index;
-    snapshot->family_nodes = base->family_nodes;
-    snapshot->family_label_bytes = base->family_label_bytes;
     snapshot->delta_publish = true;
     snapshot->delta_entries = static_cast<int64_t>(delta.entries.size());
     ++delta_publishes_since_full_;
@@ -200,26 +189,8 @@ uint64_t QueryService::PublishLocked() {
       snapshot->closure = dynamic_.ExportClosure();
     }
     const int64_t arena_micros = arena_timer.ElapsedMicros();
-    // Family selection and build ride the export phase: scoring is one
-    // degree pass, and a hop build is the same order of work as the
-    // arena build it stands in for on the query path.
-    snapshot->family = ResolveIndexFamily(options_.index_family,
-                                          dynamic_.graph(),
-                                          snapshot->closure.TotalIntervals());
-    snapshot->family_nodes = num_nodes;
-    switch (snapshot->family) {
-      case IndexFamily::kHop:
-        snapshot->hop_index = std::make_shared<const HopLabelIndex>(
-            HopLabelIndex::Build(dynamic_.graph()));
-        snapshot->family_label_bytes = snapshot->hop_index->LabelBytes();
-        break;
-      case IndexFamily::kIntervals:
-        snapshot->family_label_bytes = snapshot->closure.ArenaByteSize();
-        break;
-    }
-    metrics_.RecordFamilySelect(snapshot->family);
-    // The export span is the family step (and, when folding, the delta
-    // drain and overlay); the arena rebuild or fold is its own phase.
+    // When folding, the export span is the delta drain and overlay; the
+    // arena rebuild or fold is its own phase.
     span.phase_micros[static_cast<int>(PublishPhase::kExport)] =
         std::max<int64_t>(0, phase.ElapsedMicros() - arena_micros);
     span.phase_micros[static_cast<int>(PublishPhase::kArenaBuild)] =
@@ -436,9 +407,6 @@ ServiceMetrics::View QueryService::Metrics() const {
   view.snapshot_arena_bytes = snapshot->closure.ArenaByteSize();
   view.simd_level = static_cast<int>(ActiveSimdLevel());
   view.simd_level_name = SimdLevelName(ActiveSimdLevel());
-  view.index_family = static_cast<int>(snapshot->family);
-  view.index_family_name = IndexFamilyName(snapshot->family);
-  view.family_label_bytes = snapshot->family_label_bytes;
   return view;
 }
 

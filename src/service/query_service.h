@@ -23,6 +23,13 @@
 
 namespace trel {
 
+// The type of ServiceOptions::index_family, which is ignored: every
+// snapshot answers from its interval arena.
+enum class IndexFamilySetting : uint8_t {
+  kAuto = 0,
+  kForceIntervals = 1,
+};
+
 // Knobs for QueryService.
 struct ServiceOptions {
   // Ignored: batches run on the calling thread and the service starts no
@@ -38,12 +45,8 @@ struct ServiceOptions {
   int64_t max_inflight_batches = 0;
   // Build options for the underlying index (gap numbering etc.).
   ClosureOptions closure = DynamicClosure::DefaultOptions();
-  // Index family for full publishes: kAuto lets the selector score the
-  // graph per snapshot (core/index_family.h); the force values pin one
-  // family, mainly for the CI family matrix and benchmarks.  The interval
-  // arena is built either way, so kForceHop adds the hop labels' bytes on
-  // top of it.  A TREL_INDEX env value ("auto"/"intervals"/"hop"; any
-  // other value means auto) overrides this at construction.
+  // Ignored: every snapshot answers from its interval arena.  Kept only
+  // because the benchmark's services still assign it.
   IndexFamilySetting index_family = IndexFamilySetting::kAuto;
 
   // --- Observability (src/obs/, DESIGN.md §5) -----------------------------

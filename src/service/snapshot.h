@@ -3,12 +3,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/compressed_closure.h"
-#include "core/hop_label_index.h"
-#include "core/index_family.h"
 #include "obs/span_log.h"
 
 namespace trel {
@@ -39,25 +37,6 @@ struct ClosureSnapshot {
   // kChainFull when it came from the chain-fast path cover, kOptimalFull
   // for the Alg1 antichain-optimal cover.
   PublishStrategy publish_strategy = PublishStrategy::kOptimalFull;
-  // Which index family answers point queries on this snapshot, plus the
-  // hop index when family == kHop.  The interval closure above is ALWAYS
-  // present — it backs WithDelta overlays, successor/predecessor
-  // enumeration, and every query the family build does not cover — so a
-  // family index is a point-query accelerator layered on top, never a
-  // replacement, and its bytes add to the arena's.  Built on full
-  // publishes only; delta publishes carry the base's family forward and
-  // route queries touching changed nodes back to the (exact) overlay
-  // closure via FamilyCovers below.
-  IndexFamily family = IndexFamily::kIntervals;
-  std::shared_ptr<const HopLabelIndex> hop_index;
-  // Node-count high-water mark of the family build: ids >= family_nodes
-  // were added after it and must use the interval closure.
-  NodeId family_nodes = 0;
-  // Footprint of the family's own labels, held in addition to the arena
-  // (ServiceMetrics::View::snapshot_arena_bytes); when family ==
-  // kIntervals it is the arena's byte size itself.  For /statusz and the
-  // benchmarks.
-  int64_t family_label_bytes = 0;
   // Publication instant on the MONOTONIC clock, captured by the writer
   // right before the atomic swap.  steady_clock by type so wall-clock
   // adjustments (NTP steps, suspend fix-ups) can never yield negative
@@ -84,40 +63,23 @@ struct ClosureSnapshot {
   // reader holding an old snapshot cannot know what ids exist now.
   bool Reaches(NodeId u, NodeId v) const {
     if (!closure.IsValidNode(u) || !closure.IsValidNode(v)) return false;
-    if (UsesFamily(u, v)) return hop_index->Reaches(u, v);
     return closure.Reaches(u, v);
   }
 
-  // True iff the family build may answer for `x`: the node existed at
-  // build time and its label entry was not replaced by a delta overlay
-  // since.  Soundness: the writer's dirty tracking overapproximates label
-  // changes, so a node outside the overlay has the same reachability
-  // relation to every other non-overlay node as at the base epoch — where
-  // the family index was exact.
-  bool FamilyCovers(NodeId x) const {
-    return x < family_nodes && !closure.IsOverlayMember(x);
+  // Traced / batch twins of Reaches: the closure's own, which already
+  // answer unknown ids with 0 (tag kSlot).
+  bool ReachesTraced(NodeId u, NodeId v, ProbeTrace* trace) const {
+    return closure.ReachesTraced(u, v, trace);
   }
-
-  // A query pair routes to the family index only when BOTH endpoints are
-  // covered; anything touching an overlay member or a post-build node
-  // falls back to the interval overlay closure, which is always exact.
-  bool UsesFamily(NodeId u, NodeId v) const {
-    return family != IndexFamily::kIntervals && FamilyCovers(u) &&
-           FamilyCovers(v);
-  }
-
-  // Traced / batch twins of Reaches with the same family dispatch and
-  // the same snapshot semantics as the closure's versions (out-of-range
-  // ids answer 0).  On the hop family the batch runs per query — its
-  // probes are merge scans, not the arena's pipelined kernel — with tags
-  // folded into `stats` (hop intersects count as fast path, residual
-  // probes as extras).
-  bool ReachesTraced(NodeId u, NodeId v, ProbeTrace* trace) const;
   void BatchReaches(const std::pair<NodeId, NodeId>* pairs, int64_t n,
-                    uint8_t* out, BatchKernelStats* stats) const;
+                    uint8_t* out, BatchKernelStats* stats) const {
+    closure.BatchReaches(pairs, n, out, stats);
+  }
   void BatchReachesTraced(const std::pair<NodeId, NodeId>* pairs, int64_t n,
                           uint8_t* out, BatchKernelStats* stats,
-                          uint8_t* tags) const;
+                          uint8_t* tags) const {
+    closure.BatchReachesTraced(pairs, n, out, stats, tags);
+  }
 
   std::vector<NodeId> Successors(NodeId u) const {
     if (!closure.IsValidNode(u)) return {};

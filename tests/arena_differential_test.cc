@@ -28,8 +28,6 @@
 #include "core/chain_propagator.h"
 #include "core/compressed_closure.h"
 #include "core/dynamic_closure.h"
-#include "core/hop_label_index.h"
-#include "core/index_family.h"
 #include "core/labeling.h"
 #include "core/simd_dispatch.h"
 #include "core/tree_cover.h"
@@ -1011,16 +1009,12 @@ TEST(ArenaHighLabelTest, IntervalStoreRoundTripsAboveTwoToThe31) {
 }
 
 // ---------------------------------------------------------------------------
-// Index-family differential suite: HopLabelIndex and the TreeCoverIndex
-// comparator must answer bit-for-bit like DFS ground truth (and hence
-// like the interval closure) on the adversarial shapes they exist for —
-// the Fig 3.6 dense bipartite layers that shred interval labels, and
-// hub-dominated DAGs.
-
-// The generator mix: shapes where each family is at home plus shapes
-// where it is at a disadvantage, so correctness never leans on the
-// selector picking "its" graph.
-std::vector<std::pair<const char*, Digraph>> FamilyAdversarialGraphs() {
+// Adversarial-shape differential suite: the interval closure and the
+// TreeCoverIndex comparator must answer bit-for-bit like DFS ground truth
+// on the shapes that shred interval labels — the Fig 3.6 dense bipartite
+// layers and hub-dominated DAGs — and on shapes where the labels stay
+// small.
+std::vector<std::pair<const char*, Digraph>> AdversarialGraphs() {
   std::vector<std::pair<const char*, Digraph>> graphs;
   graphs.emplace_back("bipartite", CompleteBipartite(22, 22));
   graphs.emplace_back("layered_dense", LayeredDag(4, 14, 0.5, 91));
@@ -1032,12 +1026,11 @@ std::vector<std::pair<const char*, Digraph>> FamilyAdversarialGraphs() {
 }
 
 TEST(IndexFamilyDifferentialTest, AllFamiliesMatchDfsGroundTruth) {
-  for (const auto& [name, graph] : FamilyAdversarialGraphs()) {
+  for (const auto& [name, graph] : AdversarialGraphs()) {
     const ReachabilityMatrix truth(graph);
     auto closure = CompressedClosure::Build(graph);
     ASSERT_TRUE(closure.ok()) << name;
     const TreeCoverIndex trees = TreeCoverIndex::Build(graph, 2, 7);
-    const HopLabelIndex hop = HopLabelIndex::Build(graph, 8);
     const NodeId n = graph.NumNodes();
     for (NodeId u = 0; u < n; ++u) {
       for (NodeId v = 0; v < n; ++v) {
@@ -1046,34 +1039,35 @@ TEST(IndexFamilyDifferentialTest, AllFamiliesMatchDfsGroundTruth) {
             << name << " intervals " << u << "->" << v;
         ASSERT_EQ(trees.Reaches(u, v), want)
             << name << " trees " << u << "->" << v;
-        ASSERT_EQ(hop.Reaches(u, v), want)
-            << name << " hop " << u << "->" << v;
       }
     }
   }
 }
 
-// The traced twins must return the same answers and only family-legal
-// tags, since trace records cross the obs boundary by tag value.
+// The traced twins must return the same answers and only legal tags,
+// since trace records cross the obs boundary by tag value.
 TEST(IndexFamilyDifferentialTest, TracedTwinsAgreeAndTagLegally) {
-  for (const auto& [name, graph] : FamilyAdversarialGraphs()) {
+  for (const auto& [name, graph] : AdversarialGraphs()) {
+    auto closure = CompressedClosure::Build(graph);
+    ASSERT_TRUE(closure.ok()) << name;
     const TreeCoverIndex trees = TreeCoverIndex::Build(graph, 3, 8);
-    const HopLabelIndex hop = HopLabelIndex::Build(graph, 8);
     const NodeId n = graph.NumNodes();
     for (NodeId u = 0; u < n; ++u) {
       for (NodeId v = 0; v < n; ++v) {
         ProbeTrace trace;
+        ASSERT_EQ(closure->ReachesTraced(u, v, &trace),
+                  closure->Reaches(u, v))
+            << name;
+        ASSERT_TRUE(trace.tag == ProbeTag::kSlot ||
+                    trace.tag == ProbeTag::kFilterReject ||
+                    trace.tag == ProbeTag::kExtrasSearch)
+            << name << " intervals tag " << static_cast<int>(trace.tag);
         ASSERT_EQ(trees.ReachesTraced(u, v, &trace), trees.Reaches(u, v))
             << name;
         ASSERT_TRUE(trace.tag == ProbeTag::kSlot ||
                     trace.tag == ProbeTag::kFilterReject ||
                     trace.tag == ProbeTag::kFallback)
             << name << " trees tag " << static_cast<int>(trace.tag);
-        ASSERT_EQ(hop.ReachesTraced(u, v, &trace), hop.Reaches(u, v)) << name;
-        ASSERT_TRUE(trace.tag == ProbeTag::kSlot ||
-                    trace.tag == ProbeTag::kHopIntersect ||
-                    trace.tag == ProbeTag::kFallback)
-            << name << " hop tag " << static_cast<int>(trace.tag);
       }
     }
   }
@@ -1107,122 +1101,33 @@ TEST(TreeCoverIndexTest, MoreTreesNeverMeanMoreFallbacks) {
   EXPECT_LT(four_fallbacks, one_fallbacks);
 }
 
-// The selector's contract on the canonical shapes: only hub-dominated
-// graphs with a blown-up labeling flip to 2-hop labels; the paper's
-// random DAGs, trees and the hub-free bipartite blowup stay on intervals.
-TEST(IndexFamilySelectorTest, PicksTheExpectedFamilyPerShape) {
-  const auto intervals_of = [](const Digraph& g) {
-    auto closure = CompressedClosure::Build(g);
-    TREL_CHECK(closure.ok());
-    return closure->TotalIntervals();
-  };
-
-  // The standard benchmark shape: interval counts blow up organically
-  // (tens per node) but no hubs carry the graph — intervals must win on
-  // hub skew, not on blowup.
-  const Digraph standard = RandomDag(2000, 4.0, 5);
-  FamilySignals signals;
-  EXPECT_EQ(SelectIndexFamily(standard, intervals_of(standard), &signals),
-            IndexFamily::kIntervals);
-  EXPECT_GT(signals.interval_blowup, kMaxIntervalBlowup);
-  EXPECT_LT(signals.hub_arc_fraction, kMinHubArcFraction);
-
-  // Tree-like shapes stay on intervals via the blowup cutoff alone.
-  const Digraph tree = RandomTree(2000, 5);
-  EXPECT_EQ(SelectIndexFamily(tree, intervals_of(tree), &signals),
-            IndexFamily::kIntervals);
-  EXPECT_LE(signals.interval_blowup, kMaxIntervalBlowup);
-
-  // The Fig 3.6 crossing blows the labeling up without hubs: the arena
-  // every snapshot holds answers it.
-  const Digraph bipartite = CompleteBipartite(60, 60);
-  EXPECT_EQ(SelectIndexFamily(bipartite, intervals_of(bipartite), &signals),
-            IndexFamily::kIntervals);
-  EXPECT_GT(signals.interval_blowup, kMaxIntervalBlowup);
-  EXPECT_LT(signals.hub_arc_fraction, kMinHubArcFraction);
-
-  const Digraph hub = HubDag(400, 6, 300, 6);
-  EXPECT_EQ(SelectIndexFamily(hub, intervals_of(hub), &signals),
-            IndexFamily::kHop);
-  EXPECT_GT(signals.interval_blowup, kMaxIntervalBlowup);
-  EXPECT_GE(signals.hub_arc_fraction, kMinHubArcFraction);
-
-  // Forcing overrides scoring; kAuto falls through to it.
-  EXPECT_EQ(ResolveIndexFamily(IndexFamilySetting::kForceIntervals, hub,
-                               intervals_of(hub)),
-            IndexFamily::kIntervals);
-  EXPECT_EQ(ResolveIndexFamily(IndexFamilySetting::kAuto, hub,
-                               intervals_of(hub)),
-            IndexFamily::kHop);
-}
-
-TEST(IndexFamilySelectorTest, EnvParsingNeverFails) {
-  EXPECT_EQ(ParseIndexFamilySetting(nullptr), IndexFamilySetting::kAuto);
-  EXPECT_EQ(ParseIndexFamilySetting(""), IndexFamilySetting::kAuto);
-  EXPECT_EQ(ParseIndexFamilySetting("auto"), IndexFamilySetting::kAuto);
-  EXPECT_EQ(ParseIndexFamilySetting("bogus"), IndexFamilySetting::kAuto);
-  // The retired trees family is an unknown value like any other.
-  EXPECT_EQ(ParseIndexFamilySetting("trees"), IndexFamilySetting::kAuto);
-  EXPECT_EQ(ParseIndexFamilySetting("intervals"),
-            IndexFamilySetting::kForceIntervals);
-  EXPECT_EQ(ParseIndexFamilySetting("hop"), IndexFamilySetting::kForceHop);
-}
-
-// On the shapes each family exists for, its labels must be materially
-// smaller than the interval arena — this is the economic half of the
-// acceptance bar, checked at test scale: 3x for hop labels on the hub
-// DAG, 2x for tree covers on the bipartite crossing, where the arena's
-// 8-byte intervals leave the trees family about 2.2x smaller.
+// On the bipartite crossing the tree covers' labels are at least 2x
+// smaller than the interval arena, checked at test scale (about 2.2x with
+// the arena's 8-byte intervals).
 TEST(IndexFamilyDifferentialTest, FamiliesBeatIntervalBytesOnTheirShapes) {
-  {
-    const Digraph bipartite = CompleteBipartite(150, 150);
-    auto closure = CompressedClosure::Build(bipartite);
-    ASSERT_TRUE(closure.ok());
-    const TreeCoverIndex trees = TreeCoverIndex::Build(bipartite, 2, 9);
-    EXPECT_GE(closure->ArenaByteSize(), 2 * trees.LabelBytes())
-        << "intervals " << closure->ArenaByteSize() << "B vs trees "
-        << trees.LabelBytes() << "B";
-  }
-  {
-    const Digraph hubby = HubDag(900, 8, 700, 10);
-    auto closure = CompressedClosure::Build(hubby);
-    ASSERT_TRUE(closure.ok());
-    const HopLabelIndex hop = HopLabelIndex::Build(hubby);
-    EXPECT_GE(closure->ArenaByteSize(), 3 * hop.LabelBytes())
-        << "intervals " << closure->ArenaByteSize() << "B vs hop "
-        << hop.LabelBytes() << "B";
-  }
+  const Digraph bipartite = CompleteBipartite(150, 150);
+  auto closure = CompressedClosure::Build(bipartite);
+  ASSERT_TRUE(closure.ok());
+  const TreeCoverIndex trees = TreeCoverIndex::Build(bipartite, 2, 9);
+  EXPECT_GE(closure->ArenaByteSize(), 2 * trees.LabelBytes())
+      << "intervals " << closure->ArenaByteSize() << "B vs trees "
+      << trees.LabelBytes() << "B";
 }
 
-// WithDelta overlay chains per family, through the snapshot dispatch
-// layer the service uses: any pair touching an overlaid or post-build
-// node must route back to the (exact) interval overlay, so the carried
-// family index never serves stale answers.  Each family runs two chains:
-// one that only adds arcs and leaves, and one whose rounds first delete
-// a tree arc and two non-tree arcs, so paths also disappear under the
-// carried index.
+// WithDelta overlay chains on a hub-dominated DAG, through the snapshot
+// layer the service uses.  Two chains: one that only adds arcs and
+// leaves, and one whose rounds first delete a tree arc and two non-tree
+// arcs, so paths also disappear under the overlay.
 TEST(IndexFamilyOverlayTest, OverlayChainsStayExactUnderEveryFamily) {
-  for (const auto& [family, deletions] :
-       {std::pair{IndexFamily::kIntervals, false},
-        std::pair{IndexFamily::kIntervals, true},
-        std::pair{IndexFamily::kHop, false},
-        std::pair{IndexFamily::kHop, true}}) {
-    const std::string chain =
-        std::string(IndexFamilyName(family)) + (deletions ? "+deletions" : "");
+  for (const bool deletions : {false, true}) {
+    const std::string chain = deletions ? "deletions" : "insertions";
     auto dynamic = DynamicClosure::Build(HubDag(30, 4, 26, 55));
     ASSERT_TRUE(dynamic.ok());
 
-    // Full publish: interval export plus the family build, exactly as
-    // QueryService::PublishLocked assembles a snapshot.
+    // Full publish, as QueryService::PublishLocked assembles a snapshot.
     ClosureSnapshot snapshot;
     snapshot.closure = dynamic->ExportClosure();
     dynamic->MarkClean();
-    snapshot.family = family;
-    snapshot.family_nodes = dynamic->NumNodes();
-    if (family == IndexFamily::kHop) {
-      snapshot.hop_index = std::make_shared<const HopLabelIndex>(
-          HopLabelIndex::Build(dynamic->graph(), 8));
-    }
 
     Random rng(137);
     for (int round = 0; round < 5; ++round) {
@@ -1257,28 +1162,17 @@ TEST(IndexFamilyOverlayTest, OverlayChainsStayExactUnderEveryFamily) {
                           rng.Uniform(dynamic->NumNodes())))
                       .ok());
 
-      // Delta publish: overlay the closure, carry the family forward.
+      // Delta publish: overlay the closure.
       ClosureDelta delta = dynamic->ExportDelta();
       snapshot.closure = CompressedClosure::WithDelta(snapshot.closure, delta);
       ASSERT_TRUE(snapshot.closure.IsOverlay());
 
       const ReachabilityMatrix truth(dynamic->graph());
       const NodeId n = dynamic->NumNodes();
-      int64_t family_answered = 0;
       for (NodeId u = 0; u < n; ++u) {
         for (NodeId v = 0; v < n; ++v) {
           ASSERT_EQ(snapshot.Reaches(u, v), truth.Reaches(u, v))
               << chain << " round " << round << " " << u << "->" << v;
-          if (snapshot.UsesFamily(u, v)) ++family_answered;
-        }
-      }
-      if (family != IndexFamily::kIntervals) {
-        // The overlay must not swallow the family entirely; on the first
-        // round (a handful of dirty nodes) it must still carry the bulk.
-        EXPECT_GT(family_answered, 0) << chain << " round " << round;
-        if (round == 0 && !deletions) {
-          EXPECT_GT(family_answered, static_cast<int64_t>(n) * n / 2)
-              << chain;
         }
       }
 

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,6 +169,14 @@ TEST(GraphIoTest, ReadRejectsMalformedInput) {
   {
     std::istringstream is("# nodes 2\n0 5\n");
     EXPECT_EQ(ReadEdgeList(is).status().code(), StatusCode::kInvalidArgument);
+  }
+  // Ids past 32 bits must not wrap into range (2^32 + 1 -> 1).
+  for (const char* arc : {"4294967297 4294967298\n", "-4294967295 2\n"}) {
+    std::istringstream is(std::string("# nodes 3\n") + arc);
+    const StatusOr<Digraph> read = ReadEdgeList(is);
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument) << arc;
+    EXPECT_NE(read.status().message().find("line 2"), std::string::npos)
+        << read.status().ToString();
   }
 }
 

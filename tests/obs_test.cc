@@ -164,10 +164,6 @@ TEST(ServiceMetricsViewTest, ToStringGolden) {
   view.delta_nodes_total = 4;
   view.batch_latency_histogram[8] = 2;  // [256, 512) us.
   view.delta_nodes_histogram[2] = 1;    // [4, 8) nodes.
-  view.index_family = 1;
-  view.index_family_name = "hop";
-  view.family_label_bytes = 4096;
-  view.family_selects = {5, 2};
   view.last_publish_strategy = "chain_full";
   view.chain_full_intervals_last = 24;
   view.optimal_full_intervals_last = 12;
@@ -180,13 +176,11 @@ TEST(ServiceMetricsViewTest, ToStringGolden) {
             "batch_kernel=[fast=50 filter_rej=30 group_rej=10 extras=10] "
             "publishes=3 (full=2 delta=1) publish_us=1020 (full=1000 "
             "delta=20) delta_nodes=4 latency_hist_us=[<512:2] "
-            "delta_nodes_hist=[<8:1] index_family=hop "
-            "family_label_bytes=4096 "
-            "family_selects=[intervals=5 hop=2] "
-            "publish_strategy=chain_full publishes_chain_full=1 "
-            "publishes_optimal_full=1 publish_us_chain_full=300 "
-            "publish_us_optimal_full=700 chain_intervals_last=24 "
-            "optimal_intervals_last=12 chain_blowup=2 publishes_folded=1");
+            "delta_nodes_hist=[<8:1] publish_strategy=chain_full "
+            "publishes_chain_full=1 publishes_optimal_full=1 "
+            "publish_us_chain_full=300 publish_us_optimal_full=700 "
+            "chain_intervals_last=24 optimal_intervals_last=12 "
+            "chain_blowup=2 publishes_folded=1");
 }
 
 // ---------------------------------------------------------------------------

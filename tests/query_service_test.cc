@@ -4,11 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -278,105 +276,47 @@ TEST(QueryServiceTest, MetricsCountQueriesAndPublishes) {
   EXPECT_EQ(histogram_total, view.batches);
 }
 
-// --- Admission control ------------------------------------------------------
+// --- Hub-dominated graphs ---------------------------------------------------
 
-// Clears TREL_INDEX for the enclosing scope so tests that exercise
-// ServiceOptions::index_family directly aren't overridden when the whole
-// binary reruns under tools/ci.sh --family-matrix.
-class ScopedClearIndexEnv {
- public:
-  ScopedClearIndexEnv() {
-    const char* value = std::getenv("TREL_INDEX");
-    if (value != nullptr) saved_ = value;
-    unsetenv("TREL_INDEX");
-  }
-  ~ScopedClearIndexEnv() {
-    if (saved_.has_value()) setenv("TREL_INDEX", saved_->c_str(), 1);
-  }
-
- private:
-  std::optional<std::string> saved_;
-};
-
-// Every forced index family (and auto) must serve the exact same answers
-// through the full service stack — singles, batches, and after delta
-// publishes that overlay the carried family index.  tools/ci.sh
-// --family-matrix additionally reruns this whole binary under each
-// TREL_INDEX value, which exercises the env override path.
+// The service answers exactly on a hub-dominated graph — singles,
+// batches, and after a delta publish over the loaded base.
 TEST(QueryServiceFamilyTest, EveryFamilyServesExactAnswers) {
-  ScopedClearIndexEnv clear_env;
   const Digraph graph = HubDag(40, 5, 36, 31);
-  for (const IndexFamilySetting setting :
-       {IndexFamilySetting::kAuto, IndexFamilySetting::kForceIntervals,
-        IndexFamilySetting::kForceHop}) {
-    ServiceOptions options;
-    options.index_family = setting;
-    QueryService service(options);
-    ASSERT_TRUE(service.Load(graph).ok());
-
-    ReachabilityMatrix truth(graph);
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    for (NodeId u = 0; u < graph.NumNodes(); ++u) {
-      for (NodeId v = 0; v < graph.NumNodes(); ++v) pairs.emplace_back(u, v);
-    }
-    std::vector<uint8_t> batch = service.BatchReaches(pairs);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      const auto [u, v] = pairs[i];
-      ASSERT_EQ(service.Reaches(u, v), truth.Reaches(u, v))
-          << static_cast<int>(setting) << " " << u << "->" << v;
-      ASSERT_EQ(batch[i] != 0, truth.Reaches(u, v))
-          << static_cast<int>(setting) << " batch " << u << "->" << v;
-    }
-
-    // Mutate + publish (likely a delta): the carried family index must
-    // keep agreeing with fresh ground truth.
-    // Source 1 has no shortcut arc (only every 16th source does), so this
-    // arc is guaranteed new.
-    ASSERT_TRUE(service.AddArc(1, graph.NumNodes() - 1).ok());
-    auto leaf = service.AddLeafUnder(1);
-    ASSERT_TRUE(leaf.ok());
-    service.Publish();
-    const auto snapshot = service.Snapshot();
-    for (NodeId u = 0; u < snapshot->NumNodes(); ++u) {
-      for (NodeId v = 0; v < snapshot->NumNodes(); ++v) {
-        const bool want = u == v || (u == 1 && v == graph.NumNodes() - 1) ||
-                          (u < graph.NumNodes() && v < graph.NumNodes() &&
-                           truth.Reaches(u, v)) ||
-                          (v == *leaf && (u == 1 || truth.Reaches(u, 1)));
-        ASSERT_EQ(snapshot->Reaches(u, v), want)
-            << static_cast<int>(setting) << " post-delta " << u << "->" << v;
-      }
-    }
-  }
-}
-
-TEST(QueryServiceFamilyTest, SelectionIsRecordedInMetrics) {
-  ScopedClearIndexEnv clear_env;
-  // Hub-dominated graph: auto must pick hop and say so in metrics.
   QueryService service;
-  ASSERT_TRUE(service.Load(HubDag(400, 6, 300, 6)).ok());
-  ServiceMetrics::View view = service.Metrics();
-  EXPECT_EQ(view.index_family_name, "hop");
-  EXPECT_EQ(view.index_family, static_cast<int>(IndexFamily::kHop));
-  EXPECT_GT(view.family_label_bytes, 0);
-  EXPECT_LT(view.family_label_bytes, view.snapshot_arena_bytes);
-  EXPECT_GT(view.family_selects[static_cast<int>(IndexFamily::kHop)], 0);
+  ASSERT_TRUE(service.Load(graph).ok());
 
-  // Standard sparse random DAG, the Fig 3.6 crossing and a dense random
-  // DAG: auto stays on intervals, so the family adds no bytes to the
-  // arena.  The last two blow the labeling up without hubs.
-  const std::pair<const char*, Digraph> hub_free[] = {
-      {"random_sparse", RandomDag(2000, 4.0, 5)},
-      {"bipartite", CompleteBipartite(60, 60)},
-      {"random_dense", RandomDag(2000, 12.0, 6)}};
-  for (const auto& [name, graph] : hub_free) {
-    ASSERT_TRUE(service.Load(graph).ok()) << name;
-    view = service.Metrics();
-    EXPECT_EQ(view.index_family_name, "intervals") << name;
-    EXPECT_EQ(view.family_label_bytes, view.snapshot_arena_bytes) << name;
+  ReachabilityMatrix truth(graph);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId u = 0; u < graph.NumNodes(); ++u) {
+    for (NodeId v = 0; v < graph.NumNodes(); ++v) pairs.emplace_back(u, v);
   }
-  EXPECT_GE(view.family_selects[static_cast<int>(IndexFamily::kIntervals)],
-            3);
+  std::vector<uint8_t> batch = service.BatchReaches(pairs);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    ASSERT_EQ(service.Reaches(u, v), truth.Reaches(u, v)) << u << "->" << v;
+    ASSERT_EQ(batch[i] != 0, truth.Reaches(u, v))
+        << "batch " << u << "->" << v;
+  }
+
+  // Mutate + publish (a delta): the overlay must agree with fresh ground
+  // truth.  Source 1 has no shortcut arc (only every 16th source does), so
+  // this arc is guaranteed new.
+  ASSERT_TRUE(service.AddArc(1, graph.NumNodes() - 1).ok());
+  auto leaf = service.AddLeafUnder(1);
+  ASSERT_TRUE(leaf.ok());
+  service.Publish();
+  const auto snapshot = service.Snapshot();
+  ASSERT_TRUE(snapshot->delta_publish);
+  for (NodeId u = 0; u < snapshot->NumNodes(); ++u) {
+    for (NodeId v = 0; v < snapshot->NumNodes(); ++v) {
+      const bool want = u == v || (u == 1 && v == graph.NumNodes() - 1) ||
+                        (u < graph.NumNodes() && v < graph.NumNodes() &&
+                         truth.Reaches(u, v)) ||
+                        (v == *leaf && (u == 1 || truth.Reaches(u, 1)));
+      ASSERT_EQ(snapshot->Reaches(u, v), want)
+          << "post-delta " << u << "->" << v;
+    }
+  }
 }
 
 // --- Publish tiers ----------------------------------------------------------
@@ -856,6 +796,8 @@ TEST(QueryServiceChainTierTest, ShardedK2ShardsRunTheChainTier) {
     }
   }
 }
+
+// --- Admission control ------------------------------------------------------
 
 TEST(QueryServiceAdmissionTest, RejectsAtLimitThenRecoversExactly) {
   Digraph graph = RandomDag(80, 2.5, 33);

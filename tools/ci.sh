@@ -12,10 +12,6 @@
 #                              # repeated once per TREL_SIMD level
 #   tools/ci.sh --simd-matrix  # tier-1 test battery under each TREL_SIMD
 #                              # level the host can execute
-#   tools/ci.sh --family-matrix # differential + service test battery under
-#                              # each TREL_INDEX value (intervals, hop,
-#                              # auto) — every family must be
-#                              # bit-for-bit exact
 #   tools/ci.sh --shard-matrix # partitioner invariants + the sharded-vs-
 #                              # monolithic differential battery once per
 #                              # TREL_SHARDS in {1, 2, 4, 8} — every shard
@@ -168,31 +164,6 @@ simd_matrix() {
     run env TREL_SIMD="${level}" ./build/tests/arena_differential_test
     run env TREL_SIMD="${level}" ./build/tests/compressed_closure_test
     run env TREL_SIMD="${level}" ./build/tests/query_service_test
-  done
-}
-
-family_matrix() {
-  # Re-runs the correctness battery once per index family.  TREL_INDEX
-  # forces the snapshot publisher's family choice (auto lets the selector
-  # score each graph), so a family whose answers drift from the interval
-  # ground truth — or whose overlay/batch plumbing is wrong — fails the
-  # same differential assertions the default build passes.  `trel_tool
-  # index` runs first per family as a cheap does-the-override-stick probe.
-  run cmake -B build -S . "${EXTRA_CMAKE_FLAGS[@]}"
-  run cmake --build build -j "${JOBS}" --target \
-    trel_tool arena_differential_test query_service_test \
-    delta_snapshot_test snapshot_test
-  local graph="build/family-graph.el"
-  echo "==> ./build/tools/trel_tool generate random 500 3 11 > ${graph}"
-  ./build/tools/trel_tool generate random 500 3 11 > "${graph}"
-  local family
-  for family in intervals hop auto; do
-    echo "==> family matrix: TREL_INDEX=${family}"
-    run env TREL_INDEX="${family}" ./build/tools/trel_tool index "${graph}"
-    run env TREL_INDEX="${family}" ./build/tests/arena_differential_test
-    run env TREL_INDEX="${family}" ./build/tests/query_service_test
-    run env TREL_INDEX="${family}" ./build/tests/delta_snapshot_test
-    run env TREL_INDEX="${family}" ./build/tests/snapshot_test
   done
 }
 
@@ -380,7 +351,6 @@ else
       --bench-smoke) stages+=(bench_smoke) ;;
       --arena-fuzz) stages+=(arena_fuzz) ;;
       --simd-matrix) stages+=(simd_matrix) ;;
-      --family-matrix) stages+=(family_matrix) ;;
       --shard-matrix) stages+=(shard_matrix) ;;
       --obs) stages+=(obs_stage) ;;
       --soak) stages+=(soak) ;;
@@ -388,8 +358,8 @@ else
       *)
         echo "unknown stage: ${arg}" >&2
         echo "usage: tools/ci.sh [--tier1] [--asan] [--tsan] [--bench-smoke]" \
-          "[--arena-fuzz] [--simd-matrix] [--family-matrix]" \
-          "[--shard-matrix] [--obs] [--soak] [--perfbench]" >&2
+          "[--arena-fuzz] [--simd-matrix] [--shard-matrix] [--obs]" \
+          "[--soak] [--perfbench]" >&2
         exit 2
         ;;
     esac

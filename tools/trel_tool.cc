@@ -25,8 +25,6 @@
 #include "baselines/inverse_closure.h"
 #include "core/closure_stats.h"
 #include "core/compressed_closure.h"
-#include "core/hop_label_index.h"
-#include "core/index_family.h"
 #include "core/simd_dispatch.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
@@ -63,7 +61,6 @@ int Usage() {
       "  trel_tool alpha <relation.csv> <src-col> <dst-col> <from> <to>\n"
       "  trel_tool successors <relation.csv> <src-col> <dst-col> <from>\n"
       "  trel_tool simd\n"
-      "  trel_tool index <graph.el>\n"
       "  trel_tool chains <graph.el>\n"
       "  trel_tool metricsz <graph.el>\n"
       "  trel_tool tracez <graph.el> [sample_period]\n"
@@ -75,8 +72,6 @@ int Usage() {
       "\n"
       "environment:\n"
       "  TREL_SIMD   force a query-kernel level (scalar|avx2|auto)\n"
-      "  TREL_INDEX  force the snapshot index family\n"
-      "              (intervals|hop|auto); unknown values mean auto\n"
       "  TREL_TRACE_SAMPLE  sample 1-in-N queries into the tracer\n"
       "  TREL_FLIGHT_TEST_TRIGGER  force one flight-recorder capture after\n"
       "              serve/serve-sharded warmup (CI /flightz validation)\n");
@@ -112,49 +107,9 @@ int SimdInfo() {
   return 0;
 }
 
-// Prints the family selector's signals and decision for a graph, plus
-// what each family would cost in label bytes — the offline twin of the
-// choice PublishLocked makes, so operators can predict (and CI can pin)
-// what a snapshot of this graph will serve from.  Honors TREL_INDEX the
-// same way the service does.
-int IndexInfo(const Digraph& graph) {
-  auto closure = CompressedClosure::Build(graph);
-  if (!closure.ok()) {
-    std::cerr << closure.status() << "\n";
-    return 1;
-  }
-  FamilySignals signals;
-  const IndexFamily picked =
-      SelectIndexFamily(graph, closure->TotalIntervals(), &signals);
-  const IndexFamilySetting setting = IndexFamilySettingFromEnv();
-  const IndexFamily resolved =
-      ResolveIndexFamily(setting, graph, closure->TotalIntervals());
-  const HopLabelIndex hop = HopLabelIndex::Build(graph);
-  const char* env = std::getenv("TREL_INDEX");
-
-  std::printf("nodes:             %d\n", signals.num_nodes);
-  std::printf("arcs:              %lld\n",
-              static_cast<long long>(signals.num_arcs));
-  std::printf("total intervals:   %lld\n",
-              static_cast<long long>(signals.total_intervals));
-  std::printf("interval blowup:   %.2f  (hop needs above %.1f)\n",
-              signals.interval_blowup, kMaxIntervalBlowup);
-  std::printf("hub arc fraction:  %.3f  (hop needs at or above %.2f, "
-              "top-%d hubs)\n",
-              signals.hub_arc_fraction, kMinHubArcFraction, kHubProbe);
-  std::printf("label bytes:       intervals=%lld hop=%lld\n",
-              static_cast<long long>(closure->ArenaByteSize()),
-              static_cast<long long>(hop.LabelBytes()));
-  std::printf("selector picks:    %s\n", IndexFamilyName(picked));
-  std::printf("TREL_INDEX:        %s\n", env != nullptr ? env : "(unset)");
-  std::printf("service would use: %s\n", IndexFamilyName(resolved));
-  return 0;
-}
-
 // Prints the chain analyzer's signals and the publish tier a service
 // Load of this graph would build with — the offline twin of
-// QueryService::Load's choice, mirroring what `trel_tool index` does for
-// the family selector.
+// QueryService::Load's choice.
 int ChainsInfo(const Digraph& graph) {
   auto signals = AnalyzeChains(graph);
   if (!signals.ok()) {
@@ -546,8 +501,7 @@ int Serve(const std::string& path, int port, int duration_seconds) {
 // Prints the shard layout a ShardedQueryService Load of this graph would
 // use: per-shard sizes, the edge cut, the hub cover, and the bytes of the
 // boundary index it would publish — the offline twin of the sharded
-// service's partitioning step, mirroring `trel_tool index` / `trel_tool
-// chains`.
+// service's partitioning step, mirroring `trel_tool chains`.
 int PartitionInfo(const std::string& path, int num_shards) {
   auto graph = LoadGraph(path);
   if (!graph.ok()) {
@@ -686,14 +640,6 @@ int main(int argc, char** argv) {
     return Successors(argv[2], argv[3], argv[4], argv[5]);
   }
   if (command == "simd" && argc == 2) return SimdInfo();
-  if (command == "index" && argc == 3) {
-    auto graph = LoadGraph(argv[2]);
-    if (!graph.ok()) {
-      std::cerr << graph.status() << "\n";
-      return 1;
-    }
-    return IndexInfo(graph.value());
-  }
   if (command == "chains" && argc == 3) {
     auto graph = LoadGraph(argv[2]);
     if (!graph.ok()) {
