@@ -4,7 +4,7 @@
 // arena + swap) and a steady-state republish under the default publish
 // policy — one dirty leaf per shard, so a delta publish (DESIGN.md §4c)
 // — through the monolithic QueryService against the sharded service at
-// K in {1,2,4}, where K writer threads each publish their own shard.  It
+// K in {1,2,4}, whose one writer publishes every shard and a root.  It
 // also measures the read-side toll the boundary layer charges: single
 // Reaches and 4096-pair BatchReaches latency at K=4 over K=1, read right
 // after Load, on overlay-free snapshots, after one untimed pass.  The
@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -39,7 +38,7 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 }
 
 // One representative parent per shard, so every rep dirties every
-// shard's writer before the publish fan-out.
+// shard before the publish.
 std::vector<NodeId> ParentPerShard(const ShardedQueryService& service,
                                    NodeId num_nodes) {
   std::vector<NodeId> parents(static_cast<size_t>(service.num_shards()),
@@ -81,9 +80,8 @@ double MeasureShardedLoad(ShardedQueryService* service, const Digraph& graph) {
   return MsSince(start);
 }
 
-// Sharded write path: dirty every shard, then K writer threads each
-// PublishShard their own shard concurrently (the boundary republish
-// rides on whichever thread reaches it first; the rest skip clean).
+// Sharded write path: dirty every shard, then publish the K shards and
+// one root from the calling thread.
 double MeasureShardedRepublish(ShardedQueryService* service, NodeId num_nodes,
                                int reps) {
   double best_ms = 0.0;
@@ -93,12 +91,7 @@ double MeasureShardedRepublish(ShardedQueryService* service, NodeId num_nodes,
       if (parent != kNoNode) TREL_CHECK(service->AddLeafUnder(parent).ok());
     }
     const auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> writers;
-    writers.reserve(static_cast<size_t>(service->num_shards()));
-    for (int s = 0; s < service->num_shards(); ++s) {
-      writers.emplace_back([service, s] { service->PublishShard(s); });
-    }
-    for (std::thread& w : writers) w.join();
+    service->Publish();
     const double ms = MsSince(start);
     if (r == 0 || ms < best_ms) best_ms = ms;
   }

@@ -7,6 +7,17 @@
 
 namespace trel {
 
+namespace {
+
+// True when nothing but whitespace, a CRLF line's '\r' included, is
+// left on the line.
+bool AtLineEnd(std::istream& is) {
+  is >> std::ws;
+  return is.eof();
+}
+
+}  // namespace
+
 void WriteEdgeList(const Digraph& graph, std::ostream& os) {
   os << "# nodes " << graph.NumNodes() << "\n";
   for (const auto& [from, to] : graph.Arcs()) {
@@ -27,6 +38,11 @@ StatusOr<Digraph> ReadEdgeList(std::istream& is) {
       std::string word;
       long long n = 0;
       if (header >> word >> n && word == "nodes") {
+        if (!AtLineEnd(header)) {
+          return InvalidArgumentError("trailing text after the node count "
+                                      "at line " +
+                                      std::to_string(line_number));
+        }
         if (have_header) {
           return InvalidArgumentError("duplicate '# nodes' header");
         }
@@ -40,7 +56,7 @@ StatusOr<Digraph> ReadEdgeList(std::istream& is) {
     }
     std::istringstream arc_line(line);
     long long from = 0, to = 0;
-    if (!(arc_line >> from >> to)) {
+    if (!(arc_line >> from >> to) || !AtLineEnd(arc_line)) {
       return InvalidArgumentError("malformed arc at line " +
                                   std::to_string(line_number));
     }

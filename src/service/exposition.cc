@@ -106,13 +106,11 @@ void AppendFlightFamilies(PrometheusText& out, const FlightRecorder& flight) {
   out.Sample("trel_flight_captures_total", "", flight.TotalTriggered());
 }
 
-}  // namespace
-
 std::string RenderMetricsz(const ServiceMetrics::View& view,
-                           const QueryTracer* tracer, const SpanLog* spans,
-                           const SlowQueryLog* slow,
-                           const LatencyRollup* rollup,
-                           const FlightRecorder* flight) {
+                           const QueryTracer& tracer, const SpanLog& spans,
+                           const SlowQueryLog& slow,
+                           const LatencyRollup& rollup,
+                           const FlightRecorder& flight) {
   PrometheusText out;
 
   // --- ServiceMetrics counters -------------------------------------------
@@ -245,47 +243,39 @@ std::string RenderMetricsz(const ServiceMetrics::View& view,
   out.Sample("trel_chain_interval_blowup", "", view.chain_interval_blowup);
 
   // --- Publish-pipeline spans --------------------------------------------
-  if (spans != nullptr) {
-    const SpanLog::Aggregate agg = spans->Read();
-    out.Family("trel_publish_phase_micros_total",
-               "Wall microseconds per publish phase, split by strategy.",
-               "counter");
-    for (int kind = 0; kind < kNumPublishStrategies; ++kind) {
-      for (int phase = 0; phase < kNumPublishPhases; ++phase) {
-        out.Sample("trel_publish_phase_micros_total",
-                   KindPhaseLabels(kind, phase),
-                   agg.phase_micros_total[kind][phase]);
-      }
+  const SpanLog::Aggregate agg = spans.Read();
+  out.Family("trel_publish_phase_micros_total",
+             "Wall microseconds per publish phase, split by strategy.",
+             "counter");
+  for (int kind = 0; kind < kNumPublishStrategies; ++kind) {
+    for (int phase = 0; phase < kNumPublishPhases; ++phase) {
+      out.Sample("trel_publish_phase_micros_total",
+                 KindPhaseLabels(kind, phase),
+                 agg.phase_micros_total[kind][phase]);
     }
-    out.Family("trel_publish_phase_microseconds",
-               "Per-publish phase latency (power-of-two buckets).",
-               "histogram");
-    for (int kind = 0; kind < kNumPublishStrategies; ++kind) {
-      for (int phase = 0; phase < kNumPublishPhases; ++phase) {
-        out.Histogram("trel_publish_phase_microseconds",
-                      KindPhaseLabels(kind, phase),
-                      agg.phase_histogram[kind][phase].data(),
-                      SpanLog::kBuckets, agg.phase_micros_total[kind][phase]);
-      }
+  }
+  out.Family("trel_publish_phase_microseconds",
+             "Per-publish phase latency (power-of-two buckets).",
+             "histogram");
+  for (int kind = 0; kind < kNumPublishStrategies; ++kind) {
+    for (int phase = 0; phase < kNumPublishPhases; ++phase) {
+      out.Histogram("trel_publish_phase_microseconds",
+                    KindPhaseLabels(kind, phase),
+                    agg.phase_histogram[kind][phase].data(), SpanLog::kBuckets,
+                    agg.phase_micros_total[kind][phase]);
     }
   }
 
-  // --- Tracer summary -----------------------------------------------------
-  if (tracer != nullptr) AppendTracerFamilies(out, *tracer);
-
-  // --- Slow-query log ------------------------------------------------------
-  if (slow != nullptr) AppendSlowLogFamilies(out, *slow);
-
-  // --- Windowed latency + flight recorder ----------------------------------
-  if (rollup != nullptr) AppendLatencyWindows(out, *rollup);
-  if (flight != nullptr) AppendFlightFamilies(out, *flight);
-
+  // --- Tracer, slow-query log, windowed latency, flight recorder ----------
+  AppendTracerFamilies(out, tracer);
+  AppendSlowLogFamilies(out, slow);
+  AppendLatencyWindows(out, rollup);
+  AppendFlightFamilies(out, flight);
   return out.str();
 }
 
 std::string RenderStatusz(const ServiceMetrics::View& view,
-                          const SpanLog* spans,
-                          const LatencyRollup* rollup) {
+                          const SpanLog& spans, const LatencyRollup& rollup) {
   std::ostringstream out;
   out << "trel query service status\n";
   out << "epoch: " << view.current_epoch << "\n";
@@ -309,23 +299,21 @@ std::string RenderStatusz(const ServiceMetrics::View& view,
       << " chain_blowup=" << view.chain_interval_blowup << "\n";
   out << "publishes_folded: " << view.publishes_folded << " of "
       << view.publishes_full << " full\n";
-  if (spans != nullptr) {
-    const SpanLog::Aggregate agg = spans->Read();
-    // Indexed by PublishStrategy, like the aggregate.
-    const int64_t publishes[kNumPublishStrategies] = {
-        view.publishes_delta, view.publishes_chain_full,
-        view.publishes_optimal_full};
-    for (int kind = 0; kind < kNumPublishStrategies; ++kind) {
-      if (publishes[kind] == 0) continue;
-      out << "publish_phases_avg_us{" << KindName(kind) << "}:";
-      for (int phase = 0; phase < kNumPublishPhases; ++phase) {
-        out << " " << PublishPhaseName(static_cast<PublishPhase>(phase)) << "="
-            << agg.phase_micros_total[kind][phase] / publishes[kind];
-      }
-      out << "\n";
+  const SpanLog::Aggregate agg = spans.Read();
+  // Indexed by PublishStrategy, like the aggregate.
+  const int64_t publishes[kNumPublishStrategies] = {
+      view.publishes_delta, view.publishes_chain_full,
+      view.publishes_optimal_full};
+  for (int kind = 0; kind < kNumPublishStrategies; ++kind) {
+    if (publishes[kind] == 0) continue;
+    out << "publish_phases_avg_us{" << KindName(kind) << "}:";
+    for (int phase = 0; phase < kNumPublishPhases; ++phase) {
+      out << " " << PublishPhaseName(static_cast<PublishPhase>(phase)) << "="
+          << agg.phase_micros_total[kind][phase] / publishes[kind];
     }
+    out << "\n";
   }
-  if (rollup != nullptr) AppendLatencyWindowsStatus(out, *rollup);
+  AppendLatencyWindowsStatus(out, rollup);
   // The raw counter line: /metricsz must agree with it field for field
   // (the --obs CI stage scrapes both and diffs them on a quiescent
   // server).
@@ -333,63 +321,61 @@ std::string RenderStatusz(const ServiceMetrics::View& view,
   return out.str();
 }
 
-std::string RenderTracez(const QueryTracer* tracer, const SlowQueryLog* slow) {
+std::string RenderTracez(const QueryTracer& tracer, const SlowQueryLog& slow) {
   std::ostringstream out;
-  if (tracer != nullptr) {
-    out << "sample_period: " << tracer->sample_period() << "\n";
-    out << "sampled_total: " << tracer->TotalSampled() << "\n";
-    const std::array<uint64_t, kNumProbeTags> tags = tracer->TagCounts();
-    out << "tag_counts:";
-    for (int t = 0; t < kNumProbeTags; ++t) {
-      out << " " << ProbeTagName(static_cast<ProbeTag>(t)) << "=" << tags[t];
+  out << "sample_period: " << tracer.sample_period() << "\n";
+  out << "sampled_total: " << tracer.TotalSampled() << "\n";
+  const std::array<uint64_t, kNumProbeTags> tags = tracer.TagCounts();
+  out << "tag_counts:";
+  for (int t = 0; t < kNumProbeTags; ++t) {
+    out << " " << ProbeTagName(static_cast<ProbeTag>(t)) << "=" << tags[t];
+  }
+  out << "\n";
+  const std::vector<TraceRecord> records = tracer.Drain();
+  out << "records: " << records.size() << " (oldest first)\n";
+  for (const TraceRecord& r : records) {
+    out << "seq=" << r.sequence << " epoch=" << r.epoch << " src=" << r.source
+        << " dst=" << r.target << " answer=" << (r.answer ? 1 : 0)
+        << " tag=" << ProbeTagName(r.tag) << " probes=" << r.extras_probes
+        << " nanos=" << r.nanos << " batch=" << (r.from_batch ? 1 : 0);
+    if (r.has_stages) {
+      out << " shard=" << r.shard << " stages=[";
+      for (int s = 0; s < kNumQueryStages; ++s) {
+        if (s > 0) out << " ";
+        out << QueryStageName(static_cast<QueryStage>(s)) << "="
+            << r.stage_nanos[s];
+      }
+      out << "]";
     }
     out << "\n";
-    const std::vector<TraceRecord> records = tracer->Drain();
-    out << "records: " << records.size() << " (oldest first)\n";
-    for (const TraceRecord& r : records) {
-      out << "seq=" << r.sequence << " epoch=" << r.epoch << " src=" << r.source
-          << " dst=" << r.target << " answer=" << (r.answer ? 1 : 0)
-          << " tag=" << ProbeTagName(r.tag) << " probes=" << r.extras_probes
-          << " nanos=" << r.nanos << " batch=" << (r.from_batch ? 1 : 0);
-      if (r.has_stages) {
-        out << " shard=" << r.shard << " stages=[";
-        for (int s = 0; s < kNumQueryStages; ++s) {
-          if (s > 0) out << " ";
-          out << QueryStageName(static_cast<QueryStage>(s)) << "="
-              << r.stage_nanos[s];
-        }
-        out << "]";
-      }
-      out << "\n";
-    }
   }
-  if (slow != nullptr) {
-    const std::vector<SlowQueryEntry> entries = slow->Recent();
-    out << "slow_queries: " << entries.size() << " (total admitted "
-        << slow->TotalRecorded() << ")\n";
-    for (const SlowQueryEntry& e : entries) {
-      out << e.ToString() << "\n";
-    }
+  const std::vector<SlowQueryEntry> entries = slow.Recent();
+  out << "slow_queries: " << entries.size() << " (total admitted "
+      << slow.TotalRecorded() << ")\n";
+  for (const SlowQueryEntry& e : entries) {
+    out << e.ToString() << "\n";
   }
   return out.str();
 }
+
+}  // namespace
 
 std::string RenderMetricsz(const QueryService& service) {
   // A metrics scrape doubles as a flight-recorder detector pass, so
   // anomalies are caught even when nobody polls /flightz.
   service.CheckFlightRecorder();
-  return RenderMetricsz(service.Metrics(), &service.tracer(),
-                        &service.span_log(), &service.slow_log(),
-                        &service.rollup(), &service.flight_recorder());
+  return RenderMetricsz(service.Metrics(), service.tracer(),
+                        service.span_log(), service.slow_log(),
+                        service.rollup(), service.flight_recorder());
 }
 
 std::string RenderStatusz(const QueryService& service) {
-  return RenderStatusz(service.Metrics(), &service.span_log(),
-                       &service.rollup());
+  return RenderStatusz(service.Metrics(), service.span_log(),
+                       service.rollup());
 }
 
 std::string RenderTracez(const QueryService& service) {
-  return RenderTracez(&service.tracer(), &service.slow_log());
+  return RenderTracez(service.tracer(), service.slow_log());
 }
 
 std::string RenderFlightz(const QueryService& service) {
@@ -445,18 +431,6 @@ std::string RenderMetricsz(const ShardedQueryService& service) {
     shard_labels.push_back(
         PrometheusText::Label("shard", std::to_string(s)));
   }
-  out.Family("trel_shard_reach_queries_total",
-             "Point lookups resolved inside each shard.", "counter");
-  for (int s = 0; s < service.num_shards(); ++s) {
-    out.Sample("trel_shard_reach_queries_total", shard_labels[s],
-               shard_views[s].reach_queries);
-  }
-  out.Family("trel_shard_batches_total",
-             "Batched calls fanned into each shard.", "counter");
-  for (int s = 0; s < service.num_shards(); ++s) {
-    out.Sample("trel_shard_batches_total", shard_labels[s],
-               shard_views[s].batches);
-  }
   out.Family("trel_shard_publishes_total",
              "Per-shard snapshot publishes, split by strategy.", "counter");
   for (int s = 0; s < service.num_shards(); ++s) {
@@ -507,7 +481,6 @@ std::string RenderStatusz(const ShardedQueryService& service) {
     const ServiceMetrics::View shard = service.shard(s).Metrics();
     out << "shard[" << s << "]: epoch=" << shard.current_epoch
         << " nodes=" << shard.snapshot_num_nodes
-        << " reach=" << shard.reach_queries << " batches=" << shard.batches
         << " publishes full=" << shard.publishes_full
         << " delta=" << shard.publishes_delta << "\n";
   }
@@ -519,7 +492,7 @@ std::string RenderStatusz(const ShardedQueryService& service) {
 }
 
 std::string RenderTracez(const ShardedQueryService& service) {
-  return RenderTracez(&service.tracer(), &service.slow_log());
+  return RenderTracez(service.tracer(), service.slow_log());
 }
 
 std::string RenderFlightz(const ShardedQueryService& service) {

@@ -203,8 +203,6 @@ class QueryService {
   int64_t InflightBatches() const {
     return inflight_batches_.load(std::memory_order_relaxed);
   }
-  // Metrics().batches_rejected without the snapshot load.
-  int64_t BatchesRejected() const { return metrics_.batches_rejected(); }
 
   // Counter snapshot, with the epoch/age/size fields of the live index
   // snapshot filled in.

@@ -156,24 +156,23 @@ void ShardedQueryService::HubBits::MarkAllShared() {
   shared_.assign(chunks_.size(), 1);
 }
 
-// --- BoundarySnapshot ------------------------------------------------------
+// --- Root ------------------------------------------------------------------
 
-const uint64_t* ShardedQueryService::BoundarySnapshot::OutRow(
-    int64_t r) const {
+const uint64_t* ShardedQueryService::Root::OutRow(int64_t r) const {
   return out_chunks[r / kRowsPerChunk]->words.data() +
          (r % kRowsPerChunk) * words;
 }
 
-const uint64_t* ShardedQueryService::BoundarySnapshot::InRow(int64_t r) const {
+const uint64_t* ShardedQueryService::Root::InRow(int64_t r) const {
   return in_chunks[r / kRowsPerChunk]->words.data() +
          (r % kRowsPerChunk) * words;
 }
 
-int32_t ShardedQueryService::BoundarySnapshot::ShardOfAt(int64_t r) const {
+int32_t ShardedQueryService::Root::ShardOfAt(int64_t r) const {
   return shard_chunks[r / kRowsPerChunk]->data[r % kRowsPerChunk];
 }
 
-int32_t ShardedQueryService::BoundarySnapshot::LocalIdAt(int64_t r) const {
+int32_t ShardedQueryService::Root::LocalIdAt(int64_t r) const {
   return local_chunks[r / kRowsPerChunk]->data[r % kRowsPerChunk];
 }
 
@@ -202,10 +201,10 @@ ShardedQueryService::ShardedQueryService(const ShardedServiceOptions& options)
   for (int s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(std::make_unique<QueryService>(options_.shard));
   }
-  std::lock_guard<std::mutex> lock(boundary_mutex_);
+  std::lock_guard<std::mutex> lock(writer_mutex_);
   out_bits_.Reset(0);
   in_bits_.Reset(0);
-  PublishBoundaryLocked();  // Empty snapshot at epoch 0.
+  PublishRootLocked();  // Empty root at epoch 0.
 }
 
 ShardedQueryService::~ShardedQueryService() = default;
@@ -234,10 +233,10 @@ Status ShardedQueryService::Load(const Digraph& graph) {
     }
   }
   // Shards load one at a time, so a shard that fails after an earlier one
-  // loaded would leave that shard serving the new graph behind the old
-  // boundary.  The one failure that depends on a shard's size is its
+  // loaded would leave that shard on the new graph and the boundary on
+  // the old one.  The one failure that depends on a shard's size is its
   // numbering passing the 32-bit labels; rule it out for every shard
-  // first, so a failed Load leaves the previous graph's answers intact.
+  // first, so a failed Load leaves the previous graph intact.
   const LabelingOptions& labeling = options_.shard.closure.labeling;
   for (int s = 0; s < k; ++s) {
     if (!CompactNumberingFits(counts[s], labeling.gap, labeling.reserve)) {
@@ -247,11 +246,10 @@ Status ShardedQueryService::Load(const Digraph& graph) {
           std::to_string(labeling.gap) + " passes the 32-bit label limit");
     }
   }
+  std::lock_guard<std::mutex> lock(writer_mutex_);
   for (int s = 0; s < k; ++s) {
     TREL_RETURN_IF_ERROR(shards_[s]->Load(subs[s]));
   }
-
-  std::lock_guard<std::mutex> lock(boundary_mutex_);
   mirror_ = graph;
   shard_of_.Reset();
   local_id_.Reset();
@@ -273,184 +271,124 @@ Status ShardedQueryService::Load(const Digraph& graph) {
   published_words_ = -1;
   published_hubs_ = -1;
   epoch_.fetch_add(1, std::memory_order_relaxed);
-  PublishBoundaryLocked();
+  PublishRootLocked();
   return Status::Ok();
 }
 
 StatusOr<NodeId> ShardedQueryService::AddLeafUnder(NodeId parent) {
-  int s = 0;
-  NodeId local_parent = kNoNode;
-  {
-    std::lock_guard<std::mutex> lock(boundary_mutex_);
-    if (parent != kNoNode && !mirror_.IsValidNode(parent)) {
-      return InvalidArgumentError("invalid parent " + std::to_string(parent));
-    }
-    if (parent != kNoNode) {
-      s = shard_of_.At(parent);
-      local_parent = local_id_.At(parent);
-    }
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  if (parent != kNoNode && !mirror_.IsValidNode(parent)) {
+    return InvalidArgumentError("invalid parent " + std::to_string(parent));
   }
-  NodeId global = kNoNode;
-  const Status status = shards_[s]->Apply([&](DynamicClosure& dyn) {
-    // A full shard numbering (ResourceExhausted) fails here, before any
-    // boundary state is touched.
-    StatusOr<NodeId> lp = dyn.AddLeafUnder(local_parent);
-    TREL_RETURN_IF_ERROR(lp.status());
-    std::lock_guard<std::mutex> lock(boundary_mutex_);
-    global = mirror_.AddNode();
-    if (parent != kNoNode) {
-      TREL_CHECK(mirror_.AddArc(parent, global).ok());
-    }
-    shard_of_.Append(s);
-    local_id_.Append(*lp);
-    is_hub_.push_back(0);
-    hub_bit_of_.push_back(-1);
-    AppendLeafBitsLocked(parent);
-    return Status::Ok();
-  });
-  TREL_RETURN_IF_ERROR(status);
+  const int s = parent == kNoNode ? 0 : shard_of_.At(parent);
+  // A full shard numbering (ResourceExhausted) fails here, before any
+  // boundary state is touched.
+  const StatusOr<NodeId> local = shards_[s]->AddLeafUnder(
+      parent == kNoNode ? kNoNode : local_id_.At(parent));
+  TREL_RETURN_IF_ERROR(local.status());
+  const NodeId global = mirror_.AddNode();
+  if (parent != kNoNode) {
+    TREL_CHECK(mirror_.AddArc(parent, global).ok());
+  }
+  shard_of_.Append(s);
+  local_id_.Append(*local);
+  is_hub_.push_back(0);
+  hub_bit_of_.push_back(-1);
+  AppendLeafBitsLocked(parent);
   return global;
 }
 
 Status ShardedQueryService::AddArc(NodeId from, NodeId to) {
-  int sf = 0;
-  int st = 0;
-  NodeId lf = kNoNode;
-  NodeId lt = kNoNode;
-  {
-    std::lock_guard<std::mutex> lock(boundary_mutex_);
-    if (!mirror_.IsValidNode(from) || !mirror_.IsValidNode(to)) {
-      return InvalidArgumentError("invalid arc endpoint");
-    }
-    sf = shard_of_.At(from);
-    st = shard_of_.At(to);
-    lf = local_id_.At(from);
-    lt = local_id_.At(to);
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  if (!mirror_.IsValidNode(from) || !mirror_.IsValidNode(to)) {
+    return InvalidArgumentError("invalid arc endpoint");
   }
   const auto cycle_error = [from, to] {
     return InvalidArgumentError("arc (" + std::to_string(from) + "," +
                                 std::to_string(to) +
                                 ") would create a cycle");
   };
-  if (sf == st) {
-    // Same-shard arc: shard writer mutex first (via Apply), boundary
-    // second.  The cycle check is GLOBAL — a path back from `to` to
-    // `from` may leave the shard and return through hubs — so it runs
-    // under the boundary lock against the working bitsets plus the live
-    // shard closure, atomically with the mutation.
-    return shards_[sf]->Apply([&](DynamicClosure& dyn) {
-      std::lock_guard<std::mutex> lock(boundary_mutex_);
-      if (from == to || ReachesGloballyLocked(to, from, &dyn)) {
-        return cycle_error();
-      }
+  // A path back from `to` to `from` that touches a hub shows in the
+  // working bitsets; one that does not stays inside one shard.
+  if (from == to || WorkingBitsHitLocked(to, from)) return cycle_error();
+  const int s = shard_of_.At(from);
+  if (s == shard_of_.At(to)) {
+    // Same-shard arc: the shard's live closure sees the hub-free paths.
+    const NodeId lf = local_id_.At(from);
+    const NodeId lt = local_id_.At(to);
+    TREL_RETURN_IF_ERROR(shards_[s]->Apply([&](DynamicClosure& dyn) {
+      if (dyn.Reaches(lt, lf)) return cycle_error();
       if (mirror_.HasArc(from, to)) {
         return AlreadyExistsError("arc (" + std::to_string(from) + "," +
                                   std::to_string(to) + ") already exists");
       }
       TREL_CHECK(dyn.AddArc(lf, lt).ok());
-      TREL_CHECK(mirror_.AddArc(from, to).ok());
-      ApplyArcBitsLocked(from, to);
       return Status::Ok();
-    });
-  }
-  // Cross-shard arc: never enters a shard closure; lives in the mirror
-  // and the boundary bitsets only.  The hub-cover invariant is restored
-  // by promoting an endpoint when neither is a hub yet.
-  std::lock_guard<std::mutex> lock(boundary_mutex_);
-  if (from == to || ReachesGloballyLocked(to, from, nullptr)) {
-    return cycle_error();
-  }
-  TREL_RETURN_IF_ERROR(mirror_.AddArc(from, to));  // AlreadyExists on dups.
-  if (!is_hub_[from] && !is_hub_[to]) {
-    const int df = mirror_.OutDegree(from) + mirror_.InDegree(from);
-    const int dt = mirror_.OutDegree(to) + mirror_.InDegree(to);
-    PromoteHubLocked(df > dt || (df == dt && from < to) ? from : to);
+    }));
+    TREL_CHECK(mirror_.AddArc(from, to).ok());
+  } else {
+    // Cross-shard arc: never enters a shard closure; lives in the mirror
+    // and the boundary bitsets only.  The hub-cover invariant is
+    // restored by promoting an endpoint when neither is a hub yet.
+    TREL_RETURN_IF_ERROR(mirror_.AddArc(from, to));  // AlreadyExists on dups.
+    if (!is_hub_[from] && !is_hub_[to]) {
+      const int df = mirror_.OutDegree(from) + mirror_.InDegree(from);
+      const int dt = mirror_.OutDegree(to) + mirror_.InDegree(to);
+      PromoteHubLocked(df > dt || (df == dt && from < to) ? from : to);
+    }
   }
   ApplyArcBitsLocked(from, to);
   return Status::Ok();
 }
 
 Status ShardedQueryService::RemoveArc(NodeId from, NodeId to) {
-  int sf = 0;
-  int st = 0;
-  NodeId lf = kNoNode;
-  NodeId lt = kNoNode;
-  {
-    std::lock_guard<std::mutex> lock(boundary_mutex_);
-    if (!mirror_.IsValidNode(from) || !mirror_.IsValidNode(to)) {
-      return InvalidArgumentError("invalid arc endpoint");
-    }
-    if (!mirror_.HasArc(from, to)) {
-      return NotFoundError("arc (" + std::to_string(from) + "," +
-                           std::to_string(to) + ") not in graph");
-    }
-    sf = shard_of_.At(from);
-    st = shard_of_.At(to);
-    lf = local_id_.At(from);
-    lt = local_id_.At(to);
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  if (!mirror_.IsValidNode(from) || !mirror_.IsValidNode(to)) {
+    return InvalidArgumentError("invalid arc endpoint");
   }
-  if (sf == st) {
-    return shards_[sf]->Apply([&](DynamicClosure& dyn) {
-      std::lock_guard<std::mutex> lock(boundary_mutex_);
-      if (!mirror_.HasArc(from, to)) {  // Lost a race to a removal.
-        return NotFoundError("arc (" + std::to_string(from) + "," +
-                             std::to_string(to) + ") not in graph");
-      }
-      TREL_CHECK(dyn.RemoveArc(lf, lt).ok());
-      TREL_CHECK(mirror_.RemoveArc(from, to).ok());
-      RebuildBitsLocked();
-      return Status::Ok();
-    });
-  }
-  std::lock_guard<std::mutex> lock(boundary_mutex_);
   if (!mirror_.HasArc(from, to)) {
     return NotFoundError("arc (" + std::to_string(from) + "," +
                          std::to_string(to) + ") not in graph");
+  }
+  const int s = shard_of_.At(from);
+  if (s == shard_of_.At(to)) {
+    TREL_CHECK(
+        shards_[s]->RemoveArc(local_id_.At(from), local_id_.At(to)).ok());
   }
   TREL_CHECK(mirror_.RemoveArc(from, to).ok());
   RebuildBitsLocked();
   return Status::Ok();
 }
 
-uint64_t ShardedQueryService::Publish() {
-  const int64_t start = LatencyRollup::MonotonicNanos();
-  for (auto& shard : shards_) shard->Publish();
-  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  {
-    std::lock_guard<std::mutex> lock(boundary_mutex_);
-    PublishBoundaryLocked();
-  }
-  NotePublish(epoch, (LatencyRollup::MonotonicNanos() - start) / 1000);
-  CheckFlightRecorder();
-  return epoch;
-}
+uint64_t ShardedQueryService::Publish() { return PublishShards(-1); }
 
 uint64_t ShardedQueryService::PublishShard(int shard) {
   TREL_CHECK_GE(shard, 0);
   TREL_CHECK_LT(shard, num_shards());
+  return PublishShards(shard);
+}
+
+uint64_t ShardedQueryService::PublishShards(int only) {
   const int64_t start = LatencyRollup::MonotonicNanos();
-  shards_[shard]->Publish();
-  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
+  uint64_t epoch = 0;
   {
-    std::lock_guard<std::mutex> lock(boundary_mutex_);
-    PublishBoundaryLocked();
+    std::lock_guard<std::mutex> lock(writer_mutex_);
+    for (int s = 0; s < num_shards(); ++s) {
+      if (only < 0 || s == only) shards_[s]->Publish();
+    }
+    epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
+    PublishRootLocked();
   }
-  NotePublish(epoch, (LatencyRollup::MonotonicNanos() - start) / 1000);
+  last_publish_micros_.store((LatencyRollup::MonotonicNanos() - start) / 1000,
+                             std::memory_order_relaxed);
+  last_publish_epoch_.store(epoch, std::memory_order_relaxed);
+  has_publish_.store(true, std::memory_order_relaxed);
   CheckFlightRecorder();
   return epoch;
 }
 
-void ShardedQueryService::NotePublish(uint64_t epoch, int64_t micros) {
-  last_publish_micros_.store(micros, std::memory_order_relaxed);
-  last_publish_epoch_.store(epoch, std::memory_order_relaxed);
-  has_publish_.store(true, std::memory_order_relaxed);
-}
-
 bool ShardedQueryService::CheckFlightRecorder() const {
   FlightRecorder::Inputs inputs;
-  for (const auto& shard : shards_) {
-    inputs.batches_rejected += shard->BatchesRejected();
-  }
   inputs.boundary_republishes =
       boundary_republishes_.load(std::memory_order_relaxed);
   inputs.has_publish = has_publish_.load(std::memory_order_relaxed);
@@ -462,21 +400,20 @@ bool ShardedQueryService::CheckFlightRecorder() const {
 }
 
 template <typename Routed>
-inline int ShardedQueryService::SettlePair(const BoundarySnapshot& b,
-                                           NodeId u, NodeId v,
+inline int ShardedQueryService::SettlePair(const Root& r, NodeId u, NodeId v,
                                            RouteInfo* route,
                                            const Routed& routed) {
-  // Snapshot semantics: ids the published boundary has never heard of
-  // reach nothing (matches ClosureSnapshot).
-  if (u < 0 || v < 0 || u >= b.num_nodes || v >= b.num_nodes) return 0;
+  // Snapshot semantics: ids the published root has never heard of reach
+  // nothing (matches ClosureSnapshot).
+  if (u < 0 || v < 0 || u >= r.num_nodes || v >= r.num_nodes) return 0;
   if (u == v) return 1;
-  route->su = b.ShardOfAt(u);
-  route->sv = b.ShardOfAt(v);
+  route->su = r.ShardOfAt(u);
+  route->sv = r.ShardOfAt(v);
   routed();
   // A hub on some u -> v path sits in both rows; a path without one stays
   // inside one shard, whose own index sees it.
   route->tag = ProbeTag::kBoundaryBitset;
-  if (b.words > 0 && RowsIntersect(b.OutRow(u), b.InRow(v), b.words)) {
+  if (r.words > 0 && RowsIntersect(r.OutRow(u), r.InRow(v), r.words)) {
     return 1;
   }
   if (route->su != route->sv) return 0;
@@ -486,10 +423,10 @@ inline int ShardedQueryService::SettlePair(const BoundarySnapshot& b,
 }
 
 template <bool kTimed>
-bool ShardedQueryService::ReachesCore(const BoundaryPtr::Pin& pin, NodeId u,
+bool ShardedQueryService::ReachesCore(const RootPtr::Pin& root, NodeId u,
                                       NodeId v, RouteInfo* route,
                                       StageTrace* stages) const {
-  const BoundarySnapshot& b = *pin;
+  const Root& r = *root;
   int64_t mark = 0;
   if constexpr (kTimed) mark = LatencyRollup::MonotonicNanos();
   // Attributes the nanos since `mark` to `stage`; a no-op (and no clock
@@ -505,8 +442,8 @@ bool ShardedQueryService::ReachesCore(const BoundaryPtr::Pin& pin, NodeId u,
 
   // kRoute: bounds, self and per-endpoint shards; kBoundaryBitset: the
   // hub out-row x in-row intersection.
-  const int settled = SettlePair(b, u, v, route, [&] {
-    if (route->su != route->sv) pin.Add(kCrossShardQueries);
+  const int settled = SettlePair(r, u, v, route, [&] {
+    if (route->su != route->sv) root.Add(kCrossShardQueries);
     close_stage(QueryStage::kRoute);
   });
   if (settled >= 0) {
@@ -515,9 +452,9 @@ bool ShardedQueryService::ReachesCore(const BoundaryPtr::Pin& pin, NodeId u,
     return settled != 0;
   }
   close_stage(QueryStage::kBoundaryBitset);
-  // kShardQuery: defer into the owning shard's local index.
+  // kShardQuery: the owning shard's snapshot in the same root.
   const bool answer =
-      shards_[route->shard]->Reaches(b.LocalIdAt(u), b.LocalIdAt(v));
+      r.shards[route->shard]->Reaches(r.LocalIdAt(u), r.LocalIdAt(v));
   close_stage(QueryStage::kShardQuery);
   return answer;
 }
@@ -526,22 +463,22 @@ bool ShardedQueryService::Reaches(NodeId u, NodeId v) const {
   // Unsampled singles read no clock and record only into the pinned
   // slot's counters: the same tracing-off cost as the monolithic service.
   if (tracer_.ShouldSample()) return ReachesSampled(u, v);
-  const BoundaryPtr::Pin b(boundary_);
+  const RootPtr::Pin root(root_);
   RouteInfo route;
-  return ReachesCore<false>(b, u, v, &route, nullptr);
+  return ReachesCore<false>(root, u, v, &route, nullptr);
 }
 
 bool ShardedQueryService::ReachesSampled(NodeId u, NodeId v) const {
-  const BoundaryPtr::Pin b(boundary_);
+  const RootPtr::Pin root(root_);
   RouteInfo route;
   StageTrace stages;
   const int64_t start = LatencyRollup::MonotonicNanos();
-  const bool answer = ReachesCore<true>(b, u, v, &route, &stages);
+  const bool answer = ReachesCore<true>(root, u, v, &route, &stages);
   const int64_t nanos = LatencyRollup::MonotonicNanos() - start;
   stages.shard = route.shard;
   tracer_.Record(u, v, answer, /*from_batch=*/false, route.tag,
-                 /*extras_probes=*/0, b->epoch, static_cast<uint64_t>(nanos),
-                 &stages);
+                 /*extras_probes=*/0, root->epoch,
+                 static_cast<uint64_t>(nanos), &stages);
   for (int s = 0; s < kNumQueryStages; ++s) {
     if (stages.stage_nanos[s] > 0) rollup_.Record(s, stages.stage_nanos[s]);
   }
@@ -555,7 +492,7 @@ bool ShardedQueryService::ReachesSampled(NodeId u, NodeId v) const {
     entry.target = v;
     entry.answer = answer;
     entry.tag = route.tag;
-    entry.epoch = b->epoch;
+    entry.epoch = root->epoch;
     entry.micros = nanos / 1000;
     entry.source_shard = route.su;
     entry.target_shard = route.sv;
@@ -570,7 +507,7 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
   // Batches are always stage-timed: a handful of clock reads per batch
   // (never per pair) amortize to nothing against the kernel work.
   const int64_t t_start = LatencyRollup::MonotonicNanos();
-  const BoundaryPtr::Pin b(boundary_);
+  const RootPtr::Pin root(root_);
   const int64_t n = static_cast<int64_t>(pairs.size());
   const bool sampled = n > 0 && tracer_.ShouldSample();
   std::vector<uint8_t> results(pairs.size(), 0);
@@ -580,8 +517,8 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
     tags.assign(pairs.size(), static_cast<uint8_t>(ProbeTag::kSlot));
   }
   // Pairs the bitset layer cannot settle (same shard, no hub witness)
-  // are deferred per shard and run through that shard's SIMD batch
-  // kernels in one call each.
+  // are deferred per shard and run through the SIMD batch kernels of
+  // the root's snapshot of that shard, in one call each.
   std::vector<std::vector<std::pair<NodeId, NodeId>>> deferred(
       shards_.size());
   std::vector<std::vector<int64_t>> deferred_idx(shards_.size());
@@ -594,7 +531,7 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
     const NodeId u = pairs[i].first;
     const NodeId v = pairs[i].second;
     RouteInfo route;
-    const int settled = SettlePair(*b, u, v, &route, [] {});
+    const int settled = SettlePair(*root, u, v, &route, [] {});
     if (route.su != route.sv) ++cross;
     if (i == 0) {
       first_su = route.su;
@@ -605,18 +542,23 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
       results[i] = static_cast<uint8_t>(settled);
       continue;
     }
-    deferred[route.shard].emplace_back(b->LocalIdAt(u), b->LocalIdAt(v));
+    deferred[route.shard].emplace_back(root->LocalIdAt(u),
+                                       root->LocalIdAt(v));
     deferred_idx[route.shard].push_back(i);
   }
-  if (cross > 0) b.Add(kCrossShardQueries, cross);
+  if (cross > 0) root.Add(kCrossShardQueries, cross);
   // The settle loop is the boundary-bitset stage.
   const int64_t t_settle = LatencyRollup::MonotonicNanos();
   int64_t shard_nanos = 0;
   int64_t merge_nanos = 0;
+  std::vector<uint8_t> local;
   for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
     if (deferred[s].empty()) continue;
     const int64_t t0 = LatencyRollup::MonotonicNanos();
-    const std::vector<uint8_t> local = shards_[s]->BatchReaches(deferred[s]);
+    local.resize(deferred[s].size());
+    root->shards[s]->BatchReaches(deferred[s].data(),
+                                  static_cast<int64_t>(deferred[s].size()),
+                                  local.data(), /*stats=*/nullptr);
     const int64_t t1 = LatencyRollup::MonotonicNanos();
     for (size_t j = 0; j < local.size(); ++j) {
       results[deferred_idx[s][j]] = local[j];
@@ -654,11 +596,11 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
       const ProbeTag tag = static_cast<ProbeTag>(tags[i]);
       StageTrace st = rec_stages;
       if (tag == ProbeTag::kFallback) {
-        st.shard = b->ShardOfAt(pairs[i].first);
+        st.shard = root->ShardOfAt(pairs[i].first);
       }
       tracer_.Record(pairs[i].first, pairs[i].second, results[i] != 0,
-                     /*from_batch=*/true, tag, /*extras_probes=*/0, b->epoch,
-                     per_query_nanos, &st);
+                     /*from_batch=*/true, tag, /*extras_probes=*/0,
+                     root->epoch, per_query_nanos, &st);
     }
   }
   if (options_.slow_batch_micros > 0 && n > 0 &&
@@ -668,7 +610,7 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
     entry.source = pairs[0].first;
     entry.target = pairs[0].second;
     entry.num_queries = n;
-    entry.epoch = b->epoch;
+    entry.epoch = root->epoch;
     entry.micros = total_nanos / 1000;
     entry.source_shard = first_su;
     entry.target_shard = first_sv;
@@ -679,50 +621,51 @@ std::vector<uint8_t> ShardedQueryService::BatchReaches(
 }
 
 std::vector<NodeId> ShardedQueryService::Successors(NodeId u) const {
-  const BoundaryPtr::Pin b(boundary_);
+  const RootPtr::Pin root(root_);
   std::vector<NodeId> out;
-  if (u < 0 || u >= b->num_nodes) return out;
-  const int su = b->ShardOfAt(u);
+  if (u < 0 || u >= root->num_nodes) return out;
+  const int su = root->ShardOfAt(u);
   std::vector<std::pair<NodeId, NodeId>> local_pairs;
   std::vector<NodeId> local_global;
-  for (int64_t i = 0; i < b->num_nodes; ++i) {
+  for (int64_t i = 0; i < root->num_nodes; ++i) {
     const NodeId v = static_cast<NodeId>(i);
     if (v == u) continue;
     RouteInfo route;
-    const int settled = SettlePair(*b, u, v, &route, [] {});
+    const int settled = SettlePair(*root, u, v, &route, [] {});
     if (settled > 0) {
       out.push_back(v);
     } else if (settled < 0) {
       // Deferred pairs share u, so they are all shard su's.
-      local_pairs.emplace_back(b->LocalIdAt(u), b->LocalIdAt(v));
+      local_pairs.emplace_back(root->LocalIdAt(u), root->LocalIdAt(v));
       local_global.push_back(v);
     }
   }
-  if (!local_pairs.empty()) {
-    const std::vector<uint8_t> hits = shards_[su]->BatchReaches(local_pairs);
-    for (size_t j = 0; j < hits.size(); ++j) {
-      if (hits[j]) out.push_back(local_global[j]);
-    }
+  std::vector<uint8_t> hits(local_pairs.size());
+  root->shards[su]->BatchReaches(local_pairs.data(),
+                                 static_cast<int64_t>(local_pairs.size()),
+                                 hits.data(), /*stats=*/nullptr);
+  for (size_t j = 0; j < hits.size(); ++j) {
+    if (hits[j]) out.push_back(local_global[j]);
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
 int ShardedQueryService::ShardOf(NodeId node) const {
-  std::lock_guard<std::mutex> lock(boundary_mutex_);
+  std::lock_guard<std::mutex> lock(writer_mutex_);
   if (node < 0 || node >= shard_of_.size()) return -1;
   return shard_of_.At(node);
 }
 
 ShardedMetricsView ShardedQueryService::MetricsView() const {
-  const std::shared_ptr<const BoundarySnapshot> b = boundary_.Load();
+  const std::shared_ptr<const Root> root = root_.Load();
   ShardedMetricsView view;
   view.num_shards = num_shards();
   view.epoch = epoch_.load(std::memory_order_relaxed);
-  view.num_nodes = b->num_nodes;
-  view.num_hubs = b->num_hubs;
-  view.boundary_label_bytes = b->label_bytes;
-  view.cross_shard_queries = boundary_.Sum(kCrossShardQueries);
+  view.num_nodes = root->num_nodes;
+  view.num_hubs = root->num_hubs;
+  view.boundary_label_bytes = root->label_bytes;
+  view.cross_shard_queries = root_.Sum(kCrossShardQueries);
   view.boundary_republishes =
       boundary_republishes_.load(std::memory_order_relaxed);
   view.boundary_skips = boundary_skips_.load(std::memory_order_relaxed);
@@ -736,16 +679,6 @@ bool ShardedQueryService::WorkingBitsHitLocked(NodeId a, NodeId b) const {
   const int words = out_bits_.words();
   if (words == 0) return false;
   return RowsIntersect(out_bits_.Row(a), in_bits_.Row(b), words);
-}
-
-bool ShardedQueryService::ReachesGloballyLocked(
-    NodeId a, NodeId b, const DynamicClosure* same_shard_dyn) const {
-  if (a == b) return true;
-  if (WorkingBitsHitLocked(a, b)) return true;
-  if (same_shard_dyn != nullptr && shard_of_.At(a) == shard_of_.At(b)) {
-    return same_shard_dyn->Reaches(local_id_.At(a), local_id_.At(b));
-  }
-  return false;
 }
 
 bool ShardedQueryService::OrRowChangedLocked(
@@ -857,38 +790,40 @@ void ShardedQueryService::RebuildBitsLocked() {
   }
 }
 
-void ShardedQueryService::PublishBoundaryLocked() {
-  // Free boundaries that readers still pinned at earlier swaps.
-  boundary_.Reclaim();
+void ShardedQueryService::PublishRootLocked() {
+  // Free roots that readers still pinned at earlier swaps.
+  root_.Reclaim();
   const int64_t n = mirror_.NumNodes();
-  const bool changed =
-      out_bits_.dirty() || in_bits_.dirty() || published_nodes_ != n ||
-      published_words_ != out_bits_.words() ||
-      published_hubs_ != static_cast<int64_t>(hub_at_bit_.size());
-  if (!changed) {
-    boundary_skips_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  auto snap = std::make_shared<BoundarySnapshot>();
-  snap->epoch = epoch_.load(std::memory_order_relaxed);
-  snap->num_nodes = n;
-  snap->words = out_bits_.words();
-  snap->out_chunks = out_bits_.chunks();
-  snap->in_chunks = in_bits_.chunks();
-  snap->shard_chunks = shard_of_.chunks();
-  snap->local_chunks = local_id_.chunks();
-  snap->num_hubs = static_cast<int64_t>(hub_at_bit_.size());
-  snap->label_bytes =
-      2 * n * snap->words * static_cast<int64_t>(sizeof(uint64_t));
-  boundary_.Publish(std::move(snap));
+  const int64_t hubs = static_cast<int64_t>(hub_at_bit_.size());
+  // With no row changed, the writer's chunks are still the previous
+  // root's, so the new root reuses them as they are.
+  const bool changed = out_bits_.dirty() || in_bits_.dirty() ||
+                       published_nodes_ != n ||
+                       published_words_ != out_bits_.words() ||
+                       published_hubs_ != hubs;
+  (changed ? boundary_republishes_ : boundary_skips_)
+      .fetch_add(1, std::memory_order_relaxed);
+  auto root = std::make_shared<Root>();
+  root->epoch = epoch_.load(std::memory_order_relaxed);
+  root->num_nodes = n;
+  root->words = out_bits_.words();
+  root->out_chunks = out_bits_.chunks();
+  root->in_chunks = in_bits_.chunks();
+  root->shard_chunks = shard_of_.chunks();
+  root->local_chunks = local_id_.chunks();
+  root->num_hubs = hubs;
+  root->label_bytes =
+      2 * n * root->words * static_cast<int64_t>(sizeof(uint64_t));
+  root->shards.reserve(shards_.size());
+  for (const auto& shard : shards_) root->shards.push_back(shard->Snapshot());
+  root_.Publish(std::move(root));
   out_bits_.MarkAllShared();
   out_bits_.ClearDirty();
   in_bits_.MarkAllShared();
   in_bits_.ClearDirty();
   published_nodes_ = n;
   published_words_ = out_bits_.words();
-  published_hubs_ = static_cast<int64_t>(hub_at_bit_.size());
-  boundary_republishes_.fetch_add(1, std::memory_order_relaxed);
+  published_hubs_ = hubs;
 }
 
 }  // namespace trel

@@ -21,8 +21,8 @@
 
 namespace trel {
 
-// Options for ShardedQueryService.  Each shard runs a full QueryService
-// (same options for all shards).
+// Options for ShardedQueryService.  Each shard's writes and publishes
+// run through a QueryService (same options for all shards).
 struct ShardedServiceOptions {
   // Load partitions with PartitionDag's default cut window (see
   // graph/partition.h).
@@ -32,11 +32,12 @@ struct ShardedServiceOptions {
   ServiceOptions shard;
 
   // --- Observability of the sharded front end (DESIGN.md §5) --------------
-  // These govern the FRONT-END tracer / slow log / windowed rollup /
+  // These govern the front-end tracer / slow log / windowed rollup /
   // flight recorder, which see sampled singles and every batch with
-  // their cross-shard routing and stage attribution; each shard's own
-  // QueryService additionally keeps its local observability (options
-  // above in `shard`).
+  // their cross-shard routing and stage attribution.  Front-end reads
+  // never enter a shard's QueryService, so a shard's own observability
+  // (options above in `shard`) sees its publishes and direct shard(s)
+  // reads only.
   // Sample 1-in-N front-end queries; 0 = off.  A nonzero
   // TREL_TRACE_SAMPLE env value overrides this at construction.
   uint32_t trace_sample_period = 0;
@@ -48,8 +49,8 @@ struct ShardedServiceOptions {
   FlightRecorder::Options flight;
 };
 
-// Counter/gauge view of the sharded layer itself; per-shard counters
-// live in each shard's own ServiceMetrics (see shard(s).Metrics()).
+// Counter/gauge view of the sharded layer itself; per-shard publish
+// counters live in each shard's own ServiceMetrics (shard(s).Metrics()).
 struct ShardedMetricsView {
   int num_shards = 0;
   uint64_t epoch = 0;
@@ -73,39 +74,44 @@ struct ShardedMetricsView {
 // service").
 //
 // The DAG is split into K topological-range shards (graph/partition.h);
-// each shard is served by its own single-writer QueryService, so updates
-// to different shards commit and publish concurrently instead of
-// serializing on one writer mutex.  Cross-shard reachability goes
-// through a global boundary index: every cut arc is incident to a "hub"
-// node, and per node the service maintains two hub bitsets —
-// out_bits[u] = hubs reachable from u, in_bits[v] = hubs reaching v
-// (both reflexive for hubs).  Those bitsets ARE a 2-hop labeling with
-// the hubs as centers, the reachability oracle of Jin & Wang (PAPERS.md):
+// each shard's labels live in their own QueryService, so a full publish
+// relabels n/K nodes.  Cross-shard reachability goes through a global
+// boundary index: every cut arc is incident to a "hub" node, and per
+// node the service maintains two hub bitsets — out_bits[u] = hubs
+// reachable from u, in_bits[v] = hubs reaching v (both reflexive for
+// hubs).  Those bitsets ARE a 2-hop labeling with the hubs as centers,
+// the reachability oracle of Jin & Wang (PAPERS.md):
 //
 //   Reaches(u, v) = u == v
 //                 | out_bits[u] & in_bits[v] != 0
 //                 | same_shard(u, v) && shard.Reaches(local_u, local_v)
 //
-// which is exact: a path either stays inside one shard hub-free (the
-// shard's interval labels see every intra-shard arc) or touches a hub,
-// and the first hub on the path witnesses the bitset intersection.
-// Singles, batches and Successors all settle a pair by this one rule
-// (SettlePair), hub pairs included.
+// which is exact when both sides come from one graph state: a path
+// either stays inside one shard hub-free (the shard's interval labels
+// see every intra-shard arc) or touches a hub, and the first hub on the
+// path witnesses the bitset intersection.  Singles, batches and
+// Successors all settle a pair by this one rule (SettlePair), hub pairs
+// included.
 //
-// Writers: ops whose endpoints share a shard run inside that shard's
-// writer mutex (QueryService::Apply) and then update the global mirror +
-// bitsets under the boundary mutex; cross-shard arcs touch only the
-// boundary state.  Lock order is always shard-then-boundary.  A new
-// cross-shard arc between two non-hubs promotes the higher-degree
-// endpoint to hub (the cover invariant is maintained dynamically).
+// Writers: ONE writer, as in QueryService.  Every write and publish
+// holds one writer mutex.  A same-shard op also updates that shard's
+// DynamicClosure; every op updates the global mirror and the bitsets.
+// A new cross-shard arc between two non-hubs promotes the
+// higher-degree endpoint to hub (the cover invariant is maintained
+// dynamically).
 //
-// Publication: Publish() publishes every shard, then republishes the
-// boundary snapshot only if a boundary row actually changed (or nodes /
-// hubs were added); bitset and routing storage is chunked copy-on-write,
-// so a republish after a typical leaf-append run copies only the tail
-// chunk.  Readers are lock-free: a single query pins the boundary
-// snapshot, then the deciding shard's snapshot, each in the calling
-// thread's own reader slot of that service (service/published_ptr.h).
+// Publication: a publish swaps in one immutable root, the boundary rows
+// plus every shard's current snapshot, through one PublishedPtr.  Bitset
+// and routing storage is chunked copy-on-write, so a root shares every
+// unchanged chunk with the root before it, and a publish that changed
+// no row (a boundary skip) shares them all.  Readers are lock-free: a
+// call pins the root once, in the calling thread's own reader slot
+// (service/published_ptr.h), and asks the root's shard snapshot
+// directly, so rows and shard labels always come from one publish.
+// Publish() therefore moves readers atomically from one graph state to
+// the next.  PublishShard(s) refreshes only shard s's snapshot, so it is
+// atomic only when no other shard holds unpublished writes; otherwise
+// the root pairs the newer rows with an older shard snapshot.
 //
 // Sharding pays off on clustered input (the sharded_mix benchmark's
 // ClusteredDag), where the hubs are a few percent of the nodes and a
@@ -115,10 +121,8 @@ struct ShardedMetricsView {
 // graph is better served by one QueryService (DESIGN.md §7).
 //
 // Snapshot semantics match the monolithic service: ids unknown to the
-// published boundary snapshot reach nothing and are reached by nothing.
-// A batch reads one boundary snapshot plus one snapshot per shard it
-// touches; under concurrent publishes those can differ by an epoch
-// (each sub-answer is individually consistent).
+// published root reach nothing and are reached by nothing.  A batch and
+// a Successors call read one root.
 class ShardedQueryService {
  public:
   explicit ShardedQueryService(
@@ -144,13 +148,13 @@ class ShardedQueryService {
   Status AddArc(NodeId from, NodeId to);
   Status RemoveArc(NodeId from, NodeId to);
 
-  // Publishes every shard, then the boundary layer if dirty.  Returns
-  // the new global publish epoch.
+  // Publishes every shard, then a root with the boundary rows and every
+  // shard's snapshot.  Returns the new global publish epoch.
   uint64_t Publish();
 
-  // Publishes one shard (plus the boundary layer if dirty) — the
-  // concurrent-writer entry point: K threads each publishing their own
-  // shard serialize only on the (cheap) boundary step.
+  // Publishes shard `shard` only, then a root, under the same writer
+  // mutex.  Atomic only when no other shard holds unpublished writes
+  // (see the class comment); Publish() always is.
   uint64_t PublishShard(int shard);
 
   // --- Reader API (lock-free) ----------------------------------------
@@ -167,10 +171,14 @@ class ShardedQueryService {
   // --- Introspection --------------------------------------------------
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
+  // Shard s's write and publish pipeline, in shard-local ids.  Reads
+  // through it see its latest snapshot, which a bare shard(s).Publish()
+  // makes newer than the root's; the front end reads only the root.
   const QueryService& shard(int s) const { return *shards_[s]; }
   QueryService& shard(int s) { return *shards_[s]; }
 
-  // Shard owning `node`, or -1 for ids the writer has never seen.
+  // Shard owning `node`, or -1 for ids the writer has never seen.  Reads
+  // the writer's routing, so it knows unpublished leaves.
   int ShardOf(NodeId node) const;
 
   uint64_t Epoch() const { return epoch_.load(std::memory_order_relaxed); }
@@ -195,14 +203,13 @@ class ShardedQueryService {
   // The anomaly flight recorder over rollup() (obs/flight_recorder.h).
   FlightRecorder& flight_recorder() const { return flight_; }
   // Runs the flight-recorder detectors against the live counters
-  // (rejected batches summed over shards, boundary republishes, last
-  // publish span).  Called from /flightz and /metricsz rendering and
-  // after publishes; safe from any thread.
+  // (boundary republishes, last publish span).  Called from /flightz and
+  // /metricsz rendering and after publishes; safe from any thread.
   bool CheckFlightRecorder() const;
 
  private:
-  // Reads the hub registry and the published boundary rows, for tests
-  // and their failure messages (tests/sharded_service_test.cc).
+  // Reads the hub registry and the published root, for tests and their
+  // failure messages (tests/sharded_service_test.cc).
   friend class ShardedQueryServicePeer;
 
   static constexpr int64_t kRowsPerChunk = 4096;
@@ -259,8 +266,9 @@ class ShardedQueryService {
     bool dirty_ = false;
   };
 
-  // Immutable published boundary layer.
-  struct BoundarySnapshot {
+  // The immutable published root: the boundary rows and routing of
+  // every node, and the shard snapshots published with them.
+  struct Root {
     uint64_t epoch = 0;
     int64_t num_nodes = 0;
     int words = 0;
@@ -270,6 +278,7 @@ class ShardedQueryService {
     std::vector<std::shared_ptr<RoutingChunk>> local_chunks;
     int64_t num_hubs = 0;
     int64_t label_bytes = 0;  // Both bitset matrices.
+    std::vector<std::shared_ptr<const ClosureSnapshot>> shards;
 
     const uint64_t* OutRow(int64_t r) const;
     const uint64_t* InRow(int64_t r) const;
@@ -288,42 +297,41 @@ class ShardedQueryService {
     ProbeTag tag = ProbeTag::kSlot;
   };
 
-  // The published boundary; its reader slots count cross-shard queries.
-  enum BoundaryCounter { kCrossShardQueries = 0 };
-  using BoundaryPtr = PublishedPtr<BoundarySnapshot, 1>;
+  // The published root; its reader slots count cross-shard queries.
+  enum RootCounter { kCrossShardQueries = 0 };
+  using RootPtr = PublishedPtr<Root, 1>;
 
-  // Settles (u, v) on boundary `b` by the rule in the class comment.
-  // Every read path calls it, so a single, a batch element and a
-  // Successors candidate settle alike.  Returns 1 or 0 when the boundary
-  // decides (an unknown id, u == v, a shared hub, or no shared hub across
-  // shards), or -1 when the pair is route->shard's to answer.  `routed()`
-  // runs once route->su and route->sv are set, before the bitset probe;
-  // the sampled single closes its route stage there.
+  // Settles (u, v) on root `r` by the rule in the class comment.  Every
+  // read path calls it, so a single, a batch element and a Successors
+  // candidate settle alike.  Returns 1 or 0 when the boundary rows
+  // decide (an unknown id, u == v, a shared hub, or no shared hub across
+  // shards), or -1 when the pair is route->shard's to answer.
+  // `routed()` runs once route->su and route->sv are set, before the
+  // bitset probe; the sampled single closes its route stage there.
   template <typename Routed>
-  static int SettlePair(const BoundarySnapshot& b, NodeId u, NodeId v,
-                        RouteInfo* route, const Routed& routed);
+  static int SettlePair(const Root& r, NodeId u, NodeId v, RouteInfo* route,
+                        const Routed& routed);
 
-  // The single-query pipeline over the pinned boundary `b`: SettlePair,
-  // then the owning shard's Reaches for the pairs it defers.
+  // The single-query pipeline over the pinned root: SettlePair, then the
+  // root's snapshot of the owning shard for the pairs it defers.
   // kTimed=false is the hot path: no clock reads at all.  kTimed=true
   // (sampled queries) attributes elapsed nanos to `stages` stage by
   // stage on the same monotonic clock as ReachesSampled's end-to-end
   // pair, so the stage sum never exceeds the total.
   template <bool kTimed>
-  bool ReachesCore(const BoundaryPtr::Pin& b, NodeId u, NodeId v,
+  bool ReachesCore(const RootPtr::Pin& root, NodeId u, NodeId v,
                    RouteInfo* route, StageTrace* stages) const;
 
   // Cold traced twin of Reaches: stage timing, trace record, rollup and
   // slow-log bookkeeping.
   bool ReachesSampled(NodeId u, NodeId v) const;
 
-  // Publishes the last publish span to the flight-recorder inputs.
-  void NotePublish(uint64_t epoch, int64_t micros);
+  // The one publish body: publishes shard `only` (every shard when -1),
+  // then the root, and notes the span for the flight recorder.
+  uint64_t PublishShards(int only);
 
-  // Writer-side helpers; all assume boundary_mutex_ is held.
+  // Writer-side helpers; all assume writer_mutex_ is held.
   bool WorkingBitsHitLocked(NodeId a, NodeId b) const;
-  bool ReachesGloballyLocked(NodeId a, NodeId b,
-                             const DynamicClosure* same_shard_dyn) const;
   void ApplyArcBitsLocked(NodeId from, NodeId to);
   void AppendLeafBitsLocked(NodeId parent);
   void PromoteHubLocked(NodeId node);
@@ -332,16 +340,16 @@ class ShardedQueryService {
                            const std::vector<uint64_t>& src);
   bool OrRowChangedLocked(HubBits& bits, NodeId row,
                           const std::vector<uint64_t>& src);
-  void PublishBoundaryLocked();
+  void PublishRootLocked();
 
   ShardedServiceOptions options_;
   std::vector<std::unique_ptr<QueryService>> shards_;
 
-  // Global writer state: the full-graph mirror (for validation, cycle
-  // checks, and bitset propagation), routing arrays, hub registry, and
-  // the working bitsets.  Guarded by boundary_mutex_; lock order is
-  // shard writer mutex first (via QueryService::Apply), boundary second.
-  mutable std::mutex boundary_mutex_;
+  // Held by every write and publish, as QueryService's writer mutex is.
+  // It guards the global writer state: the full-graph mirror (for
+  // validation, cycle checks, and bitset propagation), routing arrays,
+  // hub registry, and the working bitsets.
+  mutable std::mutex writer_mutex_;
   Digraph mirror_;
   AppendArray shard_of_;
   AppendArray local_id_;
@@ -354,8 +362,8 @@ class ShardedQueryService {
   int published_words_ = -1;
   int64_t published_hubs_ = -1;
 
-  BoundaryPtr boundary_;
-  std::atomic<uint64_t> epoch_{0};
+  RootPtr root_;
+  std::atomic<uint64_t> epoch_{0};  // Written under writer_mutex_.
 
   std::atomic<int64_t> boundary_republishes_{0};
   std::atomic<int64_t> boundary_skips_{0};

@@ -170,14 +170,32 @@ TEST(GraphIoTest, ReadRejectsMalformedInput) {
     std::istringstream is("# nodes 2\n0 5\n");
     EXPECT_EQ(ReadEdgeList(is).status().code(), StatusCode::kInvalidArgument);
   }
-  // Ids past 32 bits must not wrap into range (2^32 + 1 -> 1).
-  for (const char* arc : {"4294967297 4294967298\n", "-4294967295 2\n"}) {
+  // Ids past 32 bits must not wrap into range (2^32 + 1 -> 1), and
+  // nothing may follow the two ids: a weighted list must not load as an
+  // unweighted one.
+  for (const char* arc : {"4294967297 4294967298\n", "-4294967295 2\n",
+                          "0 1 junk\n", "0 1 5\n"}) {
     std::istringstream is(std::string("# nodes 3\n") + arc);
     const StatusOr<Digraph> read = ReadEdgeList(is);
     EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument) << arc;
     EXPECT_NE(read.status().message().find("line 2"), std::string::npos)
         << read.status().ToString();
   }
+  {
+    std::istringstream is("# nodes 3 junk\n0 1\n");
+    const StatusOr<Digraph> read = ReadEdgeList(is);
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(read.status().message().find("line 1"), std::string::npos)
+        << read.status().ToString();
+  }
+  // Trailing blanks and CRLF line ends still load.
+  std::istringstream crlf("# nodes 3 \r\n0 1\r\n1 2 \t\r\n");
+  const StatusOr<Digraph> read = ReadEdgeList(crlf);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->NumNodes(), 3);
+  EXPECT_TRUE(read->HasArc(0, 1));
+  EXPECT_TRUE(read->HasArc(1, 2));
+  EXPECT_EQ(read->NumArcs(), 2);
 }
 
 TEST(GraphIoTest, DotMarksNonTreeArcsDashed) {

@@ -30,8 +30,8 @@
 
 namespace trel {
 
-// Reads a ShardedQueryService's hub registry and published boundary rows,
-// for checks that need the hubs and failure messages that print the rows.
+// Reads a ShardedQueryService's hub registry and published root, for
+// checks that need the hubs and failure messages that print the root.
 class ShardedQueryServicePeer {
  public:
   explicit ShardedQueryServicePeer(const ShardedQueryService& service)
@@ -39,35 +39,52 @@ class ShardedQueryServicePeer {
 
   // Hub node ids in bit order.
   std::vector<NodeId> Hubs() const {
-    std::lock_guard<std::mutex> lock(service_.boundary_mutex_);
+    std::lock_guard<std::mutex> lock(service_.writer_mutex_);
     return service_.hub_at_bit_;
   }
 
-  // Both endpoints' shards, the hubs in u's published out-row and v's
-  // in-row, and the shard-local answer when u and v share a shard.
+  // How the published root sees (u, v): its epoch, both endpoints'
+  // shards and local ids, the hubs in u's out-row and v's in-row, and,
+  // when u and v share a shard, the epoch and answer of the root's
+  // snapshot of that shard.
   std::string DescribePair(NodeId u, NodeId v) const {
-    const auto b = service_.boundary_.Load();
+    const auto root = service_.root_.Load();
+    std::string out = "root epoch " + std::to_string(root->epoch);
+    const auto known = [&root](NodeId x) {
+      return x >= 0 && x < root->num_nodes;
+    };
+    if (!known(u) || !known(v)) {
+      return out + ": (" + std::to_string(u) + "," + std::to_string(v) +
+             ") not among its " + std::to_string(root->num_nodes) + " nodes";
+    }
     const std::vector<NodeId> hubs = Hubs();
     const size_t bits =
-        std::min(hubs.size(), static_cast<size_t>(b->words) * 64);
+        std::min(hubs.size(), static_cast<size_t>(root->num_hubs));
     const auto row_hubs = [&](const uint64_t* row) {
-      std::string out = "{";
+      std::string hub_list = "{";
       for (size_t bit = 0; bit < bits; ++bit) {
         if ((row[bit / 64] >> (bit % 64)) & 1) {
-          out += (out.size() > 1 ? " " : "") + std::to_string(hubs[bit]);
+          hub_list += (hub_list.size() > 1 ? " " : "") +
+                      std::to_string(hubs[bit]);
         }
       }
-      return out + "}";
+      return hub_list + "}";
     };
-    const int su = b->ShardOfAt(u);
-    const int sv = b->ShardOfAt(v);
-    std::string out = "shards (" + std::to_string(su) + "," +
-                      std::to_string(sv) + ") out_row(u) " +
-                      row_hubs(b->OutRow(u)) + " in_row(v) " +
-                      row_hubs(b->InRow(v));
-    if (su == sv) {
-      out += " shard_local " + std::to_string(service_.shard(su).Reaches(
-                                   b->LocalIdAt(u), b->LocalIdAt(v)));
+    const auto endpoint = [&root](NodeId x) {
+      return std::to_string(x) + " in shard " +
+             std::to_string(root->ShardOfAt(x)) + " as local " +
+             std::to_string(root->LocalIdAt(x));
+    };
+    const int su = root->ShardOfAt(u);
+    out += ": u " + endpoint(u) + ", v " + endpoint(v) + "; out_row(u) " +
+           row_hubs(root->OutRow(u)) + " in_row(v) " +
+           row_hubs(root->InRow(v));
+    if (su == root->ShardOfAt(v)) {
+      const ClosureSnapshot& shard = *root->shards[su];
+      out += "; shard " + std::to_string(su) + " snapshot epoch " +
+             std::to_string(shard.epoch) + " answers " +
+             std::to_string(
+                 shard.Reaches(root->LocalIdAt(u), root->LocalIdAt(v)));
     }
     return out;
   }
@@ -654,9 +671,9 @@ TEST(ShardedServiceTest, EmptyServiceBehavesLikeEmptyMonolith) {
 
 // Readers call the front end's Reaches while the writer grows the graph
 // and its shards alternate delta and forced-full publishes.  Each call
-// pins the boundary, then a shard's snapshot.  The ops only add, so no
-// answer turns from true to false, and cross_shard_queries matches the
-// count this test keeps, including calls from exited reader threads.
+// pins one root.  The ops only add, so no answer turns from true to
+// false, and cross_shard_queries matches the count this test keeps,
+// including calls from exited reader threads.
 TEST(ShardedServiceTest, ApiReadersStayMonotoneAndCounted) {
   ShardedQueryService sharded(OptionsFor(3));
   const Digraph graph = ClusteredDag(6, 50, 2.5, 2, 0.1, 19);
@@ -747,6 +764,196 @@ TEST(ShardedServiceTest, ApiReadersStayMonotoneAndCounted) {
   // Every shard published at least kMaxDeltaPublishes + 1 times, so each
   // forced a full publish.
   EXPECT_GE(full_publishes() - fulls_before, sharded.num_shards());
+}
+
+// 0 -> 1 -> 2 beside the chain 3 -> 4 -> ... -> 39.  At K = 2, nodes 0,
+// 1 and 2 land in shard 0 and node 20 in shard 1, so 0 -> 20 -> 2 is a
+// second way from 0 to 2, through a hub.
+Digraph TwoPathGraph() {
+  Digraph graph(40);
+  TREL_CHECK(graph.AddArc(0, 1).ok());
+  TREL_CHECK(graph.AddArc(1, 2).ok());
+  for (NodeId v = 3; v + 1 < 40; ++v) TREL_CHECK(graph.AddArc(v, v + 1).ok());
+  return graph;
+}
+
+// Loads TwoPathGraph into a K = 2 service, then makes node 20 a hub:
+// AddArc(0, 20) promotes it and RemoveArc(0, 20) keeps it one.
+void LoadTwoPaths(ShardedQueryService& sharded) {
+  ASSERT_EQ(sharded.num_shards(), 2);
+  ASSERT_TRUE(sharded.Load(TwoPathGraph()).ok());
+  for (const NodeId v : {0, 1, 2}) ASSERT_EQ(sharded.ShardOf(v), 0) << v;
+  ASSERT_EQ(sharded.ShardOf(20), 1);
+  ASSERT_TRUE(sharded.AddArc(0, 20).ok());
+  ASSERT_TRUE(sharded.RemoveArc(0, 20).ok());
+  sharded.Publish();
+  const std::vector<NodeId> hubs = ShardedQueryServicePeer(sharded).Hubs();
+  ASSERT_NE(std::find(hubs.begin(), hubs.end(), 20), hubs.end());
+}
+
+// Moves 0 -> 2 from the path through 1 to the path through hub 20, or
+// back.  0 reaches 2 before and after; of these arcs only 1 -> 2 is a
+// shard's (shard 0's).
+void FlipToHubPath(ShardedQueryService& sharded) {
+  EXPECT_TRUE(sharded.AddArc(0, 20).ok());
+  EXPECT_TRUE(sharded.AddArc(20, 2).ok());
+  EXPECT_TRUE(sharded.RemoveArc(1, 2).ok());
+}
+
+void FlipToShardPath(ShardedQueryService& sharded) {
+  EXPECT_TRUE(sharded.AddArc(1, 2).ok());
+  EXPECT_TRUE(sharded.RemoveArc(0, 20).ok());
+  EXPECT_TRUE(sharded.RemoveArc(20, 2).ok());
+}
+
+// A bare shard(0).Publish() is the first step of Publish(): shard 0's
+// snapshot loses 1 -> 2 before any root carries the hub rows of 0 -> 20
+// -> 2.  Reads pin the root, whose rows and shard snapshots come from
+// one publish, so 0 still reaches 2 through the old path.
+TEST(ShardedServiceTest, BareShardPublishLeavesReadsOnTheRoot) {
+  ShardedQueryService sharded(OptionsFor(2));
+  ASSERT_NO_FATAL_FAILURE(LoadTwoPaths(sharded));
+  const ShardedQueryServicePeer peer(sharded);
+  FlipToHubPath(sharded);
+  sharded.shard(0).Publish();
+  EXPECT_TRUE(sharded.Reaches(0, 2)) << peer.DescribePair(0, 2);
+  EXPECT_EQ(sharded.BatchReaches({{0, 2}}), std::vector<uint8_t>{1})
+      << peer.DescribePair(0, 2);
+  std::vector<NodeId> successors = sharded.Successors(0);
+  EXPECT_NE(std::find(successors.begin(), successors.end(), 2),
+            successors.end())
+      << peer.DescribePair(0, 2);
+
+  sharded.Publish();
+  EXPECT_TRUE(sharded.Reaches(0, 2)) << peer.DescribePair(0, 2);
+  EXPECT_FALSE(sharded.Reaches(1, 2)) << peer.DescribePair(1, 2);
+  EXPECT_EQ(sharded.BatchReaches({{0, 2}, {20, 2}}),
+            (std::vector<uint8_t>{1, 1}))
+      << peer.DescribePair(20, 2);
+  successors = sharded.Successors(0);
+  EXPECT_NE(std::find(successors.begin(), successors.end(), 2),
+            successors.end())
+      << peer.DescribePair(0, 2);
+}
+
+// "{1 2 20}", for failure messages.
+std::string JoinIds(const std::vector<NodeId>& ids) {
+  std::string out;
+  for (const NodeId id : ids) {
+    out += (out.empty() ? "" : " ") + std::to_string(id);
+  }
+  return "{" + out + "}";
+}
+
+// Three readers ask about 0 -> 2 while one writer flips it between the
+// shard path 0 -> 1 -> 2 and the hub path 0 -> 20 -> 2, each flip after
+// one add or removal of a shortcut arc along the chain.  Shortcuts
+// change no reachability, but their removals rebuild the bitsets and
+// their cross-shard adds promote hubs.  A flip publishes with
+// PublishShard(0) when shard 0 is the only shard it dirtied, else with
+// Publish().  Every answer must be the truth of one of the two graph
+// states; each mismatch is counted, and the first ten are described.
+// Bounded by the writer's flip count, not by time.
+TEST(ShardedServiceTest, PathFlipsUnderReadersNeverTear) {
+  ShardedQueryService sharded(OptionsFor(2));
+  ASSERT_NO_FATAL_FAILURE(LoadTwoPaths(sharded));
+  const ShardedQueryServicePeer peer(sharded);
+  // 0 -> 2 holds in both states; the other three pairs flip.
+  const std::vector<std::pair<NodeId, NodeId>> batch = {
+      {0, 2}, {1, 2}, {20, 2}, {0, 20}};
+  const std::vector<uint8_t> shard_path_batch = {1, 1, 0, 0};
+  const std::vector<uint8_t> hub_path_batch = {1, 0, 1, 1};
+  const std::vector<NodeId> shard_path_successors = {1, 2};
+  std::vector<NodeId> hub_path_successors = {1, 2};
+  for (NodeId v = 20; v < 40; ++v) hub_path_successors.push_back(v);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<int64_t> rounds{0};
+  std::atomic<int64_t> wrong{0};
+  std::mutex reports_mutex;
+  std::vector<std::string> reports;
+  const auto mismatch = [&](const std::string& what) {
+    wrong.fetch_add(1);
+    std::lock_guard<std::mutex> lock(reports_mutex);
+    if (reports.size() < 10) {
+      reports.push_back(what + "; " + peer.DescribePair(0, 2));
+    }
+  };
+  const auto reader = [&] {
+    started.fetch_add(1);
+    int64_t local_rounds = 0;
+    do {
+      if (!sharded.Reaches(0, 2)) mismatch("Reaches(0, 2) false");
+      const std::vector<uint8_t> got = sharded.BatchReaches(batch);
+      if (got != shard_path_batch && got != hub_path_batch) {
+        mismatch("BatchReaches " + JoinIds({got.begin(), got.end()}));
+      }
+      const std::vector<NodeId> successors = sharded.Successors(0);
+      if (successors != shard_path_successors &&
+          successors != hub_path_successors) {
+        mismatch("Successors(0) " + JoinIds(successors));
+      }
+      ++local_rounds;
+    } while (!done.load());
+    rounds.fetch_add(local_rounds);
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) readers.emplace_back(reader);
+  while (started.load() < 3) std::this_thread::yield();
+
+  constexpr int kFlips = 2000;
+  const int64_t promotions_before = sharded.MetricsView().hub_promotions;
+  Random rng(61);
+  std::vector<std::pair<NodeId, NodeId>> shortcuts;
+  int shard_publishes = 0;
+  for (int flip = 0; flip < kFlips; ++flip) {
+    bool other_shard_dirty = false;
+    const auto note_write = [&](NodeId u, NodeId v) {
+      if (sharded.ShardOf(u) == sharded.ShardOf(v) && sharded.ShardOf(u) != 0) {
+        other_shard_dirty = true;
+      }
+    };
+    if (!shortcuts.empty() && rng.Uniform(2) == 0) {
+      const size_t pick = rng.Uniform(shortcuts.size());
+      const auto [u, v] = shortcuts[pick];
+      EXPECT_TRUE(sharded.RemoveArc(u, v).ok());
+      note_write(u, v);
+      shortcuts[pick] = shortcuts.back();
+      shortcuts.pop_back();
+    } else {
+      const NodeId u = 3 + static_cast<NodeId>(rng.Uniform(37));
+      const NodeId v = 3 + static_cast<NodeId>(rng.Uniform(37));
+      if (u + 1 < v && sharded.AddArc(u, v).ok()) {  // Else a duplicate.
+        note_write(u, v);
+        shortcuts.emplace_back(u, v);
+      }
+    }
+    if (flip % 2 == 0) {
+      FlipToHubPath(sharded);
+    } else {
+      FlipToShardPath(sharded);
+    }
+    if (other_shard_dirty) {
+      sharded.Publish();
+    } else {
+      sharded.PublishShard(0);
+      ++shard_publishes;
+    }
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  std::string described;
+  for (const std::string& report : reports) described += "\n  " + report;
+  EXPECT_EQ(wrong.load(), 0)
+      << wrong.load() << " wrong answers in " << rounds.load()
+      << " reader rounds over " << kFlips << " flips; the first:"
+      << described;
+  EXPECT_GT(rounds.load(), 0);
+  EXPECT_GT(shard_publishes, 0);
+  EXPECT_LT(shard_publishes, kFlips);
+  EXPECT_GT(sharded.MetricsView().hub_promotions, promotions_before);
 }
 
 TEST(ShardedServiceTest, MetricsViewToStringIsMachineCheckable) {

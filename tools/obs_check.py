@@ -37,7 +37,9 @@ exporter instead: the boundary-layer families and one labeled sample per
 shard must be present, counters must stay monotonic across scrapes, and
 the /statusz ``boundary_metrics:`` line
 (ShardedMetricsView::ToString()) must agree with /metricsz field for
-field.  The sharded surface keeps per-shard and per-stage window series
+field, and the front end's ``single`` and ``batch`` windows must have
+counted the warm-up's sampled singles and batch.  The sharded surface
+keeps per-shard and per-stage window series
 (route/boundary_bitset/shard_query/merge, single, batch,
 shard0..shardK-1); monolithic histogram checks are skipped.
 
@@ -417,8 +419,6 @@ BOUNDARY_TO_METRICSZ = {
 # Per-shard families every shard must show up in, with a shard="<s>"
 # label (trel_shard_publishes_total additionally splits by kind).
 PER_SHARD_FAMILIES = [
-    "trel_shard_reach_queries_total",
-    "trel_shard_batches_total",
     "trel_shard_snapshot_epoch",
     "trel_shard_snapshot_nodes",
 ]
@@ -505,14 +505,17 @@ def check_sharded(args, errors):
         if f"shard[{s}]:" not in statusz:
             errors.append(f"statusz: missing shard[{s}] line")
 
-    # Warmed-up traffic: shard reach counters and boundary republishes
-    # must be live; cross-shard traffic requires a real boundary (K > 1).
-    shard_reach = sum(
-        samples.get(f'trel_shard_reach_queries_total{{shard="{s}"}}', 0)
-        for s in range(args.sharded))
-    if shard_reach <= 0:
-        errors.append("warmup: no per-shard reach queries — "
-                      "serve-sharded warmup broken")
+    # Warmed-up traffic: the front end's sampled singles and its batch
+    # must land in their rollup windows, and boundary republishes must be
+    # live; cross-shard traffic requires a real boundary (K > 1).
+    for series in ("single", "batch"):
+        counted = max(
+            (value for key, value in samples.items()
+             if key.startswith("trel_latency_window_samples{"
+                               f'series="{series}",')), default=0)
+        if counted <= 0:
+            errors.append(f"warmup: the front end's {series!r} rollup "
+                          "windows counted no samples")
     if samples.get("trel_boundary_republishes_total", 0) <= 0:
         errors.append("warmup: no boundary republishes")
     if args.sharded > 1 and \

@@ -546,9 +546,9 @@ int PartitionInfo(const std::string& path, int num_shards) {
 }
 
 // Sharded traffic for serve-sharded warmup: singles and one batch
-// through the routing front end, so the cross-shard and per-shard
-// counters are all live, then a leaf append + publish to tick the
-// boundary republish path.
+// through the routing front end, so the cross-shard counter and the
+// front end's latency windows are live, then a leaf append + publish to
+// tick the boundary republish path.
 void WarmupShardedService(ShardedQueryService& service) {
   const int64_t n = service.MetricsView().num_nodes;
   if (n <= 0) return;
