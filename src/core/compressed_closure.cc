@@ -161,7 +161,9 @@ CompressedClosure CompressedClosure::WithDelta(const CompressedClosure& base,
   return result;
 }
 
-CompressedClosure CompressedClosure::Fold(const CompressedClosure& layered) {
+CompressedClosure CompressedClosure::Fold(const CompressedClosure& layered,
+                                          std::shared_ptr<LabelArena> into) {
+  TREL_CHECK(into != nullptr);
   CompressedClosure result;
   result.num_nodes_ = layered.num_nodes_;
   result.total_intervals_ = layered.total_intervals_;
@@ -169,9 +171,9 @@ CompressedClosure CompressedClosure::Fold(const CompressedClosure& layered) {
     result.arena_ = layered.arena_;
   } else {
     const Overlay& overlay = *layered.overlay_;
-    result.arena_ = std::make_shared<const LabelArena>(
-        FoldOverlayArena(*layered.arena_, overlay.arena, overlay.slot_of,
-                         overlay.stale_labels));
+    FoldOverlayArena(*layered.arena_, overlay.arena, overlay.slot_of,
+                     overlay.stale_labels, *into);
+    result.arena_ = std::move(into);
   }
   return result;
 }

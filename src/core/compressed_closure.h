@@ -85,12 +85,17 @@ class CompressedClosure {
                                      const ClosureDelta& delta);
 
   // A base-only closure that answers exactly like `layered`, typically a
-  // WithDelta closure: its overlay is folded into a new base arena
+  // WithDelta closure: its overlay is folded into `into`
   // (FoldOverlayArena), byte for byte the arena FromParts builds over the
   // same labeling, at the cost of the overlay plus bulk copies of the
-  // base — serially, with no runner.  An overlay-free `layered` shares
-  // its arena as is.
-  static CompressedClosure Fold(const CompressedClosure& layered);
+  // base — serially, with no runner.  `into` may hold a retired arena,
+  // whose arrays the fold clears and refills within their capacity; the
+  // result then shares it, so its deleter decides where that memory goes
+  // once the last closure sharing it is destroyed (QueryService keeps it
+  // for its next fold).  An overlay-free `layered` shares its arena as is
+  // and drops `into`.
+  static CompressedClosure Fold(const CompressedClosure& layered,
+                                std::shared_ptr<LabelArena> into);
 
   // True iff there is a directed path from `u` to `v` (every node reaches
   // itself).  Two flat array loads in the common case: u's slot (which

@@ -12,6 +12,12 @@ namespace {
 
 constexpr int64_t kFilterBuckets = LabelArena::kFilterWords * 64;
 
+// A fold target's array that is too short is regrown to n + n /
+// kFoldHeadroomDivisor elements.  QueryService's spare is two folds old,
+// and `point_reads`' arena grows about 0.4% per fold, so without headroom
+// every fold would miss the recycled memory and fault in fresh pages.
+constexpr size_t kFoldHeadroomDivisor = 16;
+
 // The builders' range check: every label an arena holds must fit its
 // 32-bit form.  The label creators keep theirs below the limit (see
 // interval.h), so this only fires on a bug.
@@ -92,6 +98,14 @@ void AppendMarkedLine(const LabelArena::NodeSlot& slot,
              filters.data() + filters.size() - LabelArena::kFilterWords);
 }
 
+// Empties `array` for a fold that appends `n` elements: its capacity is
+// kept, and regrown with headroom when too short.
+template <typename T>
+void ClearForFold(std::vector<T>& array, size_t n) {
+  array.clear();
+  if (array.capacity() < n) array.reserve(n + n / kFoldHeadroomDivisor);
+}
+
 // Fills one node's slot (postorder and extra_begin already set), its
 // Eytzinger run at `run`, and its filter line from `set`, a sorted
 // antichain.
@@ -131,6 +145,14 @@ int64_t LabelArena::ByteSize() const {
                               filters.size() * sizeof(uint64_t) +
                               dir_labels.size() * sizeof(ArenaLabel) +
                               dir_nodes.size() * sizeof(NodeId));
+}
+
+int64_t LabelArena::CapacityBytes() const {
+  return static_cast<int64_t>(slots.capacity() * sizeof(NodeSlot) +
+                              extras.capacity() * sizeof(ArenaInterval) +
+                              filters.capacity() * sizeof(uint64_t) +
+                              dir_labels.capacity() * sizeof(ArenaLabel) +
+                              dir_nodes.capacity() * sizeof(NodeId));
 }
 
 LabelArena BuildLabelArena(const NodeLabels& labels) {
@@ -272,28 +294,34 @@ LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
   return arena;
 }
 
-LabelArena FoldOverlayArena(const LabelArena& base, const LabelArena& overlay,
-                            const std::vector<int32_t>& slot_of,
-                            const std::vector<Label>& stale_labels) {
+void FoldOverlayArena(const LabelArena& base, const LabelArena& overlay,
+                      const std::vector<int32_t>& slot_of,
+                      const std::vector<Label>& stale_labels,
+                      LabelArena& into) {
+  TREL_CHECK(&into != &base && &into != &overlay)
+      << "a fold cannot write into an arena it reads";
   const int64_t n = static_cast<int64_t>(slot_of.size());
   const NodeId base_nodes = base.num_nodes();
   TREL_CHECK_GE(n, base_nodes) << "node ids are never recycled";
-  LabelArena arena;
-  if (n == 0) return arena;
+  LabelArena& arena = into;
+  if (n == 0) {
+    arena = LabelArena();
+    return;
+  }
 
   // The directory: the base's entries minus the numbers the overlay
   // superseded, merged with the overlay's.  All three lists ascend.
-  arena.dir_labels.resize(n);
-  arena.dir_nodes.resize(n);
+  ClearForFold(arena.dir_labels, n);
+  ClearForFold(arena.dir_nodes, n);
   {
     auto stale = stale_labels.begin();
     const int64_t base_end = static_cast<int64_t>(base.dir_labels.size());
     const int64_t over_end = static_cast<int64_t>(overlay.dir_labels.size());
     int64_t b = 0;
     int64_t o = 0;
-    int64_t out = 0;
     while (b < base_end || o < over_end) {
-      TREL_CHECK_LT(out, n) << "folded directory outgrows the node count";
+      TREL_CHECK_LT(arena.dir_labels.size(), static_cast<size_t>(n))
+          << "folded directory outgrows the node count";
       if (b < base_end) {
         const ArenaLabel label = base.dir_labels[b];
         while (stale != stale_labels.end() && *stale < label) ++stale;
@@ -302,15 +330,16 @@ LabelArena FoldOverlayArena(const LabelArena& base, const LabelArena& overlay,
           continue;
         }
         if (o == over_end || label < overlay.dir_labels[o]) {
-          arena.dir_labels[out] = label;
-          arena.dir_nodes[out++] = base.dir_nodes[b++];
+          arena.dir_labels.push_back(label);
+          arena.dir_nodes.push_back(base.dir_nodes[b++]);
           continue;
         }
       }
-      arena.dir_labels[out] = overlay.dir_labels[o];
-      arena.dir_nodes[out++] = overlay.dir_nodes[o++];
+      arena.dir_labels.push_back(overlay.dir_labels[o]);
+      arena.dir_nodes.push_back(overlay.dir_nodes[o++]);
     }
-    TREL_CHECK_EQ(out, n) << "folded directory must list every node once";
+    TREL_CHECK_EQ(arena.dir_labels.size(), static_cast<size_t>(n))
+        << "folded directory must list every node once";
   }
   // BuildLabelArena's scale: the largest live postorder number, which the
   // merged directory ends with.
@@ -328,11 +357,12 @@ LabelArena FoldOverlayArena(const LabelArena& base, const LabelArena& overlay,
   TREL_CHECK_LE(total, std::numeric_limits<uint32_t>::max())
       << "arena extras exceed the 32-bit slot offset";
 
-  // Every array is appended to exact capacity, so no byte is written
-  // twice.
-  arena.slots.reserve(n);
-  arena.extras.reserve(total);
-  arena.filters.reserve(static_cast<size_t>(n) * LabelArena::kFilterWords);
+  // Every array is appended within its capacity, so no byte is written
+  // twice and a recycled arena's pages are written in place.
+  ClearForFold(arena.slots, n);
+  ClearForFold(arena.extras, total);
+  ClearForFold(arena.filters,
+               static_cast<size_t>(n) * LabelArena::kFilterWords);
   for (int64_t v = 0; v < n;) {
     if (slot_of[v] >= 0) {
       LabelArena::NodeSlot slot = overlay.slots[slot_of[v]];
@@ -378,7 +408,6 @@ LabelArena FoldOverlayArena(const LabelArena& base, const LabelArena& overlay,
     v = end;
   }
   TREL_CHECK_EQ(arena.extras.size(), total);
-  return arena;
 }
 
 }  // namespace trel

@@ -64,7 +64,8 @@ struct ArenaInterval {
 //     packed 4-byte labels and enumeration copies densely packed node ids.
 //
 // Everything here is plain data: built once, shared via shared_ptr by
-// WithDelta overlay snapshots, never mutated afterwards.  Slot indices are
+// WithDelta overlay snapshots, never mutated while any closure shares it
+// (a later fold may refill a retired arena's memory).  Slot indices are
 // node ids for a base arena; an overlay arena numbers its slots densely
 // and keeps the global node ids in `dir_nodes`.
 struct LabelArena {
@@ -155,9 +156,13 @@ struct LabelArena {
   int64_t DirUpperBound(Label x) const;
 
   // Bytes held by the flat arrays — slots (padding included), extras,
-  // filters and both directory arrays — each counted at its element size
-  // (capacity is trimmed at build time).
+  // filters and both directory arrays — each counted at its size, not its
+  // capacity: a fold refills a recycled arena whose arrays may keep spare
+  // capacity (FoldOverlayArena), and equal arenas report equal sizes.
   int64_t ByteSize() const;
+  // The same five arrays counted at their capacity: the memory the arena
+  // holds, which ByteSize() undercounts for a recycled one.
+  int64_t CapacityBytes() const;
 };
 
 // Builds the arena for `labels`, narrowing every label to 32 bits; aborts
@@ -190,14 +195,23 @@ struct OverlayMember {
 LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
                              const LabelArena* from);
 
-// Folds a WithDelta overlay into a new base arena: byte for byte the
-// arena BuildLabelArena builds over the labeling the two layers answer
-// with, at the cost of the overlay plus bulk copies of the base.
-// `slot_of[v]` is v's slot in `overlay`, or negative when v's label lives
-// in `base`; it spans every node, and every node past base.num_nodes() is
-// overlaid.  `stale_labels` are the base's postorder numbers the overlay
-// supersedes, sorted.  `base` must have BuildLabelArena's layout (runs in
-// node order), as every arena BuildLabelArena or this fold makes has.
+// Folds a WithDelta overlay into `into`, which becomes a new base arena:
+// byte for byte the arena BuildLabelArena builds over the labeling the
+// two layers answer with, at the cost of the overlay plus bulk copies of
+// the base.  `slot_of[v]` is v's slot in `overlay`, or negative when v's
+// label lives in `base`; it spans every node, and every node past
+// base.num_nodes() is overlaid.  `stale_labels` are the base's postorder
+// numbers the overlay supersedes, sorted.  `base` must have
+// BuildLabelArena's layout (runs in node order), as every arena
+// BuildLabelArena or this fold makes has.
+//
+// `into` may hold anything, and is typically a retired arena whose memory
+// the caller recycles (QueryService's spare, DESIGN.md §4c): every array
+// is cleared and refilled within its capacity, so the fold writes pages
+// that are already mapped.  An array too short for this fold is regrown
+// with a fixed headroom (1/16 of its new size), so a slowly growing graph
+// keeps fitting the same memory over many folds instead of missing it on
+// every one.  `into` must not be `base` or `overlay`.
 //
 // Each run of consecutive base nodes that are not overlaid is one copy of
 // slots, extras and filter lines, with extra_begin re-based.  Base filter
@@ -205,9 +219,10 @@ LabelArena BuildOverlayArena(const std::vector<OverlayMember>& members,
 // their runs when it moved; overlay nodes' lines are always re-marked,
 // since an overlay arena scales its buckets to its largest interval
 // endpoint rather than its largest postorder number.
-LabelArena FoldOverlayArena(const LabelArena& base, const LabelArena& overlay,
-                            const std::vector<int32_t>& slot_of,
-                            const std::vector<Label>& stale_labels);
+void FoldOverlayArena(const LabelArena& base, const LabelArena& overlay,
+                      const std::vector<int32_t>& slot_of,
+                      const std::vector<Label>& stale_labels,
+                      LabelArena& into);
 
 }  // namespace trel
 

@@ -201,6 +201,11 @@ std::string RenderMetricsz(const ServiceMetrics::View& view,
              "Bytes pinned by the live snapshot's flat query arena.",
              "gauge");
   out.Sample("trel_snapshot_arena_bytes", "", view.snapshot_arena_bytes);
+  out.Family("trel_snapshot_spare_arena_bytes",
+             "Bytes held for the next fold: a retired folded arena no "
+             "snapshot uses, at capacity.",
+             "gauge");
+  out.Sample("trel_snapshot_spare_arena_bytes", "", view.spare_arena_bytes);
   out.Family("trel_inflight_batches",
              "Batch calls executing right now (admission-slot occupancy).",
              "gauge");
@@ -284,6 +289,7 @@ std::string RenderStatusz(const ServiceMetrics::View& view,
       << "  intervals: " << view.snapshot_total_intervals
       << "  overlay_nodes: " << view.snapshot_overlay_nodes << "\n";
   out << "arena_bytes: " << view.snapshot_arena_bytes << "\n";
+  out << "spare_arena_bytes: " << view.spare_arena_bytes << "\n";
   out << "simd: " << view.simd_level_name << " (level " << view.simd_level
       << ")\n";
   out << "queries: reach=" << view.reach_queries

@@ -155,9 +155,11 @@ std::string ServiceMetrics::View::ToString() const {
       << " chain_intervals_last=" << chain_full_intervals_last
       << " optimal_intervals_last=" << optimal_full_intervals_last
       << " chain_blowup=" << chain_interval_blowup;
-  // How many of the full publishes folded, past the strategy block for
-  // the same leftmost-match reason.
-  out << " publishes_folded=" << publishes_folded;
+  // How many of the full publishes folded, and the spare their next fold
+  // writes into, past the strategy block for the same leftmost-match
+  // reason.
+  out << " publishes_folded=" << publishes_folded
+      << " spare_arena_bytes=" << spare_arena_bytes;
   return out.str();
 }
 

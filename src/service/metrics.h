@@ -77,6 +77,10 @@ class ServiceMetrics {
     // Bytes pinned by the snapshot's flat query arena (shared across
     // delta snapshots, so overlay epochs report their base's arena).
     int64_t snapshot_arena_bytes = 0;
+    // Bytes the service holds for its next fold: the spare arena, a
+    // retired folded base no snapshot uses, counted at capacity (gauge;
+    // filled by QueryService, DESIGN.md §4c).
+    int64_t spare_arena_bytes = 0;
     // Dispatched arena-kernel ISA tier (gauge): numeric SimdLevel plus
     // its name ("scalar"/"avx2").  Process-wide, resolved once at
     // startup — see core/simd_dispatch.h.

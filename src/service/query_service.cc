@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
@@ -25,11 +27,25 @@ constexpr int kRollupBatch = 1;
 
 // --- QueryService ----------------------------------------------------------
 
+// Folded arenas come back here from their deleters, which run on whichever
+// thread frees an arena's last snapshot: the writer's Reclaim, or a reader
+// dropping a Snapshot() handle.
+struct QueryService::ArenaSpare {
+  std::mutex mutex;
+  // Guarded by mutex.  An arriving arena replaces the one held.
+  LabelArena arena;
+  // Guarded by mutex.  Load bumps it, and an arena folded under an older
+  // lineage is freed rather than kept: a new graph never inherits the
+  // memory sized for the old one.
+  uint64_t lineage = 0;
+};
+
 QueryService::QueryService(const ServiceOptions& options)
     : options_(options),
       rollup_({"single", "batch"}),
       flight_(options.flight),
-      dynamic_(options.closure) {
+      dynamic_(options.closure),
+      spare_(std::make_shared<ArenaSpare>()) {
   const uint32_t env_period = QueryTracer::PeriodFromEnv();
   tracer_.SetSamplePeriod(env_period != 0 ? env_period
                                           : options_.trace_sample_period);
@@ -64,11 +80,39 @@ Status QueryService::Load(const Digraph& graph) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   dynamic_ = std::move(*built);
   // A fresh index is a new lineage: the previous snapshot's node ids mean
-  // nothing to it, so it can never serve as a delta base.
+  // nothing to it, so it can never serve as a delta base, and its folds
+  // start without a spare.
   force_full_publish_ = true;
   chain_fulls_since_optimal_ = 0;
+  LabelArena dropped;
+  {
+    std::lock_guard<std::mutex> spare_lock(spare_->mutex);
+    ++spare_->lineage;
+    std::swap(dropped, spare_->arena);
+  }
   PublishLocked();
   return Status::Ok();
+}
+
+std::shared_ptr<LabelArena> QueryService::TakeSpareArena() {
+  auto target = std::make_unique<LabelArena>();
+  uint64_t lineage = 0;
+  {
+    std::lock_guard<std::mutex> lock(spare_->mutex);
+    std::swap(*target, spare_->arena);
+    lineage = spare_->lineage;
+  }
+  return std::shared_ptr<LabelArena>(
+      target.release(), [home = std::weak_ptr<ArenaSpare>(spare_),
+                         lineage](LabelArena* retired) {
+        // While the service and its lineage last, the retired arrays take
+        // the spare's place; the delete frees whatever they displaced.
+        if (const std::shared_ptr<ArenaSpare> spare = home.lock()) {
+          std::lock_guard<std::mutex> lock(spare->mutex);
+          if (spare->lineage == lineage) std::swap(*retired, spare->arena);
+        }
+        delete retired;
+      });
 }
 
 StatusOr<NodeId> QueryService::AddLeafUnder(NodeId parent) {
@@ -119,7 +163,8 @@ uint64_t QueryService::PublishLocked() {
   Stopwatch timer;
   PublishSpan span;
   // Free snapshots that readers still pinned at earlier swaps before
-  // building the next one, so they never coexist with it.
+  // building the next one, so they never coexist with it and a folded
+  // arena they retire reaches the spare before a fold takes it.
   snapshot_.Reclaim();
   std::shared_ptr<const ClosureSnapshot> base = snapshot_.Load();
   auto snapshot = std::make_shared<ClosureSnapshot>();
@@ -178,13 +223,14 @@ uint64_t QueryService::PublishLocked() {
     folded = has_base && few_dirty();
     // Fold the dirty nodes into a copy of the base arena when few changed
     // (DESIGN.md §4c), else rebuild the arena from every label set: the
-    // same arena either way, byte for byte, timed as the arena phase.
+    // same arena either way, byte for byte, timed as the arena phase.  A
+    // fold writes into the spare's memory; a rebuild allocates afresh.
     Stopwatch arena_timer;
     if (folded) {
       const CompressedClosure layered =
           CompressedClosure::WithDelta(base->closure, dynamic_.ExportDelta());
       arena_timer.Restart();
-      snapshot->closure = CompressedClosure::Fold(layered);
+      snapshot->closure = CompressedClosure::Fold(layered, TakeSpareArena());
     } else {
       snapshot->closure = dynamic_.ExportClosure();
     }
@@ -405,6 +451,10 @@ ServiceMetrics::View QueryService::Metrics() const {
   view.snapshot_total_intervals = snapshot->closure.TotalIntervals();
   view.snapshot_overlay_nodes = snapshot->closure.OverlayNodeCount();
   view.snapshot_arena_bytes = snapshot->closure.ArenaByteSize();
+  {
+    std::lock_guard<std::mutex> lock(spare_->mutex);
+    view.spare_arena_bytes = spare_->arena.CapacityBytes();
+  }
   view.simd_level = static_cast<int>(ActiveSimdLevel());
   view.simd_level_name = SimdLevelName(ActiveSimdLevel());
   return view;

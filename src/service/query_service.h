@@ -249,6 +249,14 @@ class QueryService {
   // rejection counted) when the admission limit is hit.
   bool AdmitBatch() const;
 
+  // The one spare arena (DESIGN.md §4c): the memory of the last folded
+  // base arena that no snapshot uses any more.  Defined in the .cc.
+  struct ArenaSpare;
+  // The target of the next fold: the spare's arena (an empty one when
+  // none waits), owned so that its arrays go back into the spare when the
+  // last snapshot sharing it is freed, on whichever thread frees it.
+  std::shared_ptr<LabelArena> TakeSpareArena();
+
   ServiceOptions options_;
   mutable ServiceMetrics metrics_;
   mutable QueryTracer tracer_;
@@ -268,6 +276,9 @@ class QueryService {
   // Set when the previous snapshot cannot serve as a delta base (initial
   // state, or Load() swapped in a new index lineage).
   bool force_full_publish_ = true;  // Guarded by writer_mutex_.
+  // Shared with the deleters of this service's folded arenas; never
+  // reassigned, so Metrics() may read it from any thread.
+  const std::shared_ptr<ArenaSpare> spare_;
 
   // The published snapshot; its reader slots count reach and successor
   // queries.

@@ -395,6 +395,7 @@ void ExpectSameArena(const LabelArena& got, const LabelArena& want,
   ASSERT_EQ(got.num_nodes(), want.num_nodes()) << what;
   ASSERT_EQ(got.extras.size(), want.extras.size()) << what;
   ASSERT_EQ(got.filters.size(), want.filters.size()) << what;
+  ASSERT_EQ(got.ByteSize(), want.ByteSize()) << what;
   constexpr int64_t kWords = LabelArena::kFilterWords;
   for (NodeId v = 0; v < want.num_nodes(); ++v) {
     const LabelArena::NodeSlot& a = got.slots[v];
@@ -454,12 +455,14 @@ void ExpectMatchesDfs(const CompressedClosure& closure, const Digraph& graph,
   }
 }
 
-// Folds `layered` and checks the result against the writer's from-labels
-// export (arena, interval total) and against DFS.
+// Folds `layered` into `into` and checks the result against the writer's
+// from-labels export (arena, interval total) and against DFS.
 void FoldAndCheck(const CompressedClosure& layered,
                   const DynamicClosure& dynamic, uint64_t seed,
-                  const std::string& what, CompressedClosure* folded) {
-  *folded = CompressedClosure::Fold(layered);
+                  const std::string& what, CompressedClosure* folded,
+                  std::shared_ptr<LabelArena> into =
+                      std::make_shared<LabelArena>()) {
+  *folded = CompressedClosure::Fold(layered, std::move(into));
   const CompressedClosure want = dynamic.ExportClosure();
   ASSERT_FALSE(folded->IsOverlay()) << what;
   ASSERT_NO_FATAL_FAILURE(
@@ -471,8 +474,9 @@ void FoldAndCheck(const CompressedClosure& layered,
 
 // `folds` times: publish `deltas` WithDelta layers over the current base,
 // one `mutate` call before each, then fold them into the next base, so
-// every fold after the first folds a fold.  Returns, in `shift_moves`,
-// how many folds changed the filter scale.
+// every fold after the first folds a fold.  Fold f writes into
+// `target(f)`, a fresh arena unless the chain recycles one.  Returns, in
+// `shift_moves`, how many folds changed the filter scale.
 struct FoldChain {
   const char* name;
   Digraph graph;
@@ -481,6 +485,9 @@ struct FoldChain {
   std::function<void(DynamicClosure&, Random&)> mutate;
   // Also assert that each overlay holds only nodes added since its base.
   bool only_new_nodes = false;
+  std::function<std::shared_ptr<LabelArena>(int fold)> target = [](int) {
+    return std::make_shared<LabelArena>();
+  };
 };
 
 void RunFoldChain(const FoldChain& chain, uint64_t seed, int* shift_moves) {
@@ -506,8 +513,8 @@ void RunFoldChain(const FoldChain& chain, uint64_t seed, int* shift_moves) {
       }
     }
     CompressedClosure folded;
-    ASSERT_NO_FATAL_FAILURE(
-        FoldAndCheck(layered, *dynamic, seed + f, what, &folded));
+    ASSERT_NO_FATAL_FAILURE(FoldAndCheck(layered, *dynamic, seed + f, what,
+                                         &folded, chain.target(f)));
     if (folded.arena().filter_shift != base.arena().filter_shift) {
       ++*shift_moves;
     }
@@ -529,21 +536,22 @@ NodeId RandomNode(const DynamicClosure& dynamic, Random& rng) {
 // Each chain runs over four graph and update seeds.
 constexpr uint64_t kFoldSeeds[] = {1, 2, 3, 4};
 
+// Three arcs, a leaf and now and then a removal.
+void MixedUpdate(DynamicClosure& dynamic, Random& rng) {
+  for (int i = 0; i < 3; ++i) {
+    (void)dynamic.AddArc(RandomNode(dynamic, rng), RandomNode(dynamic, rng));
+  }
+  TREL_CHECK(dynamic.AddLeafUnder(RandomNode(dynamic, rng)).ok());
+  if (rng.Uniform(3) == 0) {
+    const auto [from, to] = RandomArc(dynamic, rng);
+    TREL_CHECK(dynamic.RemoveArc(from, to).ok());
+  }
+}
+
 TEST(ArenaFoldTest, MixedUpdatesFoldByteForByte) {
   for (const uint64_t seed : kFoldSeeds) {
-    const FoldChain chain{
-        "mixed", RandomDag(80, 1.5, 610 + seed), 6, 3,
-        [](DynamicClosure& dynamic, Random& rng) {
-          for (int i = 0; i < 3; ++i) {
-            (void)dynamic.AddArc(RandomNode(dynamic, rng),
-                                 RandomNode(dynamic, rng));
-          }
-          TREL_CHECK(dynamic.AddLeafUnder(RandomNode(dynamic, rng)).ok());
-          if (rng.Uniform(3) == 0) {
-            const auto [from, to] = RandomArc(dynamic, rng);
-            TREL_CHECK(dynamic.RemoveArc(from, to).ok());
-          }
-        }};
+    const FoldChain chain{"mixed", RandomDag(80, 1.5, 610 + seed), 6, 3,
+                          MixedUpdate};
     int shift_moves = 0;
     ASSERT_NO_FATAL_FAILURE(RunFoldChain(chain, seed, &shift_moves));
   }
@@ -639,6 +647,120 @@ TEST(ArenaFoldTest, EmptyDeltas) {
   ASSERT_TRUE(carried.IsOverlay());
   ASSERT_NO_FATAL_FAILURE(
       FoldAndCheck(carried, *dynamic, 651, "empty over overlay", &folded));
+}
+
+// --- Recycled fold targets ---------------------------------------------------
+//
+// A service folds into the memory of a retired arena (QueryService's
+// spare, DESIGN.md §4c), so a fold must build BuildLabelArena's arena
+// whatever its target held.  Garbage below is 0xA5 in every byte plus a
+// filter scale no arena of these graphs has, so a byte the fold leaves
+// unwritten or an array it does not clear shows as a mismatch.
+
+template <typename T>
+void FillGarbage(std::vector<T>& array, size_t length) {
+  array.assign(length, T());
+  std::memset(static_cast<void*>(array.data()), 0xA5, length * sizeof(T));
+}
+
+// Refills every array of `arena` with garbage: `scale` times as many
+// elements as the same array of `like`, plus one.
+void FillArenaWithGarbage(LabelArena& arena, const LabelArena& like,
+                          double scale) {
+  const auto length = [scale](size_t size) {
+    return static_cast<size_t>(static_cast<double>(size) * scale) + 1;
+  };
+  FillGarbage(arena.slots, length(like.slots.size()));
+  FillGarbage(arena.extras, length(like.extras.size()));
+  FillGarbage(arena.filters, length(like.filters.size()));
+  FillGarbage(arena.dir_labels, length(like.dir_labels.size()));
+  FillGarbage(arena.dir_nodes, length(like.dir_nodes.size()));
+  arena.filter_shift = 31;
+}
+
+// Where each array's elements live, to tell a refill from a regrowth.
+std::array<const void*, 5> Buffers(const LabelArena& arena) {
+  return {arena.slots.data(), arena.extras.data(), arena.filters.data(),
+          arena.dir_labels.data(), arena.dir_nodes.data()};
+}
+
+// True iff `array` has the fold's fixed headroom past its size.
+template <typename T>
+bool HasHeadroom(const std::vector<T>& array) {
+  return array.capacity() >= array.size() + array.size() / 16;
+}
+
+// One fold of a mixed-update chain into garbage arrays twice as long as
+// needed, which it refills in place, and into garbage arrays half as
+// long, which it regrows with headroom.
+TEST(ArenaFoldTest, GarbageTargetsFoldByteForByte) {
+  for (const uint64_t seed : kFoldSeeds) {
+    auto dynamic = DynamicClosure::Build(RandomDag(80, 1.5, 660 + seed));
+    ASSERT_TRUE(dynamic.ok());
+    CompressedClosure layered = dynamic->ExportClosure();
+    dynamic->MarkClean();
+    Random rng(seed);
+    for (int d = 0; d < 3; ++d) {
+      MixedUpdate(*dynamic, rng);
+      layered = CompressedClosure::WithDelta(layered, dynamic->ExportDelta());
+    }
+    ASSERT_TRUE(layered.IsOverlay());
+    const CompressedClosure want = dynamic->ExportClosure();
+    for (const double scale : {2.0, 0.5}) {
+      const std::string what = "seed " + std::to_string(seed) + " scale " +
+                               std::to_string(scale);
+      auto into = std::make_shared<LabelArena>();
+      FillArenaWithGarbage(*into, want.arena(), scale);
+      const std::array<const void*, 5> before = Buffers(*into);
+      CompressedClosure folded;
+      ASSERT_NO_FATAL_FAILURE(
+          FoldAndCheck(layered, *dynamic, seed, what, &folded, into));
+      ASSERT_EQ(&folded.arena(), into.get()) << what;
+      if (scale > 1) {
+        EXPECT_EQ(Buffers(*into), before) << what << ": an array moved";
+      } else {
+        EXPECT_TRUE(HasHeadroom(into->slots)) << what;
+        EXPECT_TRUE(HasHeadroom(into->extras)) << what;
+        EXPECT_TRUE(HasHeadroom(into->filters)) << what;
+        EXPECT_TRUE(HasHeadroom(into->dir_labels)) << what;
+        EXPECT_TRUE(HasHeadroom(into->dir_nodes)) << what;
+      }
+    }
+  }
+}
+
+// Two arenas take turns as the fold target, as a service's live arena and
+// its spare do: fold f writes into the arena fold f - 2 wrote, which no
+// closure shares any more.  Both start as garbage with room for every
+// fold of the chain, so no fold may move an array either.
+TEST(ArenaFoldTest, TwoArenasSwappedAcrossFolds) {
+  constexpr size_t kRoom = 4096;
+  for (const uint64_t seed : kFoldSeeds) {
+    std::array<LabelArena, 2> arenas;
+    std::array<std::array<const void*, 5>, 2> buffers;
+    for (int i = 0; i < 2; ++i) {
+      FillGarbage(arenas[i].slots, kRoom);
+      FillGarbage(arenas[i].extras, kRoom);
+      FillGarbage(arenas[i].filters, kRoom);
+      FillGarbage(arenas[i].dir_labels, kRoom);
+      FillGarbage(arenas[i].dir_nodes, kRoom);
+      arenas[i].filter_shift = 31;
+      buffers[i] = Buffers(arenas[i]);
+    }
+    FoldChain chain{"swapped", RandomDag(80, 1.5, 670 + seed), 8, 3,
+                    MixedUpdate};
+    // The test owns both arenas; the closures only borrow them.
+    chain.target = [&arenas](int fold) {
+      return std::shared_ptr<LabelArena>(&arenas[fold % 2],
+                                         [](LabelArena*) {});
+    };
+    int shift_moves = 0;
+    ASSERT_NO_FATAL_FAILURE(RunFoldChain(chain, seed, &shift_moves));
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(Buffers(arenas[i]), buffers[i])
+          << "seed " << seed << ": an array of arena " << i << " moved";
+    }
+  }
 }
 
 // Kernel tables for every level this HOST can execute (the build always

@@ -139,6 +139,7 @@ TEST(ServiceMetricsViewTest, ToStringGolden) {
   view.snapshot_total_intervals = 12;
   view.snapshot_overlay_nodes = 1;
   view.snapshot_arena_bytes = 2048;
+  view.spare_arena_bytes = 4096;
   view.simd_level = 0;
   view.simd_level_name = "scalar";
   view.reach_queries = 100;
@@ -180,7 +181,7 @@ TEST(ServiceMetricsViewTest, ToStringGolden) {
             "publishes_chain_full=1 publishes_optimal_full=1 "
             "publish_us_chain_full=300 publish_us_optimal_full=700 "
             "chain_intervals_last=24 optimal_intervals_last=12 "
-            "chain_blowup=2 publishes_folded=1");
+            "chain_blowup=2 publishes_folded=1 spare_arena_bytes=4096");
 }
 
 // ---------------------------------------------------------------------------
@@ -539,6 +540,8 @@ TEST(ExpositionTest, MetricszAgreesWithRead) {
             static_cast<double>(view.snapshot_num_nodes));
   EXPECT_EQ(samples.at("trel_snapshot_arena_bytes"),
             static_cast<double>(view.snapshot_arena_bytes));
+  EXPECT_EQ(samples.at("trel_snapshot_spare_arena_bytes"),
+            static_cast<double>(view.spare_arena_bytes));
   EXPECT_EQ(samples.at("trel_batch_latency_microseconds_count"),
             static_cast<double>(view.batches));
   EXPECT_EQ(samples.at("trel_batch_latency_microseconds_sum"),

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -212,6 +214,116 @@ TEST(QueryServiceTest, PublishFreesTheReplacedSnapshot) {
   EXPECT_FALSE(replaced.expired());
   held.reset();
   EXPECT_TRUE(replaced.expired());
+}
+
+// --- The spare arena --------------------------------------------------------
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// `a` and `b` hold the same arena, array by array and byte for byte.
+bool SameArenaBytes(const LabelArena& a, const LabelArena& b) {
+  return a.filter_shift == b.filter_shift && SameBytes(a.slots, b.slots) &&
+         SameBytes(a.extras, b.extras) && SameBytes(a.filters, b.filters) &&
+         SameBytes(a.dir_labels, b.dir_labels) &&
+         SameBytes(a.dir_nodes, b.dir_nodes);
+}
+
+// Adds a leaf under `parent` (to `shadow` too), then publishes until the
+// next full publish, which must fold: the leaf's overlay is what it folds.
+void PublishThroughFold(QueryService& service, Digraph& shadow,
+                        NodeId parent) {
+  const int64_t folded = service.Metrics().publishes_folded;
+  const StatusOr<NodeId> leaf = service.AddLeafUnder(parent);
+  ASSERT_TRUE(leaf.ok());
+  ASSERT_EQ(shadow.AddNode(), *leaf);
+  ASSERT_TRUE(shadow.AddArc(parent, *leaf).ok());
+  for (int i = 0; i <= QueryService::kMaxDeltaPublishes; ++i) {
+    service.Publish();
+    if (!service.Snapshot()->delta_publish) break;
+  }
+  ASSERT_FALSE(service.Snapshot()->delta_publish);
+  ASSERT_EQ(service.Metrics().publishes_folded, folded + 1);
+}
+
+// Where the live snapshot's base arena keeps its slots.
+const void* LiveSlots(const QueryService& service) {
+  return service.Snapshot()->closure.arena().slots.data();
+}
+
+// The spare only ever holds an arena no snapshot shares.  Load's rebuilt
+// arena is not recycled, so folds 1 and 2 write fresh memory and fold 3
+// writes into fold 1's.  A caller then holds fold 3's snapshot across
+// folds 4 and 5, which must write elsewhere while its bytes and answers
+// stay put; once it lets go, its arena is the spare and fold 6 writes
+// into it.  Load starts a new lineage with no spare, and an arena of the
+// old lineage freed later does not become one.
+TEST(QueryServiceSpareArenaTest, HeldSnapshotArenaIsNeverReused) {
+  constexpr NodeId kBase = 200;
+  QueryService service;
+  Digraph shadow = RandomDag(kBase, 2.0, 71);
+  ASSERT_TRUE(service.Load(shadow).ok());
+  EXPECT_EQ(service.Metrics().spare_arena_bytes, 0);
+  NodeId parent = 0;
+  const auto fold = [&] {
+    PublishThroughFold(service, shadow, parent);
+    parent += 7;
+  };
+
+  ASSERT_NO_FATAL_FAILURE(fold());
+  const void* fold1_slots = LiveSlots(service);
+  EXPECT_EQ(service.Metrics().spare_arena_bytes, 0);
+  ASSERT_NO_FATAL_FAILURE(fold());
+  EXPECT_GT(service.Metrics().spare_arena_bytes, 0);
+  ASSERT_NO_FATAL_FAILURE(fold());
+  EXPECT_EQ(LiveSlots(service), fold1_slots);
+
+  std::shared_ptr<const ClosureSnapshot> held = service.Snapshot();
+  const LabelArena held_bytes = held->closure.arena();
+  const int64_t held_capacity = held->closure.arena().CapacityBytes();
+  const ReachabilityMatrix truth(shadow);
+  const NodeId n = shadow.NumNodes();
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) pairs.emplace_back(u, v);
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_NO_FATAL_FAILURE(fold());
+    EXPECT_NE(LiveSlots(service), fold1_slots) << "fold " << 4 + i;
+  }
+  EXPECT_TRUE(SameArenaBytes(held->closure.arena(), held_bytes));
+  std::vector<uint8_t> batch(pairs.size());
+  held->BatchReaches(pairs.data(), static_cast<int64_t>(pairs.size()),
+                     batch.data(), nullptr);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    ASSERT_EQ(held->Reaches(u, v), truth.Reaches(u, v)) << u << "->" << v;
+    ASSERT_EQ(batch[i] != 0, truth.Reaches(u, v)) << u << "->" << v;
+  }
+
+  held.reset();
+  EXPECT_EQ(service.Metrics().spare_arena_bytes, held_capacity);
+  ASSERT_NO_FATAL_FAILURE(fold());
+  EXPECT_EQ(LiveSlots(service), fold1_slots);
+  CompressedClosure want;
+  ASSERT_TRUE(service
+                  .Apply([&want](DynamicClosure& dynamic) {
+                    want = dynamic.ExportClosure();
+                    return Status::Ok();
+                  })
+                  .ok());
+  EXPECT_TRUE(
+      SameArenaBytes(service.Snapshot()->closure.arena(), want.arena()));
+
+  std::shared_ptr<const ClosureSnapshot> old_lineage = service.Snapshot();
+  ASSERT_TRUE(service.Load(RandomDag(50, 2.0, 72)).ok());
+  EXPECT_EQ(service.Metrics().spare_arena_bytes, 0);
+  old_lineage.reset();
+  EXPECT_EQ(service.Metrics().spare_arena_bytes, 0);
 }
 
 // A value still pinned at the swap waits in the retired list until its
@@ -1117,6 +1229,195 @@ TEST(QueryServiceConcurrencyTest, ApiReadersStayMonotoneAndCounted) {
   EXPECT_EQ(view.reach_queries, calls.load());
   EXPECT_GT(view.publishes_delta, 0);
   EXPECT_GE(view.publishes_full - fulls_before, 2);  // Forced fulls.
+}
+
+// Three readers beside a writer that crosses 40 folds.  All three call
+// Reaches and BatchReaches; the third also holds each Snapshot() it takes
+// until one or two full publishes have passed.  The writer only adds, so an API
+// answer must lie between the truth at the epoch read before the call and
+// the truth at the epoch read after it, and a held snapshot must answer
+// as the truth at its own epoch with its arena bytes unchanged.  Answers
+// are checked after the run, against arcs stamped with the epoch that
+// first published them.  A fold that wrote into an arena still in use
+// breaks these checks; TSan, which cannot see memory reuse through the
+// service's own synchronization, checks the handoff of the spare.
+TEST(QueryServiceConcurrencyTest, FoldsNeverWriteAnArenaInUse) {
+  constexpr NodeId kBase = 150;
+  constexpr int kFolds = 40;
+  QueryService service;
+  const Digraph initial = RandomDag(kBase, 2.0, 97);
+  ASSERT_TRUE(service.Load(initial).ok());
+  const uint64_t first_epoch = service.Snapshot()->epoch;
+
+  // One answer, and the epochs whose truths bound it.
+  struct Seen {
+    NodeId u;
+    NodeId v;
+    bool answer;
+    uint64_t lo;
+    uint64_t hi;
+  };
+  // Each reader keeps a uniform sample of its answers over the whole run
+  // (reservoir sampling), so the check covers every fold at a bounded
+  // cost.
+  constexpr size_t kKept = 3000;
+  struct Kept {
+    explicit Kept(uint64_t seed) : rng(seed) {}
+
+    Random rng;
+    std::vector<Seen> sample;
+    uint64_t offered = 0;
+
+    void Add(const Seen& seen) {
+      ++offered;
+      if (sample.size() < kKept) {
+        sample.push_back(seen);
+      } else if (const uint64_t j = rng.Uniform(offered); j < kKept) {
+        sample[j] = seen;
+      }
+    }
+  };
+  std::vector<Kept> kept;
+  for (uint64_t seed = 311; seed < 314; ++seed) kept.emplace_back(seed);
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> holds{0};
+  std::atomic<int64_t> changed{0};
+
+  // One single and an 8-pair batch on ids the current epoch knows; the
+  // single and two batch answers are offered to the sample.
+  const auto api_round = [&](Random& rng, Kept& out) {
+    uint64_t lo;
+    NodeId n;
+    {
+      const std::shared_ptr<const ClosureSnapshot> now = service.Snapshot();
+      lo = now->epoch;
+      n = now->NumNodes();
+    }
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (int i = 0; i < 8; ++i) {
+      pairs.emplace_back(static_cast<NodeId>(rng.Uniform(n)),
+                         static_cast<NodeId>(rng.Uniform(n)));
+    }
+    const bool single = service.Reaches(pairs[0].first, pairs[0].second);
+    const std::vector<uint8_t> batch = service.BatchReaches(pairs);
+    const uint64_t hi = service.Snapshot()->epoch;
+    out.Add({pairs[0].first, pairs[0].second, single, lo, hi});
+    for (int i = 1; i < 3; ++i) {
+      out.Add({pairs[i].first, pairs[i].second, batch[i] != 0, lo, hi});
+    }
+  };
+  const auto api_reader = [&](int index) {
+    Random rng(301 + index);
+    while (!stop.load()) api_round(rng, kept[index]);
+  };
+  const auto holding_reader = [&] {
+    Random rng(303);
+    while (!stop.load()) {
+      const std::shared_ptr<const ClosureSnapshot> held = service.Snapshot();
+      const LabelArena bytes = held->closure.arena();
+      const NodeId n = held->NumNodes();
+      std::vector<std::pair<NodeId, NodeId>> pairs;
+      for (int i = 0; i < 8; ++i) {
+        pairs.emplace_back(static_cast<NodeId>(rng.Uniform(n)),
+                           static_cast<NodeId>(rng.Uniform(n)));
+      }
+      std::vector<uint8_t> first(pairs.size());
+      held->BatchReaches(pairs.data(), static_cast<int64_t>(pairs.size()),
+                         first.data(), nullptr);
+      // Every kMaxDeltaPublishes + 1 publishes hold a full one.  Holds
+      // alternate between one and two of them: a fold writes into the
+      // arena of two folds back, so only the longer hold spans the fold
+      // that would reuse this arena if the spare ignored holders.
+      const uint64_t span = 1 + holds.load() % 2;
+      const uint64_t until =
+          held->epoch + span * (QueryService::kMaxDeltaPublishes + 1);
+      while (!stop.load() && service.Snapshot()->epoch < until) {
+        api_round(rng, kept[2]);
+      }
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        const bool answer = held->Reaches(pairs[i].first, pairs[i].second);
+        if (answer != (first[i] != 0)) changed.fetch_add(1);
+        kept[2].Add({pairs[i].first, pairs[i].second, answer, held->epoch,
+                     held->epoch});
+      }
+      if (!SameArenaBytes(held->closure.arena(), bytes)) changed.fetch_add(1);
+      holds.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> readers;
+  readers.emplace_back(api_reader, 0);
+  readers.emplace_back(api_reader, 1);
+  readers.emplace_back(holding_reader);
+
+  // Writer: one leaf or one arc per publish.  Arcs carry the epoch of the
+  // publish that first shows them.
+  std::vector<std::tuple<NodeId, NodeId, uint64_t>> stamped;
+  for (const auto& [u, v] : initial.Arcs()) {
+    stamped.emplace_back(u, v, first_epoch);
+  }
+  NodeId num_nodes = kBase;
+  uint64_t epoch = first_epoch;
+  Random rng(41);
+  for (int publish = 0; publish < kFolds * 2 *
+                                      (QueryService::kMaxDeltaPublishes + 1) &&
+                        service.Metrics().publishes_folded < kFolds;
+       ++publish) {
+    const NodeId u = static_cast<NodeId>(rng.Uniform(num_nodes));
+    if (publish % 2 == 0) {
+      const StatusOr<NodeId> leaf = service.AddLeafUnder(u);
+      ASSERT_TRUE(leaf.ok());
+      stamped.emplace_back(u, *leaf, epoch + 1);
+      ++num_nodes;
+    } else {
+      const NodeId v = static_cast<NodeId>(rng.Uniform(num_nodes));
+      if (service.AddArc(u, v).ok()) stamped.emplace_back(u, v, epoch + 1);
+    }
+    epoch = service.Publish();
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GE(service.Metrics().publishes_folded, kFolds);
+  EXPECT_GT(holds.load(), 0);
+  EXPECT_EQ(changed.load(), 0);
+
+  // Truth at `at`: a DFS over the arcs published by then.
+  std::vector<std::vector<std::pair<NodeId, uint64_t>>> out(num_nodes);
+  for (const auto& [u, v, stamp] : stamped) out[u].emplace_back(v, stamp);
+  const auto reaches_at = [&](NodeId u, NodeId v, uint64_t at) {
+    std::vector<uint8_t> visited(num_nodes, 0);
+    std::vector<NodeId> stack = {u};
+    visited[u] = 1;
+    while (!stack.empty()) {
+      const NodeId w = stack.back();
+      stack.pop_back();
+      if (w == v) return true;
+      for (const auto& [next, stamp] : out[w]) {
+        if (stamp <= at && !visited[next]) {
+          visited[next] = 1;
+          stack.push_back(next);
+        }
+      }
+    }
+    return false;
+  };
+  int64_t checked = 0;
+  int64_t wrong = 0;
+  for (int r = 0; r < 3; ++r) {
+    for (const Seen& s : kept[r].sample) {
+      ++checked;
+      // A true answer needs the truth at `hi`, a false one its absence at
+      // `lo`: monotone growth makes these the only two ways to be wrong.
+      const bool ok = s.answer ? reaches_at(s.u, s.v, s.hi)
+                               : !reaches_at(s.u, s.v, s.lo);
+      if (!ok && ++wrong <= 10) {
+        ADD_FAILURE() << "reader " << r << ": " << s.u << "->" << s.v
+                      << " answered " << s.answer << " between epochs "
+                      << s.lo << " and " << s.hi;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "of " << checked;
+  EXPECT_GT(checked, 0);
 }
 
 // More live reader threads than reader slots: the threads past the slots

@@ -23,8 +23,8 @@
 //                 bodies.  CI runs this via tools/ci.sh --soak.
 //   shard_mix     Singles plus batches against a ShardedQueryService
 //                 (--shards, clustered graph) while a writer thread
-//                 drives per-shard publishes — the sharded serving
-//                 stack under one open-loop clock.
+//                 adds leaves and publishes them with Publish() — the
+//                 sharded serving stack under one open-loop clock.
 //
 // Each run prints a table and (with TREL_BENCH_JSON=<dir>) writes
 // BENCH_loadgen_<scenario>.json, gated by tools/bench_diff.py like any
@@ -479,9 +479,9 @@ void AddServerWindowRows(bench_util::BenchReport* report,
 // The sharded serving stack under the same open-loop clock: zipf-skewed
 // singles plus BatchReaches batches against a ShardedQueryService over
 // a clustered graph (the partitioner's home shape), while one writer
-// thread adds leaves and publishes the dirtied shards on the update
-// cadence.  Reports the same histogram rows as batch_mix plus the
-// boundary counters, as BENCH_loadgen_shard_mix.json.
+// thread adds leaves and publishes them on the update cadence.  Reports
+// the same histogram rows as batch_mix plus the boundary counters, as
+// BENCH_loadgen_shard_mix.json.
 int RunShardMix(const LoadgenConfig& config) {
   std::fprintf(stderr,
                "loadgen: scenario=shard_mix shards=%d nodes=%lld "
@@ -509,24 +509,24 @@ int RunShardMix(const LoadgenConfig& config) {
   }
   const ZipfSampler zipf(nodes, config.zipf_s, config.seed);
 
-  // Writer: a few leaves per tick, then per-shard publishes of exactly
-  // the dirtied shards — the sharded write path, not a global Publish.
+  // Writer: a few leaves per tick, then one Publish() of every shard that
+  // holds writes.  Not a PublishShard per dirtied shard: a root pairs the
+  // writer's current hub rows with every shard's snapshot, so that tears
+  // a read whenever another shard holds unpublished writes.
+  // `shard_publishes` counts the ticks that published.
   std::atomic<bool> stop_writer{false};
   std::atomic<int64_t> shard_publishes{0};
   std::thread writer([&] {
     Random rng(config.seed ^ 0x54a6dULL);
     while (!stop_writer.load(std::memory_order_relaxed)) {
-      std::vector<uint8_t> dirty(static_cast<size_t>(config.shards), 0);
+      bool wrote = false;
       for (int i = 0; i < config.updates_per_publish; ++i) {
         const NodeId parent = static_cast<NodeId>(
             rng.Uniform(static_cast<uint64_t>(nodes)));
-        if (service.AddLeafUnder(parent).ok()) {
-          dirty[static_cast<size_t>(service.ShardOf(parent))] = 1;
-        }
+        wrote |= service.AddLeafUnder(parent).ok();
       }
-      for (int s = 0; s < config.shards; ++s) {
-        if (dirty[static_cast<size_t>(s)] == 0) continue;
-        service.PublishShard(s);
+      if (wrote) {
+        service.Publish();
         shard_publishes.fetch_add(1, std::memory_order_relaxed);
       }
       std::this_thread::sleep_for(
@@ -580,7 +580,7 @@ int RunShardMix(const LoadgenConfig& config) {
   AddServerWindowRows(&report, service.rollup());
   table.Print();
   std::fprintf(stderr,
-               "loadgen: %llu arrivals issued, %lld shard publishes, "
+               "loadgen: %llu arrivals issued, %lld publishing ticks, "
                "%lld cross-shard queries\n",
                static_cast<unsigned long long>(issued),
                static_cast<long long>(shard_publishes.load()),

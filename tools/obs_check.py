@@ -70,6 +70,7 @@ STATUSZ_TO_METRICSZ = {
     "intervals": "trel_snapshot_intervals",
     "overlay_nodes": "trel_snapshot_overlay_nodes",
     "arena_bytes": "trel_snapshot_arena_bytes",
+    "spare_arena_bytes": "trel_snapshot_spare_arena_bytes",
     "reach_queries": "trel_reach_queries_total",
     "successor_queries": "trel_successor_queries_total",
     "batches": "trel_batches_total",
@@ -272,6 +273,7 @@ def parse_statusz_metrics_line(statusz, errors):
     grab(r"\bpublishes_chain_full=(\d+)", "publishes_chain_full")
     grab(r"\bpublishes_optimal_full=(\d+)", "publishes_optimal_full")
     grab(r"\bpublishes_folded=(\d+)", "publishes_folded")
+    grab(r"\bspare_arena_bytes=(\d+)", "spare_arena_bytes")
     grab(r"\bpublish_us_chain_full=(\d+)", "publish_us_chain_full")
     grab(r"\bpublish_us_optimal_full=(\d+)", "publish_us_optimal_full")
     return fields
