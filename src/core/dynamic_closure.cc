@@ -62,12 +62,26 @@ void DynamicClosure::AdoptCover(const TreeCover& cover, NodeLabels labels) {
   reserve_remaining_.assign(n, labels_.reserve);
   is_refined_.assign(n, false);
   num_refined_ = 0;
-  by_postorder_.clear();
-  for (NodeId v = 0; v < n; ++v) {
-    by_postorder_[labels_.postorder[v]] = v;
-  }
+  propagated_.assign(n, false);
+  TREL_CHECK(IndexDirectory()) << "labeling assigned a number twice";
   // Wholesale relabeling: every node's exported state may have moved.
   MarkAllDirty();
+}
+
+bool DynamicClosure::IndexDirectory() {
+  const NodeId n = graph_.NumNodes();
+  std::vector<std::pair<Label, NodeId>> sorted(n);
+  for (NodeId v = 0; v < n; ++v) sorted[v] = {labels_.postorder[v], v};
+  std::sort(sorted.begin(), sorted.end());
+  by_postorder_.clear();
+  entry_.assign(n, by_postorder_.end());
+  // Ascending keys: each insert lands at the end hint, with no descent.
+  for (const auto& [number, v] : sorted) {
+    const auto it = by_postorder_.emplace_hint(by_postorder_.end(), number, v);
+    if (it->second != v) return false;
+    entry_[v] = it;
+  }
+  return true;
 }
 
 void DynamicClosure::MarkDirty(NodeId v) {
@@ -114,18 +128,15 @@ void DynamicClosure::GrowNodeState() {
   // full pools.
   reserve_remaining_.push_back(0);
   is_refined_.push_back(false);
+  // Placeholder until the caller assigns the number.
+  entry_.push_back(by_postorder_.end());
+  propagated_.push_back(false);
   dirty_flag_.push_back(false);
   MarkDirty(static_cast<NodeId>(labels_.postorder.size()) - 1);
 }
 
 Label DynamicClosure::MaxAssigned() const {
   return by_postorder_.empty() ? 0 : by_postorder_.rbegin()->first;
-}
-
-Label DynamicClosure::PreviousAssigned(Label x) const {
-  auto it = by_postorder_.lower_bound(x);
-  if (it == by_postorder_.begin()) return 0;
-  return std::prev(it)->first;
 }
 
 Label DynamicClosure::MaxLabelPastMax(int64_t count) const {
@@ -179,7 +190,8 @@ StatusOr<NodeId> DynamicClosure::AddLeafUnder(NodeId parent) {
     labels_.tree_interval[node] =
         Interval{max_before + labels_.reserve + 1, number};
     labels_.intervals[node].Insert(labels_.tree_interval[node]);
-    by_postorder_[number] = node;
+    entry_[node] = by_postorder_.emplace_hint(by_postorder_.end(), number,
+                                              node);
     reserve_remaining_[node] = labels_.reserve;
     return node;
   }
@@ -193,11 +205,14 @@ StatusOr<NodeId> DynamicClosure::AddLeafUnder(NodeId parent) {
   // belong to refinements above that node) and by the parent's interval
   // start.  Any number in this hole is covered by exactly the intervals of
   // nodes that reach the parent (see DESIGN.md), so no propagation is
-  // needed.
-  const Label n2 = labels_.postorder[parent];
-  const Label floor =
-      std::max(PreviousAssigned(n2) + labels_.reserve,
-               labels_.tree_interval[parent].lo - 1);
+  // needed.  The previous number is the directory entry just before the
+  // parent's own.
+  const Directory::iterator above = entry_[parent];
+  const Label n2 = above->first;
+  const Label previous =
+      above == by_postorder_.begin() ? 0 : std::prev(above)->first;
+  const Label floor = std::max(previous + labels_.reserve,
+                               labels_.tree_interval[parent].lo - 1);
   if (n2 - floor < 2) {
     // Hole exhausted: rebuild the numbering, which restores full gaps and
     // labels the new node (it is already in the tree structure).  With
@@ -211,7 +226,7 @@ StatusOr<NodeId> DynamicClosure::AddLeafUnder(NodeId parent) {
   labels_.postorder[node] = number;
   labels_.tree_interval[node] = Interval{floor + 1, number};
   labels_.intervals[node].Insert(labels_.tree_interval[node]);
-  by_postorder_[number] = node;
+  entry_[node] = by_postorder_.emplace_hint(above, number, node);
   // Grant the new leaf as much of a refinement pool as fits strictly
   // inside the hole; siblings inserted later stay above it (their floor
   // protects the full labels_.reserve).
@@ -223,12 +238,13 @@ StatusOr<NodeId> DynamicClosure::AddLeafUnder(NodeId parent) {
 void DynamicClosure::PropagateIntoPredecessors(
     NodeId start, const std::vector<Interval>& delta) {
   std::vector<NodeId> stack = {start};
-  std::vector<bool> processed(graph_.NumNodes(), false);
+  std::vector<NodeId> visited;
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    if (processed[v]) continue;
-    processed[v] = true;
+    if (propagated_[v]) continue;
+    propagated_[v] = true;
+    visited.push_back(v);
     ++stats_.propagation_node_visits;
     bool changed = false;
     for (const Interval& interval : delta) {
@@ -240,9 +256,10 @@ void DynamicClosure::PropagateIntoPredecessors(
     if (!changed) continue;
     MarkDirty(v);
     for (NodeId p : graph_.InNeighbors(v)) {
-      if (!processed[p]) stack.push_back(p);
+      if (!propagated_[p]) stack.push_back(p);
     }
   }
+  for (NodeId v : visited) propagated_[v] = false;
 }
 
 Status DynamicClosure::AddArc(NodeId from, NodeId to) {
@@ -331,7 +348,9 @@ StatusOr<NodeId> DynamicClosure::RefineAbove(
   // reach it.
   const Label number = labels_.postorder[child] + reserve_remaining_[child];
   reserve_remaining_[child] -= 1;
-  TREL_CHECK(by_postorder_.find(number) == by_postorder_.end());
+  // The pool's unused slots sit between the child's entry and the next.
+  const Directory::iterator next = std::next(entry_[child]);
+  TREL_CHECK(next == by_postorder_.end() || next->first > number);
   labels_.postorder[z] = number;
   labels_.tree_interval[z] =
       Interval{labels_.tree_interval[child].lo, number};
@@ -339,7 +358,7 @@ StatusOr<NodeId> DynamicClosure::RefineAbove(
   for (const Interval& interval : labels_.intervals[child].intervals()) {
     labels_.intervals[z].Insert(interval);
   }
-  by_postorder_[number] = z;
+  entry_[z] = by_postorder_.emplace_hint(next, number, z);
   is_refined_[z] = true;
   ++num_refined_;
 
@@ -391,7 +410,7 @@ Status DynamicClosure::RemoveArc(NodeId from, NodeId to) {
         for (NodeId c : tree_children_[v]) stack.push_back(c);
       }
     }
-    for (NodeId v : subtree) by_postorder_.erase(labels_.postorder[v]);
+    for (NodeId v : subtree) by_postorder_.erase(entry_[v]);
     // Each such deletion moves the numbering up while the node count
     // stays put.  When the subtree would land past the arena's 32-bit
     // labels, compact the whole numbering instead; that relabels and
@@ -419,7 +438,8 @@ Status DynamicClosure::RemoveArc(NodeId from, NodeId to) {
         labels_.postorder[frame.node] = next;
         labels_.tree_interval[frame.node] =
             Interval{frame.anchor + labels_.reserve + 1, next};
-        by_postorder_[next] = frame.node;
+        entry_[frame.node] =
+            by_postorder_.emplace_hint(by_postorder_.end(), next, frame.node);
         // The fresh position has a full, unclaimed pool above it.
         reserve_remaining_[frame.node] = labels_.reserve;
         MarkDirty(frame.node);
@@ -698,6 +718,7 @@ StatusOr<DynamicClosure> DynamicClosure::Load(std::istream& in) {
     closure.reserve_remaining_.push_back(remaining);
     closure.is_refined_.push_back(refined != 0);
     if (refined != 0) ++closure.num_refined_;
+    closure.propagated_.push_back(false);
     IntervalSet& intervals = closure.labels_.intervals.emplace_back();
     for (int64_t k = 0; k < interval_count; ++k) {
       int64_t ilo, ihi;
@@ -721,10 +742,6 @@ StatusOr<DynamicClosure> DynamicClosure::Load(std::istream& in) {
       }
       children.push_back(static_cast<NodeId>(child));
     }
-    if (closure.by_postorder_.count(postorder) > 0) {
-      return InvalidArgumentError("duplicate postorder number");
-    }
-    closure.by_postorder_[postorder] = v;
   }
   if (!GetI64(in, closure.stats_.renumbers) ||
       !GetI64(in, closure.stats_.reoptimizes) ||
@@ -734,6 +751,9 @@ StatusOr<DynamicClosure> DynamicClosure::Load(std::istream& in) {
   closure.graph_ = Digraph(n);
   for (const auto& [from, to] : arcs) {
     TREL_RETURN_IF_ERROR(closure.graph_.AddArc(from, to));
+  }
+  if (!closure.IndexDirectory()) {
+    return InvalidArgumentError("duplicate postorder number");
   }
   // A restarted process has no snapshot to be a delta base; everything is
   // dirty until the first full export.

@@ -20,13 +20,16 @@ namespace trel {
 // without disturbing existing labels.
 //
 // Update cost model (n = nodes, k = intervals):
-//   AddLeafUnder      O(log n)    (constant label work; no propagation —
-//                                  ancestors' intervals already cover the
-//                                  hole the new number is drawn from)
+//   AddLeafUnder      O(1) amortized: constant label work and no
+//                     propagation (ancestors' intervals already cover the
+//                     hole the new number is drawn from); the floor is the
+//                     directory entry just before the parent's, and the
+//                     insert is hinted at the parent's entry
 //   AddArc            O(affected predecessors * interval work); stops as
 //                     soon as subsumption absorbs the new intervals
 //   RefineAbove       O(parents) when all parents already reach the child
-//                     (the paper's constant-time hierarchy refinement)
+//                     (the paper's constant-time hierarchy refinement;
+//                     the number goes in just after the child's handle)
 //   RemoveArc         renumbers the detached subtree (tree arc) and
 //                     re-propagates interval sets; keeps the tree cover
 //   Renumber          O(n + propagation); invoked automatically when a
@@ -37,6 +40,9 @@ namespace trel {
 //
 // Incremental updates do not preserve the optimality of the tree cover
 // (paper, end of Section 4); call Reoptimize() to restore it.
+//
+// Move-only: every node keeps a handle on its own directory entry, and a
+// copy's handles would point into the source's directory.
 class DynamicClosure {
  public:
   struct Stats {
@@ -54,6 +60,12 @@ class DynamicClosure {
 
   // Empty closure; nodes are introduced via AddLeafUnder.
   explicit DynamicClosure(const ClosureOptions& options = DefaultOptions());
+
+  // A moved map keeps its nodes, so the handles stay valid.
+  DynamicClosure(DynamicClosure&&) = default;
+  DynamicClosure& operator=(DynamicClosure&&) = default;
+  DynamicClosure(const DynamicClosure&) = delete;
+  DynamicClosure& operator=(const DynamicClosure&) = delete;
 
   // Wraps an existing DAG.  Fails if `graph` is cyclic.
   static StatusOr<DynamicClosure> Build(
@@ -227,8 +239,9 @@ class DynamicClosure {
   // Renumber(), or Reoptimize() when refined nodes exist: both compact
   // the numbering to gap × rank.  Counted in stats().renumbers.
   void CompactNumbering();
-  // Assigned number strictly below `x`, or 0.
-  Label PreviousAssigned(Label x) const;
+  // Fills by_postorder_ and entry_ from labels_.postorder in one sorted
+  // pass.  False when two nodes share a number.
+  bool IndexDirectory();
   // Flood `delta` into `start` and transitively into predecessors,
   // stopping where subsumption makes it a no-op.
   void PropagateIntoPredecessors(NodeId start,
@@ -249,8 +262,18 @@ class DynamicClosure {
   std::vector<Label> reserve_remaining_;
   std::vector<bool> is_refined_;
   int64_t num_refined_ = 0;
-  // Assigned postorder number -> node.
-  std::map<Label, NodeId> by_postorder_;
+  // Assigned postorder number -> node.  Successors and CountSuccessors
+  // scan its ranges.
+  using Directory = std::map<Label, NodeId>;
+  Directory by_postorder_;
+  // entry_[v] is v's own entry in by_postorder_, so an update that knows a
+  // neighbour reads and inserts beside it instead of descending the map.
+  // Every numbered node holds a live entry between calls; a node's entry
+  // is end() only while its number is being assigned.
+  std::vector<Directory::iterator> entry_;
+  // PropagateIntoPredecessors' visit marks, sized with the node count and
+  // all false between calls: a flood resets only the nodes it visited.
+  std::vector<bool> propagated_;
   // Dirty set for ExportDelta: dirty_flag_[v] iff v is in dirty_list_
   // (the flag dedups, the list keeps draining O(dirty) not O(n)).
   std::vector<bool> dirty_flag_;

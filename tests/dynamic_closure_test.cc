@@ -1,7 +1,9 @@
 #include "core/dynamic_closure.h"
 
 #include <algorithm>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "common/random.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
+#include "storage/update_log.h"
 #include "tests/test_util.h"
 
 namespace trel {
@@ -506,6 +509,270 @@ TEST(DynamicClosureTest, SuccessorsMatchGroundTruthAfterUpdates) {
     EXPECT_EQ(got, matrix.Successors(u)) << "node " << u;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Leaf numbers against a scan of every assigned number.  AddLeafUnder reads
+// its floor through the parent's directory handle; this history works the
+// floor out from labels().postorder alone.  A handle that some update left
+// stale (a deletion's re-append, a rebuild, a load, a move) shows up as a
+// wrong leaf number or a wrong answer.
+// ---------------------------------------------------------------------------
+
+// Handles point into the closure's own directory, so a copy would share
+// them with its source.
+static_assert(!std::is_copy_constructible_v<DynamicClosure>);
+static_assert(!std::is_copy_assignable_v<DynamicClosure>);
+static_assert(std::is_move_constructible_v<DynamicClosure>);
+static_assert(std::is_move_assignable_v<DynamicClosure>);
+
+// What AddLeafUnder(parent) must do, from an O(n) scan of the labels.
+struct LeafPlan {
+  NodeId parent = kNoNode;
+  Label at = 0;      // The parent's number; 0 for a new root.
+  Label below = 0;   // Largest assigned number under `at`, or 0.
+  Label above = -1;  // Smallest assigned number over `at`, or -1.
+  Label floor = 0;
+  bool renumbers = false;
+  Label number = 0;  // The new node's number unless it renumbers.
+
+  std::string ToString() const {
+    return "parent " + std::to_string(parent) + " at " + std::to_string(at) +
+           ", directory neighbours " + std::to_string(below) + " and " +
+           (above < 0 ? std::string("none") : std::to_string(above)) +
+           ", expected floor " + std::to_string(floor);
+  }
+};
+
+LeafPlan PlanLeaf(const DynamicClosure& closure, NodeId parent) {
+  const NodeLabels& labels = closure.labels();
+  LeafPlan plan;
+  plan.parent = parent;
+  if (parent == kNoNode) {
+    // One gap past the largest number, above that node's reserve pool.
+    for (Label x : labels.postorder) plan.below = std::max(plan.below, x);
+    plan.floor = plan.below + labels.reserve;
+    plan.number = plan.below + labels.gap;
+    plan.renumbers = plan.number + labels.reserve >= kArenaLabelLimit;
+    return plan;
+  }
+  plan.at = labels.postorder[parent];
+  for (Label x : labels.postorder) {
+    if (x < plan.at) plan.below = std::max(plan.below, x);
+    if (x > plan.at && (plan.above < 0 || x < plan.above)) plan.above = x;
+  }
+  // The floor rule: above the previous number's reserve pool and below
+  // the parent's interval, then the midpoint of what is left.
+  plan.floor = std::max(plan.below + labels.reserve,
+                        labels.tree_interval[parent].lo - 1);
+  plan.renumbers = plan.at - plan.floor < 2;
+  plan.number = plan.floor + (plan.at - plan.floor) / 2;
+  return plan;
+}
+
+// Checks Reaches, Successors and CountSuccessors from each of `nodes`
+// against a DFS over the closure's own graph.
+void ExpectAnswersMatchDfs(const DynamicClosure& closure,
+                           const std::vector<NodeId>& nodes) {
+  const Digraph& graph = closure.graph();
+  for (NodeId u : nodes) {
+    if (u == kNoNode) continue;
+    std::vector<bool> seen(graph.NumNodes(), false);
+    std::vector<NodeId> want;
+    std::vector<NodeId> stack = {u};
+    seen[u] = true;
+    while (!stack.empty()) {
+      const NodeId x = stack.back();
+      stack.pop_back();
+      for (NodeId y : graph.OutNeighbors(x)) {
+        if (seen[y]) continue;
+        seen[y] = true;
+        want.push_back(y);
+        stack.push_back(y);
+      }
+    }
+    std::sort(want.begin(), want.end());
+    std::vector<NodeId> got = closure.Successors(u);
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, want) << "successors of " << u;
+    ASSERT_EQ(closure.CountSuccessors(u), static_cast<int64_t>(want.size()))
+        << "successor count of " << u;
+    for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+      ASSERT_EQ(closure.Reaches(u, v), seen[v]) << u << "->" << v;
+    }
+  }
+}
+
+const DynamicClosure& View(const DynamicClosure& closure) { return closure; }
+const DynamicClosure& View(const LoggedClosure& logged) {
+  return logged.closure();
+}
+
+// Adds a leaf under `parent` through `writer` (a DynamicClosure or a
+// LoggedClosure) and checks it against PlanLeaf.
+template <typename Writer>
+void AddPlannedLeaf(Writer& writer, NodeId parent) {
+  const DynamicClosure& closure = View(writer);
+  const LeafPlan plan = PlanLeaf(closure, parent);
+  const int64_t renumbers = closure.stats().renumbers;
+  auto leaf = writer.AddLeafUnder(parent);
+  ASSERT_TRUE(leaf.ok()) << leaf.status().ToString();
+  ASSERT_EQ(closure.stats().renumbers, renumbers + (plan.renumbers ? 1 : 0))
+      << plan.ToString();
+  if (!plan.renumbers) {
+    ASSERT_EQ(closure.labels().postorder[*leaf], plan.number)
+        << plan.ToString();
+    ASSERT_EQ(closure.labels().tree_interval[*leaf],
+              (Interval{plan.floor + 1, plan.number}))
+        << plan.ToString();
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectAnswersMatchDfs(closure, {parent, *leaf}))
+      << plan.ToString();
+}
+
+struct HistoryParam {
+  uint64_t seed;
+  Label gap;
+  Label reserve;
+};
+
+class LeafNumberHistoryTest : public ::testing::TestWithParam<HistoryParam> {};
+
+TEST_P(LeafNumberHistoryTest, LeafNumbersMatchAScanOfEveryNumber) {
+  const HistoryParam& param = GetParam();
+  Random rng(param.seed);
+  ClosureOptions options;
+  options.labeling.gap = param.gap;
+  options.labeling.reserve = param.reserve;
+  auto built = DynamicClosure::Build(RandomDag(30, 1.5, param.seed), options);
+  ASSERT_TRUE(built.ok());
+  DynamicClosure closure = std::move(built).value();
+  const auto random_node = [&rng](const DynamicClosure& c) {
+    return static_cast<NodeId>(
+        rng.Uniform(static_cast<uint64_t>(c.NumNodes())));
+  };
+  // The newest refined node, or kNoNode once a Reoptimize has cleared
+  // them all.  Renumber() needs them gone.  Leaves after a move go under
+  // it first: a handle RefineAbove left unset would point into the
+  // moved-from directory.
+  NodeId newest_refined = kNoNode;
+  int64_t reoptimizes = closure.stats().reoptimizes;
+  const auto parent_after_move = [&](const DynamicClosure& c) {
+    return newest_refined != kNoNode ? newest_refined : random_node(c);
+  };
+  // Leaves often go under the previous leaf's parent, so holes run out.
+  NodeId last_parent = kNoNode;
+
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<NodeId> touched;
+    const uint64_t op = rng.Uniform(100);
+    if (op < 40) {  // A leaf under a random or the last parent, or a root.
+      const uint64_t pick = rng.Uniform(8);
+      const NodeId parent = pick == 0   ? kNoNode
+                            : pick <= 3 ? last_parent
+                                        : random_node(closure);
+      ASSERT_NO_FATAL_FAILURE(AddPlannedLeaf(closure, parent));
+      last_parent = parent;
+    } else if (op < 50) {  // One refinement, or refinements until dry.
+      const NodeId child = random_node(closure);
+      const bool drain = rng.Uniform(3) == 0;
+      touched.push_back(child);
+      while (!closure.graph().InNeighbors(child).empty()) {
+        auto z = closure.RefineAbove(child, closure.graph().InNeighbors(child));
+        if (!z.ok()) {
+          ASSERT_EQ(z.status().code(), StatusCode::kFailedPrecondition)
+              << z.status().ToString();
+          break;
+        }
+        newest_refined = *z;
+        touched.push_back(*z);
+        if (!drain) break;
+      }
+    } else if (op < 65) {  // An arc; cycles and duplicates are refused.
+      const NodeId a = random_node(closure);
+      const NodeId b = random_node(closure);
+      const Status s = closure.AddArc(a, b);
+      ASSERT_TRUE(s.ok() || s.code() == StatusCode::kInvalidArgument ||
+                  s.code() == StatusCode::kAlreadyExists)
+          << s.ToString();
+      touched = {a, b};
+    } else if (op < 75) {  // A tree-arc or non-tree-arc deletion.
+      std::vector<std::pair<NodeId, NodeId>> arcs;
+      const bool tree = rng.Uniform(2) == 0;
+      for (const auto& [a, b] : closure.graph().Arcs()) {
+        if (closure.IsTreeArc(a, b) == tree) arcs.emplace_back(a, b);
+      }
+      if (arcs.empty()) continue;
+      const auto [a, b] = arcs[rng.Uniform(arcs.size())];
+      ASSERT_TRUE(closure.RemoveArc(a, b).ok());
+      touched = {a, b};
+      if (tree) {
+        // Leaves under the detached subtree's root and one of its tree
+        // children read the handles the deletion re-appended.
+        ASSERT_NO_FATAL_FAILURE(AddPlannedLeaf(closure, b));
+        for (NodeId v = 0; v < closure.NumNodes(); ++v) {
+          if (closure.TreeParent(v) == b) {
+            ASSERT_NO_FATAL_FAILURE(AddPlannedLeaf(closure, v));
+            break;
+          }
+        }
+      }
+    } else if (op < 82) {  // Renumber, or Reoptimize.
+      if (newest_refined != kNoNode || rng.Uniform(2) == 0) {
+        closure.Reoptimize();
+      } else {
+        closure.Renumber();
+      }
+    } else if (op < 90) {  // A Save -> Load round trip over the live index.
+      std::stringstream image;
+      ASSERT_TRUE(closure.Save(image).ok());
+      auto loaded = DynamicClosure::Load(image);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_EQ(loaded->labels().postorder, closure.labels().postorder);
+      closure = std::move(loaded).value();
+    } else if (op < 96) {  // Writes through a LoggedClosure, then recovery.
+      std::stringstream snapshot;
+      std::stringstream log;
+      ASSERT_TRUE(closure.Save(snapshot).ok());
+      LoggedClosure logged(std::move(closure), &log);
+      ASSERT_NO_FATAL_FAILURE(
+          AddPlannedLeaf(logged, parent_after_move(logged.closure())));
+      for (int k = 0; k < 3; ++k) {
+        ASSERT_NO_FATAL_FAILURE(
+            AddPlannedLeaf(logged, random_node(logged.closure())));
+      }
+      auto recovered = LoggedClosure::Recover(&snapshot, log);
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      ASSERT_EQ(recovered->labels().postorder,
+                logged.closure().labels().postorder);
+      closure = std::move(recovered).value();
+    } else {  // A move out, a leaf on the moved index, and a move back.
+      DynamicClosure moved(std::move(closure));
+      ASSERT_NO_FATAL_FAILURE(AddPlannedLeaf(moved, parent_after_move(moved)));
+      closure = std::move(moved);
+    }
+    if (closure.stats().reoptimizes != reoptimizes) {
+      newest_refined = kNoNode;
+      reoptimizes = closure.stats().reoptimizes;
+    }
+    for (int k = 0; k < 4; ++k) touched.push_back(random_node(closure));
+    ASSERT_NO_FATAL_FAILURE(ExpectAnswersMatchDfs(closure, touched));
+  }
+  // The history must have crossed the paths it is about.
+  EXPECT_GT(closure.stats().renumbers, 0);
+  EXPECT_GT(closure.stats().reoptimizes, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, LeafNumberHistoryTest,
+    ::testing::Values(HistoryParam{1, 4, 1}, HistoryParam{2, 4, 1},
+                      HistoryParam{3, 64, 16}, HistoryParam{4, 64, 16},
+                      HistoryParam{5, 16, 3}, HistoryParam{6, 8, 0}),
+    [](const ::testing::TestParamInfo<HistoryParam>& info) {
+      return "seed" + std::to_string(info.param.seed) + "_gap" +
+             std::to_string(info.param.gap) + "_res" +
+             std::to_string(info.param.reserve);
+    });
 
 }  // namespace
 }  // namespace trel

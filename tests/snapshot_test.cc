@@ -145,6 +145,8 @@ TEST(SnapshotTest, RejectsGarbageAndTruncation) {
         {"arc endpoint past the last node", 48, 20},
         {"arc endpoint wrapping to a node id", 48, (int64_t{1} << 32) + 1},
         {"negative postorder number", first_node, -5},
+        {"duplicate postorder number (node 1's)", first_node,
+         original->labels().postorder[1]},
         {"postorder number past the 32-bit labels", first_node, kPastArena},
         {"negative tree interval start", first_node + 8, -1},
         {"tree interval end past the 32-bit labels", first_node + 16,
